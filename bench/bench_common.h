@@ -8,6 +8,7 @@
 #define RIO_BENCH_BENCH_COMMON_H
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -87,9 +88,59 @@ struct BenchArgs
     size_t timeline_cap = 0;
 };
 
+/** Report a malformed command line: the problem and a usage line on
+ * stderr, then exit 2. */
+[[noreturn]] inline void
+usageError(const char *argv0, const std::string &problem)
+{
+    std::fprintf(stderr,
+                 "%s: %s\nusage: %s [--threads N] [--json path] "
+                 "[--timeline path] [--timeline-cap N] [--slo] "
+                 "[bench flags]\n",
+                 argv0, problem.c_str(), argv0);
+    std::exit(2);
+}
+
+/** Strict positive decimal: the whole of @p s is digits and the
+ * value is nonzero and fits @p out. */
+template <typename T>
+inline bool
+parsePositive(std::string_view s, T &out)
+{
+    T v{};
+    const char *end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc() || ptr != end || v == 0)
+        return false;
+    out = v;
+    return true;
+}
+
+/** A comma-separated list of positive integers ("1,2,4"); no empty
+ * entries. @p out is untouched on failure. */
+inline bool
+parseCountList(std::string_view s, std::vector<unsigned> &out)
+{
+    std::vector<unsigned> list;
+    for (;;) {
+        const size_t comma = s.find(',');
+        unsigned n = 0;
+        if (!parsePositive(s.substr(0, comma), n))
+            return false;
+        list.push_back(n);
+        if (comma == std::string_view::npos)
+            break;
+        s.remove_prefix(comma + 1);
+    }
+    out = std::move(list);
+    return true;
+}
+
 /**
  * Parse the uniform bench arguments (bench-specific flags like
- * --cores are parsed by the bench itself and ignored here). Passing
+ * --cores are parsed by the bench itself and ignored here). A
+ * missing, non-numeric or zero --threads / --timeline-cap value is a
+ * usage error (exit 2), never a silent default. Passing
  * --timeline turns the event timeline's recording gate on for the
  * whole run; pair with finishBench() to write the trace at exit.
  * --slo flips the obs::sloRecording() gate for the whole run.
@@ -101,15 +152,18 @@ parseBenchArgs(int argc, char **argv)
     BenchArgs args;
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg(argv[i]);
-        if (arg == "--json" && i + 1 < argc)
+        if (arg == "--threads" || arg == "--timeline-cap") {
+            const char *value = i + 1 < argc ? argv[++i] : "";
+            const bool ok = arg == "--threads"
+                                ? parsePositive(value, args.threads)
+                                : parsePositive(value, args.timeline_cap);
+            if (!ok)
+                usageError(argv[0],
+                           std::string(arg) + " takes a positive integer");
+        } else if (arg == "--json" && i + 1 < argc)
             args.json_path = argv[++i];
         else if (arg == "--timeline" && i + 1 < argc)
             args.timeline_path = argv[++i];
-        else if (arg == "--threads" && i + 1 < argc)
-            args.threads = std::max(1, std::atoi(argv[++i]));
-        else if (arg == "--timeline-cap" && i + 1 < argc)
-            args.timeline_cap = static_cast<size_t>(
-                std::max(1LL, std::atoll(argv[++i])));
         else if (arg == "--slo")
             args.slo = true;
     }

@@ -16,7 +16,7 @@
 #include "bench_common.h"
 
 #include "cycles/cycle_account.h"
-#include "workloads/scaling.h"
+#include "workloads/sweep.h"
 
 using namespace rio;
 
@@ -24,6 +24,19 @@ int
 main(int argc, char **argv)
 {
     const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+
+    // `--cores 1,2,4` overrides the default sweep (the golden-output
+    // regression test pins {1,2} for a fast deterministic run).
+    std::vector<unsigned> core_counts = {1, 2, 4, 8};
+    for (int i = 1; i < argc; ++i) {
+        if (std::string_view(argv[i]) != "--cores")
+            continue;
+        if (i + 1 >= argc ||
+            !bench::parseCountList(argv[i + 1], core_counts))
+            bench::usageError(argv[0], "--cores takes a comma-separated "
+                                       "list of positive integers");
+    }
+
     bench::printHeader(
         "Scaling: cycles/packet vs core count, Netperf stream x K "
         "flows on one DmaContext (mlx)");
@@ -33,79 +46,75 @@ main(int argc, char **argv)
     params.measure_packets = bench::scaled(20000);
     params.warmup_packets = bench::scaled(5000);
 
-    // `--cores 1,2,4` overrides the default sweep (the golden-output
-    // regression test pins {1,2} for a fast deterministic run).
-    std::vector<unsigned> core_counts = {1, 2, 4, 8};
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::string_view(argv[i]) != "--cores")
-            continue;
-        core_counts.clear();
-        unsigned v = 0;
-        for (const char *p = argv[i + 1]; *p; ++p) {
-            if (*p == ',') {
-                core_counts.push_back(v);
-                v = 0;
-            } else if (*p >= '0' && *p <= '9') {
-                v = v * 10 + static_cast<unsigned>(*p - '0');
-            }
-        }
-        core_counts.push_back(v);
-    }
-
+    // One engine lane per (mode, cores) point, so results are
+    // independent of --threads. One sweep per mode: a lane's machine
+    // lives until its sweep ends, and one mode's lanes peak under
+    // 200 MB at the default sweep where the whole grid would hold
+    // 1.3 GB.
     struct Row
     {
         dma::ProtectionMode mode;
-        workloads::ScalingResult r;
+        unsigned cores;
     };
     std::vector<Row> rows;
-    for (dma::ProtectionMode mode : bench::evaluatedModes())
-        for (unsigned cores : core_counts)
-            rows.push_back({mode, workloads::runStreamScaling(
-                                      mode, nic::mlxProfile(), cores,
-                                      params)});
+    std::vector<workloads::RunResult> results;
+    for (dma::ProtectionMode mode : bench::evaluatedModes()) {
+        std::vector<workloads::StreamJob> jobs;
+        for (unsigned cores : core_counts) {
+            rows.push_back({mode, cores});
+            params.cores = cores;
+            jobs.push_back({mode, nic::mlxProfile(), params});
+        }
+        for (workloads::RunResult &r :
+             workloads::runStreamJobs(jobs, args.threads))
+            results.push_back(std::move(r));
+    }
+    const auto lockWaitPerPacket = [](const workloads::RunResult &r) {
+        return static_cast<double>(r.acct.get(cycles::Cat::kLockWait)) /
+               static_cast<double>(std::max<u64>(r.tx_packets, 1));
+    };
 
     Table t({"mode", "cores", "cycles/pkt", "lock wait/pkt",
              "lock wait %", "vs 1 core", "iova contended",
              "qi contended"});
-    const Row *base = nullptr;
-    for (const Row &row : rows) {
-        if (row.r.cores == core_counts.front() || !base)
-            base = &row;
-        const double wait_pct = 100.0 * row.r.lock_wait_per_packet /
-                                row.r.cycles_per_packet;
-        t.addRow({dma::modeName(row.mode),
-                  strprintf("%u", row.r.cores),
-                  Table::num(row.r.cycles_per_packet, 0),
-                  Table::num(row.r.lock_wait_per_packet, 0),
-                  Table::num(wait_pct, 1),
-                  Table::num(row.r.cycles_per_packet /
-                                 base->r.cycles_per_packet,
+    const workloads::RunResult *base = nullptr;
+    for (size_t i = 0; i < rows.size(); ++i) {
+        const workloads::RunResult &r = results[i];
+        if (rows[i].cores == core_counts.front() || !base)
+            base = &r;
+        const double wait = lockWaitPerPacket(r);
+        t.addRow({dma::modeName(rows[i].mode),
+                  strprintf("%u", rows[i].cores),
+                  Table::num(r.cycles_per_packet, 0),
+                  Table::num(wait, 0),
+                  Table::num(100.0 * wait / r.cycles_per_packet, 1),
+                  Table::num(r.cycles_per_packet / base->cycles_per_packet,
                              2),
-                  strprintf("%llu", (unsigned long long)
-                                        row.r.iova_lock.contended),
-                  strprintf("%llu", (unsigned long long)
-                                        row.r.inval_lock.contended)});
+                  strprintf("%llu",
+                            (unsigned long long)r.iova_lock.contended),
+                  strprintf("%llu",
+                            (unsigned long long)r.inval_lock.contended)});
     }
     std::printf("%s\n", t.toString().c_str());
     std::printf("expected: strict/defer grow with cores (lock wait > 0); "
                 "riommu/riommu-/none stay flat with zero lock wait\n");
 
     bench::JsonWriter json("scaling_cores", args.threads);
-    for (const Row &row : rows) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+        const workloads::RunResult &r = results[i];
         json.beginRow();
-        json.add("mode", dma::modeName(row.mode));
-        json.add("cores", row.r.cores);
-        json.add("tx_packets", row.r.tx_packets);
-        json.add("cycles_per_packet", row.r.cycles_per_packet);
-        json.add("lock_wait_per_packet", row.r.lock_wait_per_packet);
-        json.add("throughput_gbps", row.r.throughput_gbps);
-        json.add("iova_lock_acquisitions", row.r.iova_lock.acquisitions);
-        json.add("iova_lock_contended", row.r.iova_lock.contended);
-        json.add("iova_lock_wait_cycles", row.r.iova_lock.wait_cycles);
-        json.add("inval_lock_acquisitions",
-                 row.r.inval_lock.acquisitions);
-        json.add("inval_lock_contended", row.r.inval_lock.contended);
-        json.add("inval_lock_wait_cycles", row.r.inval_lock.wait_cycles);
+        json.add("mode", dma::modeName(rows[i].mode));
+        json.add("cores", rows[i].cores);
+        json.add("tx_packets", r.tx_packets);
+        json.add("cycles_per_packet", r.cycles_per_packet);
+        json.add("lock_wait_per_packet", lockWaitPerPacket(r));
+        json.add("throughput_gbps", r.throughput_gbps);
+        json.add("iova_lock_acquisitions", r.iova_lock.acquisitions);
+        json.add("iova_lock_contended", r.iova_lock.contended);
+        json.add("iova_lock_wait_cycles", r.iova_lock.wait_cycles);
+        json.add("inval_lock_acquisitions", r.inval_lock.acquisitions);
+        json.add("inval_lock_contended", r.inval_lock.contended);
+        json.add("inval_lock_wait_cycles", r.inval_lock.wait_cycles);
     }
     if (!json.writeTo(args.json_path))
         return 1;

@@ -55,7 +55,8 @@ cmake -B "$TSAN_DIR" -S . -DRIO_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$TSAN_DIR" -j "$(nproc)" -- \
     parallel_test obs_test des_test spinlock_test magazine_churn_test \
-    bench_selfperf fuzz_test bench_cluster_rdma bench_tail_latency
+    bench_selfperf bench_scaling_cores fuzz_test bench_cluster_rdma \
+    bench_tail_latency
 
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 "$TSAN_DIR/tests/parallel_test"
@@ -64,6 +65,11 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 "$TSAN_DIR/tests/spinlock_test"
 "$TSAN_DIR/tests/magazine_churn_test"
 RIO_BENCH_QUICK=1 "$TSAN_DIR/bench/bench_selfperf" --threads 4 --quick
+# K-core flows on engine lanes: the scaling sweep's (mode, cores)
+# lanes on four workers, each lane's flows contending on its own
+# machine's locks.
+RIO_BENCH_QUICK=1 "$TSAN_DIR/bench/bench_scaling_cores" \
+    --cores 1,2 --threads 4 > /dev/null
 # Cluster fabric across real worker threads: the ClusterFuzz campaign
 # (each seed replayed on 1 and 3 workers) and a threaded fabric sweep
 # — cross-lane mail hand-off and the barrier drain are the only

@@ -110,6 +110,17 @@ class CycleAccount
     /** A -= style delta: this minus @p earlier, category-wise. */
     CycleAccount since(const CycleAccount &earlier) const;
 
+    /** Category-wise sum (aggregating several cores' windows). */
+    CycleAccount &
+    operator+=(const CycleAccount &o)
+    {
+        for (unsigned i = 0; i < kNumCats; ++i) {
+            cycles_[i] += o.cycles_[i];
+            ops_[i] += o.ops_[i];
+        }
+        return *this;
+    }
+
   private:
     std::array<Cycles, kNumCats> cycles_;
     std::array<u64, kNumCats> ops_;

@@ -46,6 +46,24 @@ struct NicStats
     u64 unmap_burst_len_sum = 0;
     u64 surprise_unplugs = 0;
     u64 replugs = 0;
+
+    NicStats &
+    operator+=(const NicStats &o)
+    {
+        tx_packets += o.tx_packets;
+        tx_payload_bytes += o.tx_payload_bytes;
+        tx_irqs += o.tx_irqs;
+        rx_packets += o.rx_packets;
+        rx_payload_bytes += o.rx_payload_bytes;
+        rx_dropped += o.rx_dropped;
+        rx_irqs += o.rx_irqs;
+        dma_faults += o.dma_faults;
+        unmap_bursts += o.unmap_bursts;
+        unmap_burst_len_sum += o.unmap_burst_len_sum;
+        surprise_unplugs += o.surprise_unplugs;
+        replugs += o.replugs;
+        return *this;
+    }
 };
 
 /** The NIC: driver API on one side, wire API on the other. */

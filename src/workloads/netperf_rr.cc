@@ -1,15 +1,13 @@
 #include "workloads/netperf_rr.h"
 
-#include <algorithm>
-#include <functional>
 #include <optional>
 #include <string_view>
 
 #include "base/logging.h"
 #include "des/simulator.h"
 #include "net/packet.h"
-#include "sys/machine.h"
 #include "virt/guest.h"
+#include "workloads/flow.h"
 
 namespace rio::workloads {
 
@@ -37,6 +35,16 @@ rrParamsFor(const nic::NicProfile &profile)
  */
 struct RrRun::Impl
 {
+    /** Driver state of one flow (initiator/echoer NIC @c idx). */
+    struct Flow
+    {
+        unsigned idx = 0;
+        u64 transactions = 0;
+        bool stopped = false;
+        FlowSnapshot start, end;
+        u64 watchdog_seen = ~u64{0};
+    };
+
     RrParams params;
     nic::NicProfile profile;
     cycles::CostModel cost;
@@ -48,12 +56,9 @@ struct RrRun::Impl
     // bring-up so boot traps precede the measurement window.
     std::optional<virt::Guest> guest;
 
-    u64 transactions = 0;
-    bool stopped = false;
-    Nanos t_start = 0, t_end = 0;
-    Cycles busy_start = 0, busy_end = 0;
-    cycles::CycleAccount acct_start, acct_end;
-    u64 watchdog_seen = ~u64{0};
+    // Sized once in setup(): callbacks keep pointers into it.
+    std::vector<Flow> flows;
+    unsigned stopped_flows = 0;
 
     // Retransmit timer, as in real netperf UDP RR: a request or echo
     // dropped by a fault would otherwise stall the ping-pong forever.
@@ -65,59 +70,58 @@ struct RrRun::Impl
          const nic::NicProfile &prof, const RrParams &p,
          const cycles::CostModel &c)
         : params(p), profile(prof), cost(c), sim(s),
-          a(sim, mode, profile, cost), b(sim, mode, profile, cost)
+          a(sim, mode, params.cores, cost), b(sim, mode, params.cores, cost)
     {
+        for (unsigned i = 0; i < params.cores; ++i) {
+            a.attachNic(profile, i);
+            b.attachNic(profile, i);
+        }
     }
 
     void
-    send(sys::Machine &machine)
+    send(sys::Machine &machine, unsigned i)
     {
-        if (!machine.nic().isUp())
+        if (!machine.nic(i).isUp())
             return; // mid-outage; the retransmit timer retries
-        machine.core().acct().charge(cycles::Cat::kProcessing,
-                                     params.per_message_cycles);
+        machine.nicCore(i).acct().charge(cycles::Cat::kProcessing,
+                                         params.per_message_cycles);
         net::Packet pkt;
         pkt.payload_bytes = params.payload;
-        Status s = machine.nic().sendPacket(pkt);
+        Status s = machine.nic(i).sendPacket(pkt);
         RIO_ASSERT(s.isOk(), "rr send failed: ", s.toString());
     }
 
     // Initiator: count a transaction per echo, fire the next one.
     void
-    onEcho()
+    onEcho(Flow &f)
     {
-        ++transactions;
-        if (transactions == params.warmup_transactions) {
-            t_start = sim.now();
-            busy_start = a.core().busyCycles();
-            acct_start = a.core().acct();
-        }
-        if (transactions ==
+        ++f.transactions;
+        if (f.transactions == params.warmup_transactions)
+            f.start = snapFlow(a, f.idx);
+        if (f.transactions ==
             params.warmup_transactions + params.measure_transactions) {
-            stopped = true;
-            t_end = sim.now();
-            busy_end = a.core().busyCycles();
-            acct_end = a.core().acct();
-            if (params.churn_per_ms > 0)
+            f.stopped = true;
+            f.end = snapFlow(a, f.idx);
+            if (++stopped_flows == flows.size() && params.churn_per_ms > 0)
                 a.disarmLifecycleChurn(); // let the event queue drain
             return;
         }
-        if (!stopped)
-            send(a);
+        if (!f.stopped)
+            send(a, f.idx);
     }
 
     void
-    watchdog()
+    watchdog(Flow &f)
     {
-        if (stopped)
+        if (f.stopped)
             return;
-        if (transactions == watchdog_seen)
-            a.core().post([this] {
-                if (!stopped)
-                    send(a);
+        if (f.transactions == f.watchdog_seen)
+            a.nicCore(f.idx).post([this, &f] {
+                if (!f.stopped)
+                    send(a, f.idx);
             });
-        watchdog_seen = transactions;
-        sim.scheduleAfter(kRetransmitNs, [this] { watchdog(); });
+        f.watchdog_seen = f.transactions;
+        sim.scheduleAfter(kRetransmitNs, [this, &f] { watchdog(f); });
     }
 
     void
@@ -127,65 +131,66 @@ struct RrRun::Impl
             guest.emplace(a, params.platform);
         a.bringUp();
         b.bringUp();
-        if (params.fault_rate > 0) {
-            a.setFaultPolicy(params.fault_policy);
-            a.setFaultInjection(params.fault_rate, params.fault_seed);
-            b.setFaultPolicy(params.fault_policy);
-            // Decorrelate the echoer's fault stream from the initiator's.
-            b.setFaultInjection(params.fault_rate, params.fault_seed + 1);
+        armFaults(a, params, params.fault_seed);
+        // Decorrelate the echoer's fault stream from the initiator's.
+        armFaults(b, params, params.fault_seed + 1);
+        armChurn(a, params);
+
+        flows.resize(params.cores);
+        for (unsigned i = 0; i < params.cores; ++i) {
+            Flow &f = flows[i];
+            f.idx = i;
+            // Wire: full-duplex point-to-point link per flow pair.
+            a.nic(i).setWireTxCallback([this, i](const net::Packet &pkt) {
+                sim.scheduleAfter(profile.wire_ns, [this, i, pkt] {
+                    b.nic(i).packetFromWire(pkt);
+                });
+            });
+            b.nic(i).setWireTxCallback([this, i](const net::Packet &pkt) {
+                sim.scheduleAfter(profile.wire_ns, [this, i, pkt] {
+                    a.nic(i).packetFromWire(pkt);
+                });
+            });
+
+            // Echo side: bounce every message straight back.
+            b.nic(i).setRxCallback(
+                [this, i](const net::Packet &) { send(b, i); });
+            a.nic(i).setRxCallback(
+                [this, &f](const net::Packet &) { onEcho(f); });
+
+            if (params.fault_rate > 0 || params.churn_per_ms > 0)
+                sim.scheduleAfter(kRetransmitNs,
+                                  [this, &f] { watchdog(f); });
         }
-        if (params.churn_per_ms > 0) {
-            sys::LifecycleChurnConfig churn;
-            churn.events_per_ms = params.churn_per_ms;
-            churn.seed = params.churn_seed;
-            churn.down_ns = params.churn_down_ns;
-            a.armLifecycleChurn(churn);
+        for (unsigned i = 0; i < params.cores; ++i)
+            a.nicCore(i).post([this, i] { send(a, i); });
+    }
+
+    std::vector<RunResult>
+    collectFlows()
+    {
+        std::vector<RunResult> out;
+        for (const Flow &f : flows) {
+            RIO_ASSERT(f.stopped, "RR flow ", f.idx, " ended early");
+            RunResult r = windowResult(f.start, f.end, cost.core_ghz);
+            r.transactions = params.measure_transactions;
+            r.transactions_per_sec =
+                static_cast<double>(r.transactions) / r.duration_s;
+            r.tx_packets = r.transactions;
+            r.throughput_gbps = r.transactions_per_sec *
+                                static_cast<double>(params.payload) * 8 /
+                                1e9;
+            finishWindow(r);
+            out.push_back(r);
         }
-
-        // Wire: full-duplex point-to-point link.
-        a.nic().setWireTxCallback([this](const net::Packet &pkt) {
-            sim.scheduleAfter(profile.wire_ns,
-                              [this, pkt] { b.nic().packetFromWire(pkt); });
-        });
-        b.nic().setWireTxCallback([this](const net::Packet &pkt) {
-            sim.scheduleAfter(profile.wire_ns,
-                              [this, pkt] { a.nic().packetFromWire(pkt); });
-        });
-
-        // Echo side: bounce every message straight back.
-        b.nic().setRxCallback([this](const net::Packet &) { send(b); });
-        a.nic().setRxCallback([this](const net::Packet &) { onEcho(); });
-
-        if (params.fault_rate > 0 || params.churn_per_ms > 0)
-            sim.scheduleAfter(kRetransmitNs, [this] { watchdog(); });
-
-        a.core().post([this] { send(a); });
+        return out;
     }
 
     RunResult
     collect()
     {
-        RIO_ASSERT(stopped, "RR run ended early");
-        RunResult r;
-        r.duration_s = static_cast<double>(t_end - t_start) * 1e-9;
-        r.transactions = params.measure_transactions;
-        r.transactions_per_sec =
-            static_cast<double>(r.transactions) / r.duration_s;
-        r.acct = acct_end.since(acct_start);
-        r.tx_packets = r.transactions;
-        r.cycles_per_packet = static_cast<double>(r.acct.total()) /
-                              static_cast<double>(r.transactions);
-        r.cpu =
-            std::min(1.0, static_cast<double>(busy_end - busy_start) /
-                              cost.core_ghz /
-                              static_cast<double>(t_end - t_start));
-        r.throughput_gbps = r.transactions_per_sec *
-                            static_cast<double>(params.payload) * 8 / 1e9;
-        r.fault = a.faultStats();
-        r.surprise_unplugs = a.lifecycleStats().surprise_unplugs;
-        r.replugs = a.lifecycleStats().replugs;
-        r.detach_faults = a.detachFaultCount();
-        r.vm_exits = r.acct.ops(cycles::Cat::kVirt);
+        RunResult r = sumFlows(collectFlows());
+        addMachineTotals(r, a);
         return r;
     }
 };
@@ -204,6 +209,24 @@ RunResult
 RrRun::collect()
 {
     return impl_->collect();
+}
+
+std::vector<RunResult>
+RrRun::collectFlows()
+{
+    return impl_->collectFlows();
+}
+
+sys::Machine &
+RrRun::initiator()
+{
+    return impl_->a;
+}
+
+sys::Machine &
+RrRun::echoer()
+{
+    return impl_->b;
 }
 
 RunResult

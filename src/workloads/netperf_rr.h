@@ -6,11 +6,16 @@
  * workload is latency-sensitive, so rIOMMU's end-of-burst
  * invalidation is NOT amortized here — exactly the regime §4
  * discusses.
+ *
+ * With RrParams::cores = K both machines have K cores x K NICs, each
+ * sharing its machine's DmaContext; flow i ping-pongs between
+ * initiator NIC i and echoer NIC i.
  */
 #ifndef RIO_WORKLOADS_NETPERF_RR_H
 #define RIO_WORKLOADS_NETPERF_RR_H
 
 #include <memory>
+#include <vector>
 
 #include "dma/fault.h"
 #include "dma/protection_mode.h"
@@ -20,6 +25,9 @@
 
 namespace rio::des {
 class Simulator;
+}
+namespace rio::sys {
+class Machine;
 }
 
 namespace rio::workloads {
@@ -53,6 +61,10 @@ struct RrParams
      * initiator's DMA management costs under virtualization).
      */
     virt::Platform platform = virt::Platform::kBare;
+
+    /** Flows = cores of each machine, one NIC each; the transaction
+     * targets apply per flow. */
+    unsigned cores = 1;
 };
 
 /** Calibrated parameters (Table 3's none RTT anchors the wire). */
@@ -76,8 +88,16 @@ class RrRun
     RrRun(const RrRun &) = delete;
     RrRun &operator=(const RrRun &) = delete;
 
-    /** Initiator metrics; asserts the run hit its transaction target. */
+    /** Initiator metrics summed over the flows plus its whole-run
+     * counters; asserts every flow hit its target. */
     RunResult collect();
+
+    /** Per-flow initiator window metrics, index == core. */
+    std::vector<RunResult> collectFlows();
+
+    /** The measured machine and its peer (for post-run audits). */
+    sys::Machine &initiator();
+    sys::Machine &echoer();
 
   private:
     struct Impl;

@@ -9,6 +9,7 @@
 #define RIO_WORKLOADS_RESULT_H
 
 #include "cycles/cycle_account.h"
+#include "des/spinlock.h"
 #include "dma/fault.h"
 #include "nic/nic.h"
 
@@ -61,6 +62,11 @@ struct RunResult
      * ablation's metric. */
     u64 walks = 0;
     u64 walk_mem_refs = 0;
+
+    /** Whole-run contention counters of the measured machine's two
+     * context-global locks (IOVA allocator, invalidation queue). */
+    des::SimSpinlock::Stats iova_lock;
+    des::SimSpinlock::Stats inval_lock;
 };
 
 /** a - b, field-wise, for NIC counter windows. */

@@ -6,41 +6,10 @@
 #include "base/logging.h"
 #include "des/simulator.h"
 #include "net/packet.h"
-#include "sys/machine.h"
 #include "virt/guest.h"
+#include "workloads/flow.h"
 
 namespace rio::workloads {
-
-namespace {
-
-struct Snapshot
-{
-    Nanos t = 0;
-    Cycles busy = 0;
-    cycles::CycleAccount acct;
-    nic::NicStats nic;
-};
-
-} // namespace
-
-nic::NicStats
-statsDelta(const nic::NicStats &a, const nic::NicStats &b)
-{
-    nic::NicStats d;
-    d.tx_packets = a.tx_packets - b.tx_packets;
-    d.tx_payload_bytes = a.tx_payload_bytes - b.tx_payload_bytes;
-    d.tx_irqs = a.tx_irqs - b.tx_irqs;
-    d.rx_packets = a.rx_packets - b.rx_packets;
-    d.rx_payload_bytes = a.rx_payload_bytes - b.rx_payload_bytes;
-    d.rx_dropped = a.rx_dropped - b.rx_dropped;
-    d.rx_irqs = a.rx_irqs - b.rx_irqs;
-    d.dma_faults = a.dma_faults - b.dma_faults;
-    d.unmap_bursts = a.unmap_bursts - b.unmap_bursts;
-    d.unmap_burst_len_sum = a.unmap_burst_len_sum - b.unmap_burst_len_sum;
-    d.surprise_unplugs = a.surprise_unplugs - b.surprise_unplugs;
-    d.replugs = a.replugs - b.replugs;
-    return d;
-}
 
 StreamParams
 streamParamsFor(const nic::NicProfile &profile)
@@ -74,6 +43,19 @@ streamParamsFor(const nic::NicProfile &profile)
  */
 struct StreamRun::Impl
 {
+    /** Driver state of one flow (core and NIC @c idx). */
+    struct Flow
+    {
+        unsigned idx = 0;
+        nic::Nic *nic = nullptr;
+        des::Core *core = nullptr;
+        FlowSnapshot start, end;
+        bool started = false;
+        bool stopped = false;
+        bool pump_posted = false;
+        u64 data_on_wire = 0;
+    };
+
     StreamParams params;
     nic::NicProfile profile;
     cycles::CostModel cost;
@@ -84,36 +66,29 @@ struct StreamRun::Impl
     // Rx-prefill traps are boot cost, outside the snapshot window.
     std::optional<virt::Guest> guest;
 
-    Snapshot start, end;
-    bool started = false;
-    bool stopped = false;
+    // Sized once in setup(): callbacks keep pointers into it.
+    std::vector<Flow> flows;
+    unsigned stopped_flows = 0;
     u64 total_target = 0;
     u64 message_segments = 1;
-    bool pump_posted = false;
-    u64 data_on_wire = 0;
 
     Impl(des::Simulator &s, dma::ProtectionMode mode,
          const nic::NicProfile &prof, const StreamParams &p,
          const cycles::CostModel &c)
         : params(p), profile(prof), cost(c), sim(s),
-          m(sim, mode, profile, cost, params.trace)
+          m(sim, mode, params.cores, cost)
     {
-    }
-
-    Snapshot
-    snap()
-    {
-        return Snapshot{sim.now(), m.core().busyCycles(), m.core().acct(),
-                        m.nic().stats()};
+        for (unsigned i = 0; i < params.cores; ++i)
+            m.attachNic(profile, i, params.trace);
     }
 
     void
-    postPump()
+    postPump(Flow &f)
     {
-        if (pump_posted || stopped)
+        if (f.pump_posted || f.stopped)
             return;
-        pump_posted = true;
-        m.core().post([this] { pump(); });
+        f.pump_posted = true;
+        f.core->post([this, &f] { pump(f); });
     }
 
     // Application side: saturate the socket. Netperf writes one
@@ -123,17 +98,17 @@ struct StreamRun::Impl
     // is what keeps resetting the stock allocator's cached node
     // between Tx allocation runs (§3.2).
     void
-    pump()
+    pump(Flow &f)
     {
-        pump_posted = false;
-        if (stopped)
+        f.pump_posted = false;
+        if (f.stopped)
             return;
-        auto &nic = m.nic();
+        nic::Nic &nic = *f.nic;
         u64 sent = 0;
         while (sent < message_segments &&
                nic.txSpacePackets(net::kMss) > 0) {
-            m.core().acct().charge(cycles::Cat::kProcessing,
-                                   params.per_packet_cycles);
+            f.core->acct().charge(cycles::Cat::kProcessing,
+                                  params.per_packet_cycles);
             net::Packet pkt;
             pkt.payload_bytes = net::kMss;
             pkt.kind = 1;
@@ -142,32 +117,32 @@ struct StreamRun::Impl
             ++sent;
         }
         if (sent > 0 && nic.txSpacePackets(net::kMss) > 0)
-            postPump(); // next message; Rx handlers slot in between
+            postPump(f); // next message; Rx handlers slot in between
     }
 
     void
-    onWireTx()
+    onWireTx(Flow &f)
     {
-        auto &nic = m.nic();
-        ++data_on_wire;
-        if (!started && nic.stats().tx_packets >= params.warmup_packets) {
-            started = true;
-            start = snap();
+        nic::Nic &nic = *f.nic;
+        ++f.data_on_wire;
+        if (!f.started && nic.stats().tx_packets >= params.warmup_packets) {
+            f.started = true;
+            f.start = snapFlow(m, f.idx);
         }
-        if (started && !stopped &&
+        if (f.started && !f.stopped &&
             nic.stats().tx_packets >= total_target) {
-            stopped = true;
-            end = snap();
-            if (params.churn_per_ms > 0)
+            f.stopped = true;
+            f.end = snapFlow(m, f.idx);
+            if (++stopped_flows == flows.size() && params.churn_per_ms > 0)
                 m.disarmLifecycleChurn(); // let the event queue drain
         }
-        if (!stopped && data_on_wire % params.ack_every == 0) {
-            sim.scheduleAfter(2 * profile.wire_ns, [this] {
+        if (!f.stopped && f.data_on_wire % params.ack_every == 0) {
+            sim.scheduleAfter(2 * profile.wire_ns, [this, &nic] {
                 net::Packet ack;
                 ack.payload_bytes = params.ack_payload;
                 ack.kind = 2;
                 ack.flow = 0; // one TCP connection -> one RSS ring
-                m.nic().packetFromWire(ack);
+                nic.packetFromWire(ack);
             });
         }
     }
@@ -181,71 +156,66 @@ struct StreamRun::Impl
                 guest->setHugeStage2(true);
         }
         m.bringUp();
-        if (params.fault_rate > 0) {
-            m.setFaultPolicy(params.fault_policy);
-            m.setFaultInjection(params.fault_rate, params.fault_seed);
-        }
-        if (params.churn_per_ms > 0) {
-            sys::LifecycleChurnConfig churn;
-            churn.events_per_ms = params.churn_per_ms;
-            churn.seed = params.churn_seed;
-            churn.down_ns = params.churn_down_ns;
-            m.armLifecycleChurn(churn);
-        }
+        armFaults(m, params, params.fault_seed);
+        armChurn(m, params);
 
         total_target = params.warmup_packets + params.measure_packets;
         message_segments =
             std::max<u64>(net::segmentsFor(params.message_bytes), 1);
 
-        m.nic().setTxSpaceCallback([this] { postPump(); });
+        flows.resize(params.cores);
+        for (unsigned i = 0; i < params.cores; ++i) {
+            Flow &f = flows[i];
+            f.idx = i;
+            f.nic = &m.nic(i);
+            f.core = &m.nicCore(i);
+            f.nic->setTxSpaceCallback([this, &f] { postPump(f); });
 
-        // ACK receive path: protocol processing per ACK; the buffer
-        // recycling (unmap + map) was already charged by the driver.
-        m.nic().setRxCallback([this](const net::Packet &) {
-            m.core().acct().charge(cycles::Cat::kProcessing,
-                                   params.per_ack_cycles);
-        });
+            // ACK receive path: protocol processing per ACK; the
+            // buffer recycling (unmap + map) was already charged by
+            // the driver.
+            f.nic->setRxCallback([this, &f](const net::Packet &) {
+                f.core->acct().charge(cycles::Cat::kProcessing,
+                                      params.per_ack_cycles);
+            });
 
-        // Remote sink: consumes data, returns an ACK every ack_every
-        // packets after a round-trip wire delay.
-        m.nic().setWireTxCallback(
-            [this](const net::Packet &) { onWireTx(); });
+            // Remote sink: consumes data, returns an ACK every
+            // ack_every packets after a round-trip wire delay.
+            f.nic->setWireTxCallback(
+                [this, &f](const net::Packet &) { onWireTx(f); });
+        }
+        for (Flow &f : flows)
+            postPump(f);
+    }
 
-        postPump();
+    std::vector<RunResult>
+    collectFlows()
+    {
+        std::vector<RunResult> out;
+        for (const Flow &f : flows) {
+            RIO_ASSERT(f.stopped, "stream flow ", f.idx,
+                       " ended before reaching its target");
+            RunResult r = windowResult(f.start, f.end, cost.core_ghz);
+            r.nic = statsDelta(f.end.nic, f.start.nic);
+            r.tx_packets = r.nic.tx_packets;
+            r.rx_packets = r.nic.rx_packets;
+            r.tx_payload_bytes = r.nic.tx_payload_bytes;
+            r.transactions = r.nic.tx_packets;
+            r.throughput_gbps = static_cast<double>(r.tx_payload_bytes) *
+                                8 / r.duration_s / 1e9;
+            r.transactions_per_sec =
+                static_cast<double>(r.transactions) / r.duration_s;
+            finishWindow(r);
+            out.push_back(r);
+        }
+        return out;
     }
 
     RunResult
     collect()
     {
-        RIO_ASSERT(stopped, "stream run ended before reaching its target");
-        RunResult r;
-        r.duration_s = static_cast<double>(end.t - start.t) * 1e-9;
-        r.nic = statsDelta(end.nic, start.nic);
-        r.acct = end.acct.since(start.acct);
-        r.tx_packets = r.nic.tx_packets;
-        r.rx_packets = r.nic.rx_packets;
-        r.tx_payload_bytes = r.nic.tx_payload_bytes;
-        r.transactions = r.nic.tx_packets;
-        r.throughput_gbps = static_cast<double>(r.tx_payload_bytes) * 8 /
-                            r.duration_s / 1e9;
-        r.transactions_per_sec =
-            static_cast<double>(r.transactions) / r.duration_s;
-        r.cpu = std::min(
-            1.0, static_cast<double>(end.busy - start.busy) /
-                     cost.core_ghz / static_cast<double>(end.t - start.t));
-        r.cycles_per_packet =
-            static_cast<double>(r.acct.total()) /
-            static_cast<double>(std::max<u64>(r.tx_packets, 1));
-        r.avg_unmap_burst =
-            r.nic.unmap_bursts
-                ? static_cast<double>(r.nic.unmap_burst_len_sum) /
-                      static_cast<double>(r.nic.unmap_bursts)
-                : 0.0;
-        r.fault = m.faultStats();
-        r.surprise_unplugs = m.lifecycleStats().surprise_unplugs;
-        r.replugs = m.lifecycleStats().replugs;
-        r.detach_faults = m.detachFaultCount();
-        r.vm_exits = r.acct.ops(cycles::Cat::kVirt);
+        RunResult r = sumFlows(collectFlows());
+        addMachineTotals(r, m);
         // One of the two is always zero: modes use either the radix
         // IOMMU or the rIOMMU, never both.
         r.walks = m.ctx().iommu().walkCount() +
@@ -271,6 +241,18 @@ RunResult
 StreamRun::collect()
 {
     return impl_->collect();
+}
+
+std::vector<RunResult>
+StreamRun::collectFlows()
+{
+    return impl_->collectFlows();
+}
+
+sys::Machine &
+StreamRun::machine()
+{
+    return impl_->m;
 }
 
 RunResult

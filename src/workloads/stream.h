@@ -4,11 +4,18 @@
  * MSS-sized segments of 16 KB messages as fast as its core can, the
  * remote end sinks them and returns ACKs. Throughput is CPU-bound
  * unless the NIC's line rate caps it first (the brcm regime).
+ *
+ * With StreamParams::cores = K the host runs K such flows, one per
+ * core and NIC, all sharing one DmaContext — §3.2's scaling question:
+ * the baseline modes serialize every map/unmap on the context-global
+ * IOVA-allocator and invalidation-queue locks, the rIOMMU modes touch
+ * only per-ring state and take no lock.
  */
 #ifndef RIO_WORKLOADS_STREAM_H
 #define RIO_WORKLOADS_STREAM_H
 
 #include <memory>
+#include <vector>
 
 #include "dma/fault.h"
 #include "dma/protection_mode.h"
@@ -19,6 +26,9 @@
 
 namespace rio::des {
 class Simulator;
+}
+namespace rio::sys {
+class Machine;
 }
 
 namespace rio::workloads {
@@ -71,6 +81,11 @@ struct StreamParams
     /** Back guest memory with 2 MB stage-2 leaves (nested ablation;
      * ignored on bare metal). */
     bool huge_stage2 = false;
+
+    /** Flows = cores of the measured machine, one NIC each. The
+     * packet targets apply per flow; fault injection and churn act
+     * on the whole machine. */
+    unsigned cores = 1;
 };
 
 /** Calibrated parameters for a NIC profile (see workloads/calibrate.cc). */
@@ -101,8 +116,16 @@ class StreamRun
     StreamRun(const StreamRun &) = delete;
     StreamRun &operator=(const StreamRun &) = delete;
 
-    /** Window metrics; asserts the run reached its packet target. */
+    /** Window metrics summed over the flows plus the machine's
+     * whole-run counters; asserts every flow reached its
+     * packet target. */
     RunResult collect();
+
+    /** Per-flow window metrics, index == core. */
+    std::vector<RunResult> collectFlows();
+
+    /** The measured machine (for post-run audits such as leak checks). */
+    sys::Machine &machine();
 
   private:
     struct Impl;

@@ -24,7 +24,7 @@
 #include "iova/magazine_allocator.h"
 #include "nic/profile.h"
 #include "sys/machine.h"
-#include "workloads/scaling.h"
+#include "workloads/stream.h"
 
 namespace rio {
 namespace {
@@ -323,18 +323,17 @@ TEST(MagazineScalingChurn, TwoCorePoissonChurnIsDeterministic)
     p.warmup_packets = 300;
     p.churn_per_ms = 0.3;
     p.churn_seed = 5;
+    p.cores = 2;
 
     for (ProtectionMode mode :
          {ProtectionMode::kStrictPlus, ProtectionMode::kDeferPlus}) {
-        const auto r1 = workloads::runStreamScaling(
-            mode, nic::mlxProfile(), 2, p);
-        const auto r2 = workloads::runStreamScaling(
-            mode, nic::mlxProfile(), 2, p);
+        const auto r1 = workloads::runStream(mode, nic::mlxProfile(), p);
+        const auto r2 = workloads::runStream(mode, nic::mlxProfile(), p);
         EXPECT_EQ(r1.tx_packets, r2.tx_packets)
             << dma::modeName(mode);
         EXPECT_EQ(r1.cycles_per_packet, r2.cycles_per_packet)
             << dma::modeName(mode);
-        EXPECT_EQ(r1.lock_wait_per_packet, r2.lock_wait_per_packet)
+        EXPECT_EQ(r1.acct.get(Cat::kLockWait), r2.acct.get(Cat::kLockWait))
             << dma::modeName(mode);
         EXPECT_EQ(r1.iova_lock.wait_cycles, r2.iova_lock.wait_cycles)
             << dma::modeName(mode);
