@@ -118,12 +118,12 @@ main(int argc, char **argv)
         const std::string_view arg(argv[i]);
         if (arg == "--quick")
             quick = true;
-        else if (arg == "--connections" && i + 1 < argc)
-            max_connections =
-                static_cast<u32>(std::max(2, std::atoi(argv[i + 1])));
-        else if (arg == "--machines" && i + 1 < argc)
-            machines = static_cast<unsigned>(
-                std::max(2, std::atoi(argv[i + 1])));
+        else if (arg == "--connections")
+            max_connections = bench::parseAtLeast(
+                argv, arg, bench::flagValue(argc, argv, i), u32{2});
+        else if (arg == "--machines")
+            machines = bench::parseAtLeast(
+                argv, arg, bench::flagValue(argc, argv, i), 2u);
     }
     if (max_connections == 0)
         max_connections = quick ? 256 : 16384;

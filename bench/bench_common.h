@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -101,39 +102,110 @@ usageError(const char *argv0, const std::string &problem)
     std::exit(2);
 }
 
-/** Strict positive decimal: the whole of @p s is digits and the
- * value is nonzero and fits @p out. */
+/** Strict unsigned decimal: the whole of @p s is digits and the
+ * value fits @p out. */
 template <typename T>
 inline bool
-parsePositive(std::string_view s, T &out)
+parseUnsigned(std::string_view s, T &out)
 {
     T v{};
     const char *end = s.data() + s.size();
     const auto [ptr, ec] = std::from_chars(s.data(), end, v);
-    if (ec != std::errc() || ptr != end || v == 0)
+    if (ec != std::errc() || ptr != end)
         return false;
     out = v;
     return true;
 }
 
-/** A comma-separated list of positive integers ("1,2,4"); no empty
- * entries. @p out is untouched on failure. */
+/** Strict positive decimal: parseUnsigned, and nonzero. */
+template <typename T>
 inline bool
-parseCountList(std::string_view s, std::vector<unsigned> &out)
+parsePositive(std::string_view s, T &out)
 {
-    std::vector<unsigned> list;
+    T v{};
+    if (!parseUnsigned(s, v) || v == 0)
+        return false;
+    out = v;
+    return true;
+}
+
+/** Strict non-negative decimal number ("0", "0.02", ".5", "2"): the
+ * whole of @p s, with no sign, exponent, inf or nan. */
+inline bool
+parseDecimal(std::string_view s, double &out)
+{
+    if (s.empty() || s.front() == '-')
+        return false;
+    double v = 0;
+    const char *end = s.data() + s.size();
+    const auto [ptr, ec] =
+        std::from_chars(s.data(), end, v, std::chars_format::fixed);
+    if (ec != std::errc() || ptr != end || !std::isfinite(v))
+        return false;
+    out = v;
+    return true;
+}
+
+/** A comma-separated list of @p parse_one entries; no empty entries.
+ * @p out is untouched on failure. */
+template <typename T, typename ParseOne>
+inline bool
+parseList(std::string_view s, std::vector<T> &out, ParseOne parse_one)
+{
+    std::vector<T> list;
     for (;;) {
         const size_t comma = s.find(',');
-        unsigned n = 0;
-        if (!parsePositive(s.substr(0, comma), n))
+        T v{};
+        if (!parse_one(s.substr(0, comma), v))
             return false;
-        list.push_back(n);
+        list.push_back(v);
         if (comma == std::string_view::npos)
             break;
         s.remove_prefix(comma + 1);
     }
     out = std::move(list);
     return true;
+}
+
+/** A comma-separated list of positive integers ("1,2,4"). */
+inline bool
+parseCountList(std::string_view s, std::vector<unsigned> &out)
+{
+    return parseList(s, out, parsePositive<unsigned>);
+}
+
+/** The value after the bench flag at argv[@p i] (advancing @p i), or
+ * "" when the flag ends the command line — which every parser
+ * rejects. */
+inline std::string_view
+flagValue(int argc, char **argv, int &i)
+{
+    return i + 1 < argc ? argv[++i] : "";
+}
+
+/** A bench flag's integer value, at least @p min; anything else is a
+ * usage error, never a clamp. */
+template <typename T>
+inline T
+parseAtLeast(char **argv, std::string_view flag, std::string_view value,
+             T min)
+{
+    T v{};
+    if (!parsePositive(value, v) || v < min)
+        usageError(argv[0], std::string(flag) + " takes an integer >= " +
+                                std::to_string(min));
+    return v;
+}
+
+/** A --loss drop rate: a decimal in [0, 1); anything else is a usage
+ * error (0 selects the benches' lossless compat rows). */
+inline double
+parseLossRate(char **argv, std::string_view value)
+{
+    double v = 0;
+    if (!parseDecimal(value, v) || v >= 1.0)
+        usageError(argv[0], "--loss takes a drop rate in [0, 1)");
+    return v;
 }
 
 /**

@@ -18,11 +18,9 @@
  */
 #include "bench_common.h"
 
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "base/logging.h"
 #include "cycles/cycle_account.h"
 
 using namespace rio;
@@ -38,41 +36,29 @@ struct Row
     workloads::RunResult r;
 };
 
-std::vector<double>
-parseRates(const char *spec)
-{
-    std::vector<double> rates;
-    std::string s(spec);
-    size_t pos = 0;
-    while (pos < s.size()) {
-        size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        rates.push_back(std::atof(s.substr(pos, comma - pos).c_str()));
-        pos = comma + 1;
-    }
-    RIO_ASSERT(!rates.empty(), "--rate needs a comma-separated list");
-    return rates;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
-    const char *rate_spec = "0,0.5,2";
+    std::vector<double> rates = {0, 0.5, 2};
     u64 churn_seed = 1;
     Nanos down_ns = 20000;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (!std::strcmp(argv[i], "--rate"))
-            rate_spec = argv[i + 1];
-        else if (!std::strcmp(argv[i], "--seed"))
-            churn_seed = std::strtoull(argv[i + 1], nullptr, 10);
-        else if (!std::strcmp(argv[i], "--down"))
-            down_ns = std::strtoull(argv[i + 1], nullptr, 10);
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg(argv[i]);
+        if (arg == "--rate") {
+            if (!bench::parseList(bench::flagValue(argc, argv, i), rates,
+                                  bench::parseDecimal))
+                bench::usageError(argv[0], "--rate takes a comma-separated "
+                                           "list of non-negative decimals");
+        } else if (arg == "--seed" || arg == "--down") {
+            u64 &out = arg == "--seed" ? churn_seed : down_ns;
+            if (!bench::parseUnsigned(bench::flagValue(argc, argv, i), out))
+                bench::usageError(argv[0], std::string(arg) +
+                                               " takes an unsigned integer");
+        }
     }
-    const std::vector<double> rates = parseRates(rate_spec);
 
     bench::printHeader("Lifecycle churn: cycles/packet vs surprise "
                        "unplug/replug rate, Netperf stream on mlx");

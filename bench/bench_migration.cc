@@ -360,11 +360,11 @@ main(int argc, char **argv)
         const std::string_view arg(argv[i]);
         if (arg == "--quick")
             quick = true;
-        else if (arg == "--loss" && i + 1 < argc)
-            loss = std::atof(argv[i + 1]);
-        else if (arg == "--pages" && i + 1 < argc)
-            pages_override = static_cast<u64>(
-                std::max(64LL, std::atoll(argv[i + 1])));
+        else if (arg == "--loss")
+            loss = bench::parseLossRate(argv, bench::flagValue(argc, argv, i));
+        else if (arg == "--pages")
+            pages_override = bench::parseAtLeast(
+                argv, arg, bench::flagValue(argc, argv, i), u64{64});
     }
     if (loss == 0.0)
         return runCompat(args, quick);

@@ -3,21 +3,17 @@
  * Simulator self-performance: how fast does the HOST execute the
  * simulation? Every other bench in this directory reports simulated
  * metrics (cycles, Gbps); this one reports host wall-clock, simulated
- * packets per host-second, and DES events per host-second, across the
- * two axes this PR added:
- *
- *   - threads:  the same four-lane sweep on the sequential engine
- *               (--threads 1) vs the worker pool (--threads N);
- *   - batching: hot-path metric accounting charged per operation vs
- *               accumulated per burst (cycles/batch.h).
+ * packets per host-second, and DES events per host-second, for the
+ * same four-lane sweep on the sequential engine (--threads 1) vs the
+ * worker pool (--threads N).
  *
  * The workload is four independent Netperf-stream runs — strict,
  * defer, riommu, none — one engine lane each, the exact shape
  * workloads/sweep.h gives every mode sweep. Simulated results are
- * asserted identical across all configurations: threads and batching
- * may only change how fast the host gets there, never where it
- * lands. (Byte-level enforcement of the same property on real bench
- * output is the golden_selfperf ctest.)
+ * asserted identical across both configurations: threads may only
+ * change how fast the host gets there, never where it lands.
+ * (Byte-level enforcement of the same property on real bench output
+ * is the golden_selfperf ctest.)
  *
  * Speedup expectations are hardware-dependent: lanes outnumbering
  * physical cores — or a 1-CPU CI box — serialize the pool, so the
@@ -29,7 +25,6 @@
 #include <chrono>
 
 #include "base/logging.h"
-#include "cycles/batch.h"
 #include "des/parallel.h"
 #include "workloads/stream.h"
 
@@ -50,9 +45,8 @@ constexpr std::array<dma::ProtectionMode, 4> kModes = {
     dma::ProtectionMode::kRiommu, dma::ProtectionMode::kNone};
 
 SelfResult
-runConfig(unsigned threads, bool batch, const workloads::StreamParams &params)
+runConfig(unsigned threads, const workloads::StreamParams &params)
 {
-    cycles::setBatchingEnabled(batch);
     const auto t0 = std::chrono::steady_clock::now();
 
     des::ParallelEngine eng(threads);
@@ -74,8 +68,6 @@ runConfig(unsigned threads, bool batch, const workloads::StreamParams &params)
     sr.host_ms = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - t0)
                      .count();
-    cycles::flushBatches();
-    cycles::setBatchingEnabled(false);
     return sr;
 }
 
@@ -100,28 +92,24 @@ main(int argc, char **argv)
     const unsigned par = args.threads > 1 ? args.threads : 4;
     bench::printHeader(
         strprintf("Simulator self-performance: 4-lane mode sweep, "
-                  "sequential vs %u threads, batching off/on",
+                  "sequential vs %u threads",
                   par));
 
     struct Config
     {
         const char *label;
         unsigned threads;
-        bool batch;
     };
-    const std::array<Config, 4> configs = {{
-        {"seq", 1, false},
-        {"seq+batch", 1, true},
-        {"par", par, false},
-        {"par+batch", par, true},
+    const std::array<Config, 2> configs = {{
+        {"seq", 1},
+        {"par", par},
     }};
 
-    std::array<SelfResult, 4> results;
+    std::array<SelfResult, 2> results;
     for (size_t i = 0; i < configs.size(); ++i)
-        results[i] = runConfig(configs[i].threads, configs[i].batch,
-                               params);
+        results[i] = runConfig(configs[i].threads, params);
 
-    // Determinism across every configuration: same events, same
+    // Determinism across both configurations: same events, same
     // packets, same simulated costs.
     for (size_t i = 1; i < configs.size(); ++i) {
         RIO_ASSERT(results[i].events == results[0].events,
@@ -134,7 +122,7 @@ main(int argc, char **argv)
                    " diverged from the sequential run");
     }
 
-    Table t({"config", "threads", "batch", "host ms", "events/s (M)",
+    Table t({"config", "threads", "host ms", "events/s (M)",
              "sim pkts/s (K)", "speedup vs seq"});
     bench::JsonWriter json("selfperf", args.threads);
     for (size_t i = 0; i < configs.size(); ++i) {
@@ -145,14 +133,12 @@ main(int argc, char **argv)
                             sr.host_ms; // K pkts / s
         const double speedup = results[0].host_ms / sr.host_ms;
         t.addRow(configs[i].label,
-                 {static_cast<double>(configs[i].threads),
-                  static_cast<double>(configs[i].batch), sr.host_ms,
+                 {static_cast<double>(configs[i].threads), sr.host_ms,
                   evps, ppks, speedup},
                  2);
         json.beginRow();
         json.add("config", configs[i].label);
         json.add("threads", static_cast<u64>(configs[i].threads));
-        json.add("batch", static_cast<u64>(configs[i].batch));
         json.add("host_ms", sr.host_ms);
         json.add("events", sr.events);
         json.add("sim_packets", sr.packets);

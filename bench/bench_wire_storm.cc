@@ -210,11 +210,11 @@ main(int argc, char **argv)
         const std::string_view arg(argv[i]);
         if (arg == "--quick")
             quick = true;
-        else if (arg == "--loss" && i + 1 < argc)
-            loss = std::atof(argv[i + 1]);
-        else if (arg == "--machines" && i + 1 < argc)
-            machines = static_cast<unsigned>(
-                std::max(2, std::atoi(argv[i + 1])));
+        else if (arg == "--loss")
+            loss = bench::parseLossRate(argv, bench::flagValue(argc, argv, i));
+        else if (arg == "--machines")
+            machines = bench::parseAtLeast(
+                argv, arg, bench::flagValue(argc, argv, i), 2u);
     }
 
     if (loss == 0.0)

@@ -49,8 +49,9 @@ export RIO_VIRT_EXTRA_SEEDS="6007,28657"
 # Everything that actually runs worker threads: the parallel engine's
 # determinism suite, the obs layer's concurrent-update test (atomic
 # counters/gauges, spin-locked histograms, locked registry), and a
-# real threaded sweep via bench_selfperf — four lanes on four workers
-# with batched accounting on, the PR's headline configuration.
+# real threaded sweep via bench_selfperf — four lanes on four workers,
+# each updating the shared IOTLB, page-walk and DMA-latency metrics
+# directly on every op.
 cmake -B "$TSAN_DIR" -S . -DRIO_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$TSAN_DIR" -j "$(nproc)" -- \

@@ -42,7 +42,9 @@ const char *catName(Cat cat);
 /**
  * Accumulates cycles by category. One CycleAccount per simulated
  * core; the DMA layer and workloads charge into it, and the
- * experiment runner reads totals and breakdowns out of it.
+ * experiment runner reads totals and breakdowns out of it. Every
+ * charge lands at once: des::Core::virtualNow() derives mid-item
+ * virtual time from the running total().
  */
 class CycleAccount
 {
@@ -62,19 +64,6 @@ class CycleAccount
     chargeCont(Cat cat, Cycles c)
     {
         cycles_[static_cast<unsigned>(cat)] += c;
-    }
-
-    /**
-     * Charge a whole burst at once: @p c cycles covering @p n ops.
-     * Identical totals to n charge() calls — the batching entry used
-     * by cycles::BatchCharge on paths with no intervening
-     * virtualNow() reads.
-     */
-    void
-    chargeBatch(Cat cat, Cycles c, u64 n)
-    {
-        cycles_[static_cast<unsigned>(cat)] += c;
-        ops_[static_cast<unsigned>(cat)] += n;
     }
 
     Cycles get(Cat cat) const

@@ -35,11 +35,8 @@ DmaHandle::bindObs(const char *mode, cycles::CycleAccount *acct,
                    des::Core *core)
 {
     const obs::Labels labels = {{"mode", mode ? mode : "?"}};
-    obs_map_cycles_.bind(
-        &obs::registry().histogram("dma.map_cycles", labels));
-    obs_unmap_cycles_.bind(
-        &obs::registry().histogram("dma.unmap_cycles", labels));
-    obs_bound_ = true;
+    obs_map_cycles_ = &obs::registry().histogram("dma.map_cycles", labels);
+    obs_unmap_cycles_ = &obs::registry().histogram("dma.unmap_cycles", labels);
     obs_acct_ = acct;
     obs_core_ = core;
 }
@@ -47,13 +44,13 @@ DmaHandle::bindObs(const char *mode, cycles::CycleAccount *acct,
 Result<DmaMapping>
 DmaHandle::map(u16 rid, PhysAddr pa, u32 size, iommu::DmaDir dir)
 {
-    if (!obs_bound_)
+    if (!obs_map_cycles_)
         return mapImpl(rid, pa, size, dir);
     const Cycles c0 = obs_acct_ ? obs_acct_->total() : 0;
     const Nanos t0 = obs_core_ ? obs_core_->virtualNow() : 0;
     auto m = mapImpl(rid, pa, size, dir);
     const Cycles dc = obs_acct_ ? obs_acct_->total() - c0 : 0;
-    obs_map_cycles_.note(dc);
+    obs_map_cycles_->observe(dc);
     emitDmaSpan(obs::Ev::kMap, obs_core_, t0, dc, bdf().pack(), rid);
     return m;
 }
@@ -61,15 +58,13 @@ DmaHandle::map(u16 rid, PhysAddr pa, u32 size, iommu::DmaDir dir)
 Status
 DmaHandle::unmap(const DmaMapping &mapping, bool end_of_burst)
 {
-    if (!obs_bound_)
+    if (!obs_unmap_cycles_)
         return unmapImpl(mapping, end_of_burst);
     const Cycles c0 = obs_acct_ ? obs_acct_->total() : 0;
     const Nanos t0 = obs_core_ ? obs_core_->virtualNow() : 0;
     Status s = unmapImpl(mapping, end_of_burst);
     const Cycles dc = obs_acct_ ? obs_acct_->total() - c0 : 0;
-    obs_unmap_cycles_.note(dc);
-    if (end_of_burst)
-        obs_unmap_cycles_.endBurst();
+    obs_unmap_cycles_->observe(dc);
     emitDmaSpan(obs::Ev::kUnmap, obs_core_, t0, dc, bdf().pack(), 0);
     return s;
 }

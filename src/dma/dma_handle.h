@@ -20,13 +20,15 @@
 #include "base/types.h"
 #include "dma/fault.h"
 #include "iommu/types.h"
-#include "obs/deferred.h"
 
 namespace rio::cycles {
 class CycleAccount;
 }
 namespace rio::des {
 class Core;
+}
+namespace rio::obs {
+class Histogram;
 }
 
 namespace rio::dma {
@@ -275,13 +277,9 @@ class DmaHandle
 
   private:
     // Observability bindings (bindObs); never read by mode logic.
-    // The latency histograms are burst-buffered: each unmap's cycle
-    // delta is noted locally and the shared histogram takes the whole
-    // completion burst in one observeBatch at end_of_burst (same
-    // multiset of observations, one lock hit per burst).
-    bool obs_bound_ = false;
-    obs::DeferredHistogram obs_map_cycles_;
-    obs::DeferredHistogram obs_unmap_cycles_;
+    // Null until bound.
+    obs::Histogram *obs_map_cycles_ = nullptr;
+    obs::Histogram *obs_unmap_cycles_ = nullptr;
     cycles::CycleAccount *obs_acct_ = nullptr;
     des::Core *obs_core_ = nullptr;
 };

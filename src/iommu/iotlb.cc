@@ -47,11 +47,11 @@ Iotlb::lookup(u16 sid, u64 iova_pfn)
     Entry *e = findEntry(sid, iova_pfn);
     if (!e) {
         ++stats_.misses;
-        obs_misses_.bump();
+        obs_misses_.inc();
         return std::nullopt;
     }
     ++stats_.hits;
-    obs_hits_.bump();
+    obs_hits_.inc();
     e->lru_tick = ++tick_;
     return e->pte;
 }
@@ -77,7 +77,7 @@ Iotlb::insert(u16 sid, u64 iova_pfn, Pte pte)
     }
     if (victim->valid) {
         ++stats_.evictions;
-        obs_evictions_.bump();
+        obs_evictions_.inc();
     }
     *victim = Entry{true, sid, iova_pfn, pte, ++tick_};
     ++stats_.inserts;

@@ -14,7 +14,6 @@
 #include "base/types.h"
 #include "iommu/page_table.h"
 #include "iommu/types.h"
-#include "obs/deferred.h"
 #include "obs/registry.h"
 
 namespace rio::iommu {
@@ -91,12 +90,10 @@ class Iotlb
     u64 tick_ = 0;
     IotlbStats stats_;
     // Process-wide mirrors of the hot counters (all IOTLBs
-    // aggregate). Deferred: lookups are the hottest per-reference
-    // path in the whole simulator, so the shared atomics move once
-    // per burst, not once per translation (obs/deferred.h).
-    obs::DeferredCounter obs_hits_;
-    obs::DeferredCounter obs_misses_;
-    obs::DeferredCounter obs_evictions_;
+    // aggregate).
+    obs::Counter &obs_hits_;
+    obs::Counter &obs_misses_;
+    obs::Counter &obs_evictions_;
 };
 
 } // namespace rio::iommu

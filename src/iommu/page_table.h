@@ -12,7 +12,6 @@
 #define RIO_IOMMU_PAGE_TABLE_H
 
 #include <array>
-#include <memory>
 
 #include "base/status.h"
 #include "base/types.h"
@@ -22,7 +21,7 @@
 #include "mem/phys_mem.h"
 
 namespace rio::obs {
-class DeferredCounter;
+struct Counter;
 }
 
 namespace rio::iommu {
@@ -203,11 +202,8 @@ class IoPageTable
     u64 mapped_pages_ = 0;
     u64 huge_mappings_ = 0;
     u64 table_pages_ = 0;
-    /** Per-level hardware-walk read counters (obs::Registry),
-     * batched: a walk-heavy burst settles the shared atomics once
-     * per 256 reads instead of once per table line. */
-    std::array<std::unique_ptr<obs::DeferredCounter>, kLevels>
-        level_reads_;
+    /** Per-level hardware-walk read counters (obs::Registry). */
+    std::array<obs::Counter *, kLevels> level_reads_{};
 };
 
 } // namespace rio::iommu

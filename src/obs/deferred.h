@@ -1,168 +1,10 @@
-/**
- * @file
- * Deferred metric accumulators: the registry's counters are shared
- * atomics and its histograms take a spinlock, which is cheap — but
- * the translate/map/unmap fast path hits some of them once per
- * *reference* (IOTLB hits, page-walk level reads), so even a relaxed
- * fetch_add each shows up in bench_selfperf. A Deferred* wrapper
- * accumulates those updates in plain thread-confined storage and
- * pushes them to the shared metric once per burst.
- *
- * Correctness contract: deferral changes *when* a metric moves, never
- * by how much. Every accumulator flushes at burst boundaries, at its
- * owner's destruction, when deferral is switched off
- * (setDeferredEnabled(false)), before a value reset
- * (Registry::resetValues()), and — the backstop — from
- * flushAllDeferred(), which Registry::snapshot() calls first, so any
- * snapshot (golden JSON, textDump, test assertion via snapshot)
- * always sees fully settled totals.
- *
- * Deferral is an opt-in fast path: it defaults OFF so unit tests can
- * read a counter right after the op that bumps it; the bench harness
- * turns it on (see cycles::setBatchingEnabled), and bench_selfperf
- * ablates it both ways.
- *
- * Thread model: bump()/note() are thread-confined to the owning
- * lane; flushAllDeferred() may only run at a barrier (no lane
- * executing), which is exactly when snapshots are taken.
- */
 #ifndef RIO_OBS_DEFERRED_H
 #define RIO_OBS_DEFERRED_H
 
-#include <vector>
-
-#include "base/types.h"
-#include "obs/registry.h"
-
 namespace rio::obs {
 
-/** Master switch for deferral (cycles::setBatchingEnabled wraps it). */
-bool deferredEnabled();
-void setDeferredEnabled(bool on);
-
-/**
- * Base for anything holding locally accumulated metric state. The
- * constructor registers the object in a process-wide list so
- * flushAllDeferred() can settle everything before a snapshot.
- */
-class Deferred
-{
-  public:
-    Deferred();
-    virtual ~Deferred();
-
-    Deferred(const Deferred &) = delete;
-    Deferred &operator=(const Deferred &) = delete;
-
-    /** Push all locally held updates into the shared metric. */
-    virtual void flush() = 0;
-};
-
-/** Settle every live accumulator. Barrier points only. */
-void flushAllDeferred();
-
-/**
- * Deferred mirror of one Counter: bump() is a plain add to a local
- * u64; the shared atomic moves once per kFlushEvery bumps or at
- * flush. With deferral disabled it degenerates to Counter::inc.
- */
-class DeferredCounter : public Deferred
-{
-  public:
-    static constexpr u64 kFlushEvery = 256;
-
-    explicit DeferredCounter(Counter &target) : target_(target) {}
-    ~DeferredCounter() override { DeferredCounter::flush(); }
-
-    void
-    bump(u64 n = 1)
-    {
-        if (!deferredEnabled()) {
-            // Self-heal if the global was flipped off without the
-            // setter's flush: stranded deltas must land before this
-            // direct increment to preserve accumulation order.
-            if (pending_)
-                flush();
-            target_.inc(n);
-            return;
-        }
-        pending_ += n;
-        if (pending_ >= kFlushEvery)
-            flush();
-    }
-
-    void
-    flush() override
-    {
-        if (pending_) {
-            target_.inc(pending_);
-            pending_ = 0;
-        }
-    }
-
-    u64 pending() const { return pending_; }
-
-  private:
-    Counter &target_;
-    u64 pending_ = 0;
-};
-
-/**
- * Burst buffer for one Histogram: note() appends to a local vector,
- * endBurst() delivers the whole burst through observeBatch — one lock
- * acquisition per completion burst instead of one per unmap. The
- * final histogram state is the same multiset of observations either
- * way.
- */
-class DeferredHistogram : public Deferred
-{
-  public:
-    static constexpr size_t kMaxPending = 1024;
-
-    ~DeferredHistogram() override { DeferredHistogram::flush(); }
-
-    /** Late binding: DmaHandle learns its histogram at bindObs. */
-    void
-    bind(Histogram *h)
-    {
-        flush();
-        target_ = h;
-    }
-
-    void
-    note(u64 v)
-    {
-        if (!target_)
-            return;
-        if (!deferredEnabled()) {
-            // Same self-heal as DeferredCounter::bump: deliver any
-            // stranded burst before the direct observation.
-            if (!pending_.empty())
-                flush();
-            target_->observe(v);
-            return;
-        }
-        pending_.push_back(v);
-        if (pending_.size() >= kMaxPending)
-            flush();
-    }
-
-    void endBurst() { flush(); }
-
-    void
-    flush() override
-    {
-        if (target_ && !pending_.empty())
-            target_->observeBatch(pending_.data(), pending_.size());
-        pending_.clear();
-    }
-
-    size_t pendingCount() const { return pending_.size(); }
-
-  private:
-    Histogram *target_ = nullptr;
-    std::vector<u64> pending_;
-};
+// No-op left for perfbench/hostbench.cc, which calls it; remove both together.
+inline void flushAllDeferred() {}
 
 } // namespace rio::obs
 

@@ -4,7 +4,6 @@
 
 #include "base/logging.h"
 #include "base/strings.h"
-#include "obs/deferred.h"
 
 namespace rio::obs {
 
@@ -31,14 +30,6 @@ Histogram::observe(u64 v)
 {
     SpinGuard g(lock_);
     observeLocked(v);
-}
-
-void
-Histogram::observeBatch(const u64 *vs, size_t n)
-{
-    SpinGuard g(lock_);
-    for (size_t i = 0; i < n; ++i)
-        observeLocked(vs[i]);
 }
 
 u64
@@ -201,10 +192,6 @@ Registry::histogram(const std::string &name, Labels labels,
 std::vector<SnapshotEntry>
 Registry::snapshot() const
 {
-    // Settle any batched hot-path updates first so a snapshot is
-    // always exact, whether or not deferral is on. Snapshots happen
-    // at barriers, so no lane is mid-bump here.
-    flushAllDeferred();
     std::lock_guard<std::mutex> g(mu_);
     std::vector<SnapshotEntry> out;
     out.reserve(entries_.size());
@@ -235,15 +222,6 @@ Registry::snapshot() const
 void
 Registry::resetValues()
 {
-    // Settle pending Deferred accumulators *before* zeroing, same as
-    // snapshot(): pre-reset deltas land pre-reset and are wiped with
-    // everything else, so post-reset totals count only post-reset
-    // activity. Without this, deltas batched before the reset would
-    // flush into the freshly zeroed metrics later — deferral must
-    // change when a metric moves, never by how much, including
-    // across a reset boundary. Like snapshot(), this may only run at
-    // a barrier (no lane mid-bump).
-    flushAllDeferred();
     std::lock_guard<std::mutex> g(mu_);
     for (auto &e : entries_) {
         if (e->counter)

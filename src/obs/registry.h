@@ -18,13 +18,15 @@
  * Each metric's hot state is alignas(kCachelineSize) so one update
  * touches one line.
  *
- * Thread model (for des::ParallelEngine): Counter/Gauge updates are
- * relaxed atomics, Histogram serializes behind a per-histogram
- * spinlock, and the registry's structural maps take a mutex — so
- * concurrent lanes may hammer disjoint *or shared* metrics freely.
- * Relaxed ordering is enough because metrics are only *read* at
- * barriers (snapshot after all lanes joined), never used to
- * communicate between lanes.
+ * Thread model (for des::ParallelEngine): every update goes straight
+ * to its metric — Counter/Gauge updates are relaxed atomics,
+ * Histogram serializes behind a per-histogram spinlock, and the
+ * registry's structural maps take a mutex — so concurrent lanes may
+ * hammer disjoint *or shared* metrics freely, and a metric read on
+ * the updating thread is exact right after the op. Relaxed ordering
+ * is enough because cross-lane totals are only *read* at barriers
+ * (snapshot after all lanes joined), never used to communicate
+ * between lanes.
  */
 #ifndef RIO_OBS_REGISTRY_H
 #define RIO_OBS_REGISTRY_H
@@ -104,13 +106,6 @@ class Histogram
     explicit Histogram(std::vector<u64> bounds);
 
     void observe(u64 v);
-
-    /**
-     * Observe @p n values in one lock acquisition — the hot-path
-     * batching entry (cycles::BatchCharge, burst-coalesced DMA
-     * spans). Identical final state to n observe() calls.
-     */
-    void observeBatch(const u64 *vs, size_t n);
 
     u64 count() const;
     u64 sum() const;
@@ -210,10 +205,7 @@ class Registry
     /** Flattened values in registration order (determinism checks). */
     std::vector<SnapshotEntry> snapshot() const;
 
-    /** Zero every value, keep registrations (between bench runs).
-     * Flushes pending Deferred accumulators first (like snapshot()),
-     * so batched pre-reset deltas are wiped rather than leaking into
-     * post-reset totals. Barrier points only. */
+    /** Zero every value, keep registrations (between bench runs). */
     void resetValues();
 
     /** Drop everything — invalidates cached metric pointers; tests

@@ -1,7 +1,8 @@
 /**
  * @file
  * Observability tests: metrics-registry identity and determinism,
- * histogram bucket boundaries, the event timeline's bounded rings and
+ * per-op exactness of the DMA-path metrics, histogram bucket
+ * boundaries, the event timeline's bounded rings and
  * Chrome-trace export, and the flight recorder's dump-on-fault path.
  */
 #include <gtest/gtest.h>
@@ -11,9 +12,9 @@
 #include <sstream>
 #include <thread>
 
-#include "cycles/batch.h"
+#include "cycles/cycle_account.h"
+#include "dma/dma_context.h"
 #include "dma/fault.h"
-#include "obs/deferred.h"
 #include "obs/flight.h"
 #include "obs/registry.h"
 #include "obs/slo.h"
@@ -35,7 +36,6 @@ class ObsTest : public ::testing::Test
         timeline().setRecording(false);
         flightRecorder().clear();
         clearFlightDumpArchive();
-        setDeferredEnabled(false);
         setSloRecording(false);
     }
 
@@ -128,131 +128,59 @@ TEST_F(ObsTest, ResetValuesKeepsRegistrationsAndPointers)
     EXPECT_EQ(&registry().counter("x.ops"), &c);
 }
 
-// ---- deferred batching (the parallel-engine hot-path tier) ------------------
+// ---- per-op exactness on the DMA hot path -----------------------------------
 
-TEST_F(ObsTest, DeferredCounterPassesThroughWhenDisabled)
+TEST_F(ObsTest, DmaPathMetricsAreExactAfterEachOp)
 {
-    Counter &c = registry().counter("batch.test");
-    DeferredCounter d(c);
-    d.bump(2);
-    d.bump();
-    EXPECT_EQ(c.get(), 3u) << "deferral off: every bump lands at once";
-    EXPECT_EQ(d.pending(), 0u);
-}
+    // One-entry IOTLB, so the second translation evicts the first.
+    dma::DmaContext ctx(cycles::defaultCostModel(),
+                        iommu::IotlbConfig{1, 1});
+    cycles::CycleAccount acct;
+    auto h = ctx.makeHandle(dma::ProtectionMode::kStrict,
+                            iommu::Bdf{0, 3, 0}, &acct);
+    const PhysAddr buf = ctx.memory().allocContiguous(2 * kPageSize);
 
-TEST_F(ObsTest, DeferredCounterBatchesUntilFlush)
-{
-    Counter &c = registry().counter("batch.test");
-    DeferredCounter d(c);
-    setDeferredEnabled(true);
-    for (int i = 0; i < 10; ++i)
-        d.bump();
-    EXPECT_EQ(c.get(), 0u) << "updates held locally";
-    EXPECT_EQ(d.pending(), 10u);
-    d.flush();
-    EXPECT_EQ(c.get(), 10u);
-    EXPECT_EQ(d.pending(), 0u);
-}
+    const Counter &hits = registry().counter("iotlb.hits");
+    const Counter &misses = registry().counter("iotlb.misses");
+    const Counter &evictions = registry().counter("iotlb.evictions");
+    const Counter &l1_reads = registry().counter(
+        "iommu.pt_walk.level_reads", {{"level", "1"}});
+    const Labels strict = {{"mode", "strict"}};
+    const Histogram &maps = registry().histogram("dma.map_cycles", strict);
+    const Histogram &unmaps =
+        registry().histogram("dma.unmap_cycles", strict);
+    // No snapshot() anywhere: every value is read straight off the
+    // metric the op just updated.
+    auto expect = [&](u64 h_, u64 m, u64 e, u64 walks, u64 nmap,
+                      u64 nunmap, const char *after) {
+        EXPECT_EQ(hits.get(), h_) << after;
+        EXPECT_EQ(misses.get(), m) << after;
+        EXPECT_EQ(evictions.get(), e) << after;
+        EXPECT_EQ(l1_reads.get(), walks) << after;
+        EXPECT_EQ(maps.count(), nmap) << after;
+        EXPECT_EQ(unmaps.count(), nunmap) << after;
+    };
+    u64 word = 0;
 
-TEST_F(ObsTest, DeferredCounterAutoFlushesAtThreshold)
-{
-    Counter &c = registry().counter("batch.test");
-    DeferredCounter d(c);
-    setDeferredEnabled(true);
-    for (u64 i = 0; i < DeferredCounter::kFlushEvery; ++i)
-        d.bump();
-    EXPECT_EQ(c.get(), DeferredCounter::kFlushEvery);
-    EXPECT_EQ(d.pending(), 0u);
-}
+    auto a = h->map(0, buf, 64, iommu::DmaDir::kBidir);
+    ASSERT_TRUE(a.isOk());
+    expect(0, 0, 0, 0, 1, 0, "map a");
+    ASSERT_TRUE(h->deviceRead(a.value().device_addr, &word, 8).isOk());
+    expect(0, 1, 0, 1, 1, 0, "first read of a: miss + walk");
+    ASSERT_TRUE(h->deviceRead(a.value().device_addr, &word, 8).isOk());
+    expect(1, 1, 0, 1, 1, 0, "second read of a: hit");
 
-TEST_F(ObsTest, SnapshotSettlesDeferredState)
-{
-    Counter &c = registry().counter("batch.test");
-    DeferredCounter d(c);
-    setDeferredEnabled(true);
-    d.bump(7);
-    // A snapshot must always be exact, even mid-burst: it flushes
-    // every live accumulator first.
-    const auto snap = registry().snapshot();
-    ASSERT_EQ(snap.size(), 1u);
-    EXPECT_EQ(snap[0].values, (std::vector<u64>{7}));
-}
+    auto b = h->map(0, buf + kPageSize, 64, iommu::DmaDir::kBidir);
+    ASSERT_TRUE(b.isOk());
+    expect(1, 1, 0, 1, 2, 0, "map b");
+    ASSERT_TRUE(h->deviceRead(b.value().device_addr, &word, 8).isOk());
+    expect(1, 2, 1, 2, 2, 0, "read of b: miss evicts a");
 
-TEST_F(ObsTest, ResetValuesSettlesDeferredStateFirst)
-{
-    Counter &c = registry().counter("batch.test");
-    DeferredCounter d(c);
-    setDeferredEnabled(true);
-    d.bump(7);
-    // Reset must flush pending deltas first so they are zeroed with
-    // everything else — deferral may move *when* a metric lands,
-    // never by how much, including across a reset boundary. Without
-    // the flush, the 7 would land on top of the zeroed counter later.
-    registry().resetValues();
-    EXPECT_EQ(d.pending(), 0u);
-    d.bump(3);
-    const auto snap = registry().snapshot();
-    ASSERT_EQ(snap.size(), 1u);
-    EXPECT_EQ(snap[0].values, (std::vector<u64>{3}))
-        << "post-reset total counts post-reset activity only";
-}
-
-TEST_F(ObsTest, DisablingDeferralSettlesPendingState)
-{
-    Counter &c = registry().counter("batch.test");
-    DeferredCounter d(c);
-    Histogram &h = registry().histogram("batch.hist", {}, {10, 100});
-    DeferredHistogram dh;
-    dh.bind(&h);
-    setDeferredEnabled(true);
-    d.bump(5);
-    dh.note(50);
-    EXPECT_EQ(c.get(), 0u);
-    EXPECT_EQ(h.count(), 0u);
-    // Switching deferral off settles every live accumulator: nothing
-    // strands until the next snapshot, and later direct updates land
-    // after (not before) the amounts batched earlier.
-    setDeferredEnabled(false);
-    EXPECT_EQ(c.get(), 5u);
-    EXPECT_EQ(d.pending(), 0u);
-    EXPECT_EQ(h.count(), 1u);
-    EXPECT_EQ(dh.pendingCount(), 0u);
-}
-
-TEST_F(ObsTest, DeferredHistogramDeliversBurstAtOnce)
-{
-    Histogram &h = registry().histogram("batch.hist", {}, {10, 100});
-    DeferredHistogram d;
-    d.bind(&h);
-    setDeferredEnabled(true);
-    d.note(5);
-    d.note(50);
-    d.note(500);
-    EXPECT_EQ(h.count(), 0u) << "burst still buffered";
-    d.endBurst();
-    EXPECT_EQ(h.count(), 3u);
-    EXPECT_EQ(h.sum(), 555u);
-    EXPECT_EQ(h.buckets(), (std::vector<u64>{1, 1, 1}));
-}
-
-TEST_F(ObsTest, BatchChargeMatchesPerOpTotals)
-{
-    cycles::CycleAccount per_op, batched;
-    for (Cycles c : {10u, 20u, 30u})
-        per_op.charge(cycles::Cat::kUnmapIotlbInv, c);
-    {
-        cycles::setBatchingEnabled(true);
-        cycles::BatchCharge b(batched, cycles::Cat::kUnmapIotlbInv);
-        for (Cycles c : {10u, 20u, 30u})
-            b.add(c);
-        EXPECT_EQ(batched.ops(cycles::Cat::kUnmapIotlbInv), 0u)
-            << "charges held until the burst ends";
-    } // RAII flush
-    cycles::setBatchingEnabled(false);
-    EXPECT_EQ(batched.get(cycles::Cat::kUnmapIotlbInv),
-              per_op.get(cycles::Cat::kUnmapIotlbInv));
-    EXPECT_EQ(batched.ops(cycles::Cat::kUnmapIotlbInv),
-              per_op.ops(cycles::Cat::kUnmapIotlbInv));
+    const Cycles before_unmap = acct.total();
+    ASSERT_TRUE(h->unmap(a.value(), /*end_of_burst=*/false).isOk());
+    expect(1, 2, 1, 2, 2, 1, "unmap a, mid-burst");
+    EXPECT_EQ(unmaps.sum(), acct.total() - before_unmap)
+        << "the histogram holds the unmap's whole cycle delta";
 }
 
 TEST_F(ObsTest, ConcurrentUpdatesFromManyThreadsLoseNothing)
