@@ -21,7 +21,8 @@ exactly zero drift; the bands exist so an intentional model change
 that moves a number by a fraction of a percent (rounding in a
 refactored formula) fails loudly only when it matters. Anything
 beyond the band is a regression (or an un-regenerated ledger) and
-fails CI. Host-side throughput (bench_selfperf) is recorded in a
+fails CI. Host-side speed (bench_selfperf throughput for core, the
+wall time of the bench_migration run for migrate) is recorded in a
 separate "host" section for trend plotting and is never gated — it
 measures the machine, not the model.
 """
@@ -32,6 +33,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 # Relative tolerance per gated metric. Metrics absent here are gated
 # exactly (the simulation is deterministic; page and ring counts must
@@ -108,8 +110,10 @@ def collect_migrate(build):
     lossy stream), gating the headline claims — blackout within its
     band, pages shipped / state freight / live rings exact."""
     entries = {}
-    for row in run_bench(build, "bench_migration",
-                         ["--quick", "--threads", "1"]):
+    t0 = time.perf_counter()
+    rows = run_bench(build, "bench_migration", ["--quick", "--threads", "1"])
+    host_ms = (time.perf_counter() - t0) * 1e3
+    for row in rows:
         if "blackout_ns" not in row:
             continue  # compat/base rows carry no migration metrics
         key = (f"migrate/{row['variant']}/{row['mode']}"
@@ -120,7 +124,9 @@ def collect_migrate(build):
             "state_bytes": row["state_bytes"],
             "live_rings": row["live_rings"],
         }
-    return {"schema": 1, "quick": True, "entries": entries, "host": {}}
+    host = {"migration/quick/t1": {"host_ms": round(host_ms, 1)}}
+    return {"schema": 1, "quick": True, "entries": entries,
+            "host": host}
 
 
 def check(ledger, baseline):

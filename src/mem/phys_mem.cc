@@ -10,26 +10,29 @@ PhysicalMemory::PhysicalMemory(u64 size_bytes)
     : capacity_(pageAlignDown(size_bytes))
 {
     RIO_ASSERT(capacity_ >= 2 * kPageSize, "memory too small");
+    const u64 frames = capacity_ >> kPageShift;
+    leaves_.resize((frames + kLeafFrames - 1) / kLeafFrames);
 }
 
 PhysicalMemory::Frame &
 PhysicalMemory::frameFor(PhysAddr addr)
 {
     const u64 fn = addr >> kPageShift;
-    auto &slot = frames_[fn];
-    if (!slot) {
-        slot = std::make_unique<Frame>();
-        slot->fill(0);
-    }
+    auto &leaf = leaves_[fn / kLeafFrames];
+    if (!leaf)
+        leaf = std::make_unique<Leaf>();
+    auto &slot = (*leaf)[fn % kLeafFrames];
+    if (!slot)
+        slot = std::make_unique<Frame>(); // value-initialized: zeroed
     return *slot;
 }
 
-const PhysicalMemory::Frame *
-PhysicalMemory::frameForRead(PhysAddr addr) const
+PhysicalMemory::Frame *
+PhysicalMemory::frameIfPresent(PhysAddr addr) const
 {
     const u64 fn = addr >> kPageShift;
-    auto it = frames_.find(fn);
-    return it == frames_.end() ? nullptr : it->second.get();
+    const Leaf *leaf = leaves_[fn / kLeafFrames].get();
+    return leaf ? (*leaf)[fn % kLeafFrames].get() : nullptr;
 }
 
 void
@@ -40,7 +43,7 @@ PhysicalMemory::read(PhysAddr addr, void *dst, u64 size) const
     auto *out = static_cast<u8 *>(dst);
     while (size > 0) {
         const u64 in_page = std::min(size, kPageSize - (addr & kPageMask));
-        const Frame *frame = frameForRead(addr);
+        const Frame *frame = frameIfPresent(addr);
         if (frame) {
             std::memcpy(out, frame->data() + (addr & kPageMask), in_page);
         } else {
@@ -115,12 +118,14 @@ PhysicalMemory::write8(PhysAddr addr, u8 value)
 void
 PhysicalMemory::fillZero(PhysAddr addr, u64 size)
 {
+    RIO_ASSERT(addr + size <= capacity_ && addr + size >= addr,
+               "phys fill out of range: addr=", addr, " size=", size);
     if (observer_ && size > 0)
         observer_(addr, size);
     while (size > 0) {
         const u64 in_page = std::min(size, kPageSize - (addr & kPageMask));
-        Frame &frame = frameFor(addr);
-        std::memset(frame.data() + (addr & kPageMask), 0, in_page);
+        if (Frame *frame = frameIfPresent(addr))
+            std::memset(frame->data() + (addr & kPageMask), 0, in_page);
         addr += in_page;
         size -= in_page;
     }
@@ -159,19 +164,6 @@ PhysicalMemory::allocContiguous(u64 size)
     const PhysAddr addr = fn << kPageShift;
     fillZero(addr, npages * kPageSize);
     return addr;
-}
-
-std::vector<u64>
-PhysicalMemory::touchedFramesIn(PhysAddr lo, PhysAddr hi) const
-{
-    std::vector<u64> out;
-    const u64 fn_lo = lo >> kPageShift;
-    const u64 fn_hi = (hi + kPageMask) >> kPageShift;
-    for (const auto &[fn, frame] : frames_)
-        if (fn >= fn_lo && fn < fn_hi && frame)
-            out.push_back(fn);
-    std::sort(out.begin(), out.end());
-    return out;
 }
 
 void

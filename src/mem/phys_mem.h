@@ -5,6 +5,11 @@
  * the translation hardware models walk *real* memory-resident tables
  * and functional bugs (bad pointer, stale entry) surface as wrong
  * data rather than being structurally impossible.
+ *
+ * Frames are found through a two-level direct-indexed table — a
+ * directory sized from the capacity, leaves of kLeafFrames frame
+ * pointers allocated on first write — so an access is two indexed
+ * loads, never a hash probe.
  */
 #ifndef RIO_MEM_PHYS_MEM_H
 #define RIO_MEM_PHYS_MEM_H
@@ -13,7 +18,6 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "base/types.h"
@@ -22,8 +26,9 @@ namespace rio::mem {
 
 /**
  * 4 KB-frame sparse physical memory with a bump-plus-freelist frame
- * allocator. Frames are materialized on first touch; reads of
- * untouched memory return zeros, as DRAM-after-clear would.
+ * allocator. Frames are materialized (and zeroed, once) on first
+ * write; reads of untouched memory return zeros, as DRAM-after-clear
+ * would, and zeroing a never-written frame does not materialize it.
  */
 class PhysicalMemory
 {
@@ -68,7 +73,9 @@ class PhysicalMemory
         write(addr, &obj, sizeof(T));
     }
 
-    /** Zero [addr, addr+size). */
+    /** Zero [addr, addr+size). Frames never written stay unmaterialized
+     * (they already read as zeros); the observer still sees the whole
+     * range. */
     void fillZero(PhysAddr addr, u64 size);
 
     // ---- write observation ----------------------------------------------
@@ -81,13 +88,6 @@ class PhysicalMemory
      */
     using WriteObserver = std::function<void(PhysAddr addr, u64 size)>;
     void setWriteObserver(WriteObserver cb) { observer_ = std::move(cb); }
-
-    /**
-     * Frame numbers (addr >> kPageShift) of every materialized frame
-     * intersecting [lo, hi), sorted ascending. Untouched frames are
-     * all-zero by construction and need not be enumerated.
-     */
-    std::vector<u64> touchedFramesIn(PhysAddr lo, PhysAddr hi) const;
 
     // ---- allocation -----------------------------------------------------
     /** Allocate one zeroed 4 KB frame; returns its physical address. */
@@ -107,17 +107,23 @@ class PhysicalMemory
 
     u64 capacity() const { return capacity_; }
 
+    /** Frames per leaf of the frame table (one leaf spans 2 MB). */
+    static constexpr u64 kLeafFrames = 512;
+
   private:
     using Frame = std::array<u8, kPageSize>;
+    using Leaf = std::array<std::unique_ptr<Frame>, kLeafFrames>;
 
+    /** The frame holding @p addr, materialized zeroed if absent. */
     Frame &frameFor(PhysAddr addr);
-    const Frame *frameForRead(PhysAddr addr) const;
+    /** The frame holding @p addr, or null if it was never written. */
+    Frame *frameIfPresent(PhysAddr addr) const;
 
     u64 capacity_;
     u64 next_free_frame_ = 1; // frame 0 reserved: catches null derefs
     u64 allocated_frames_ = 0;
     std::vector<u64> freelist_;
-    mutable std::unordered_map<u64, std::unique_ptr<Frame>> frames_;
+    std::vector<std::unique_ptr<Leaf>> leaves_; //!< frame-table directory
     WriteObserver observer_;
 };
 

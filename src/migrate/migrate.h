@@ -166,7 +166,12 @@ class Migrator
     PhysAddr srcArena() const { return src_arena_; }
     PhysAddr dstArena() const { return dst_arena_; }
 
-    /** FNV-1a over the full arena bytes (0 = source, else target). */
+    /**
+     * Hash of every byte of the arena (false = source, true = target):
+     * an FNV-style multiply over 64-bit words in four interleaved
+     * lanes, folded into one value. Any single-word difference changes
+     * it; callers compare source against target.
+     */
     u64 arenaHash(bool target) const;
 
     GuestDirtier &dirtier() { return dirtier_; }

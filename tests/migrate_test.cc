@@ -1,7 +1,7 @@
 /**
  * @file
  * migrate::Migrator correctness suite — the live-migration contract:
- *   - guest RAM is byte-identical on the target after resume (FNV-1a
+ *   - guest RAM is byte-identical on the target after resume (word-wise
  *     arena hash), across platforms, protection modes, dirty rates
  *     and hostility;
  *   - the per-platform vIOMMU state transfer orders the blackout the
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "dma/protection_mode.h"
+#include "mem/phys_mem.h"
 #include "migrate/migrate.h"
 #include "rdma/rdma.h"
 #include "sys/cluster.h"
@@ -90,7 +91,9 @@ MigResult
 runMig(const MigParams &p,
        const std::function<void(sys::Cluster &, migrate::Migrator &,
                                 const std::vector<u32> &)> &hostility =
-           nullptr)
+           nullptr,
+       const std::function<void(sys::Cluster &, migrate::Migrator &)>
+           &audit = nullptr)
 {
     sys::ClusterConfig cfg;
     cfg.machines = 2;
@@ -163,6 +166,8 @@ runMig(const MigParams &p,
     MigResult out;
     out.rep = mig.report();
     out.hash_ok = mig.arenaHash(false) == mig.arenaHash(true);
+    if (audit)
+        audit(cl, mig);
     const rdma::RdmaStats &src_stats = cl.nic(0).stats();
     out.stray_arrivals = src_stats.migrated_away_arrivals;
     out.stray_faulted = src_stats.migrated_away_faulted;
@@ -206,6 +211,58 @@ TEST(Migrate, MemoryByteIdenticalAcrossPlatformsAndModes)
             EXPECT_LT(r.rep.blackout_ns, r.rep.total_ns);
         }
     }
+}
+
+/** The arena hash is the oracle every test above leans on: a one-word
+ * divergence anywhere in the target arena — first byte, last byte,
+ * each hash lane, two swapped neighbours — must change it, and
+ * undoing the divergence must restore equality. */
+TEST(Migrate, ArenaHashDetectsDivergence)
+{
+    MigParams p;
+    p.pages = 64;
+    bool audited = false;
+    auto r = runMig(p, nullptr, [&](sys::Cluster &cl,
+                                    migrate::Migrator &mig) {
+        audited = true;
+        ASSERT_TRUE(mig.done());
+        ASSERT_EQ(mig.arenaHash(false), mig.arenaHash(true));
+        mem::PhysicalMemory &pm = cl.machine(1).ctx().memory();
+        const PhysAddr base = mig.dstArena();
+        const PhysAddr end = base + p.pages * kPageSize;
+
+        auto expectDetected = [&](const char *what, PhysAddr a) {
+            SCOPED_TRACE(what);
+            pm.write8(a, pm.read8(a) ^ 0x5a);
+            EXPECT_NE(mig.arenaHash(false), mig.arenaHash(true));
+            pm.write8(a, pm.read8(a) ^ 0x5a);
+            EXPECT_EQ(mig.arenaHash(false), mig.arenaHash(true));
+        };
+        expectDetected("first byte", base);
+        expectDetected("last byte", end - 1);
+        // One word at a time across eight neighbours: every lane.
+        const PhysAddr mid = base + (p.pages / 2) * kPageSize + 256;
+        for (u64 w = 0; w < 8; ++w)
+            expectDetected("single word", mid + w * 8 + 3);
+
+        // The seed writes word (g % 512) of page g; its neighbour in
+        // the same page is zero, so the two are distinct.
+        const u64 g = 5;
+        const PhysAddr a = base + g * kPageSize + (g % 512) * 8;
+        const u64 wa = pm.read64(a);
+        const u64 wb = pm.read64(a + 8);
+        ASSERT_NE(wa, wb);
+        pm.write64(a, wb);
+        pm.write64(a + 8, wa);
+        EXPECT_NE(mig.arenaHash(false), mig.arenaHash(true))
+            << "swapped adjacent words";
+        pm.write64(a, wa);
+        pm.write64(a + 8, wb);
+        EXPECT_EQ(mig.arenaHash(false), mig.arenaHash(true));
+    });
+    EXPECT_TRUE(audited);
+    EXPECT_TRUE(r.rep.completed);
+    EXPECT_TRUE(r.hash_ok);
 }
 
 /** The migrated-away ledger tier: strays at the source's dead QPs are
