@@ -232,11 +232,13 @@ parseBenchArgs(int argc, char **argv)
             if (!ok)
                 usageError(argv[0],
                            std::string(arg) + " takes a positive integer");
-        } else if (arg == "--json" && i + 1 < argc)
-            args.json_path = argv[++i];
-        else if (arg == "--timeline" && i + 1 < argc)
-            args.timeline_path = argv[++i];
-        else if (arg == "--slo")
+        } else if (arg == "--json" || arg == "--timeline") {
+            // A missing path, or a following flag, is not a path.
+            const char *value = i + 1 < argc ? argv[++i] : "";
+            if (value[0] == '\0' || value[0] == '-')
+                usageError(argv[0], std::string(arg) + " takes a path");
+            (arg == "--json" ? args.json_path : args.timeline_path) = value;
+        } else if (arg == "--slo")
             args.slo = true;
     }
     if (args.timeline_cap)

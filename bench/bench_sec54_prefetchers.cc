@@ -27,7 +27,7 @@ main(int argc, char **argv)
 
     // Capture a trace from the strict-mode stream run (IOVAs, not
     // physical addresses, as in the paper's QEMU logging).
-    trace::DmaTrace dma_trace;
+    dma::DmaTrace dma_trace;
     workloads::StreamParams params =
         workloads::streamParamsFor(nic::mlxProfile());
     params.measure_packets = bench::scaled(15000);

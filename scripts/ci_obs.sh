@@ -16,9 +16,10 @@ BUILD_DIR="${1:-build-obs}"
 cmake -B "$BUILD_DIR" -S . -DRIO_OBS=ON -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
-# The obs-specific suites plus every golden byte-for-byte check.
+# The obs-specific suites plus the zero-cost goldens (golden_selfperf
+# carries the instrumented bench_fig7 vs. fig7 golden check).
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'obs_test|golden_obs|golden_scaling|golden_lifecycle'
+    -R 'obs_test|golden_obs|golden_selfperf|golden_scaling|golden_lifecycle'
 
 # End-to-end timeline export: the fault storm exercises QI spans, DMA
 # fault recovery and the flight recorder in one run.

@@ -85,28 +85,31 @@ RIO_BENCH_QUICK=1 "$TSAN_DIR/bench/bench_tail_latency" \
     --quick --slo --threads 4 > /dev/null 2>&1
 unset TSAN_OPTIONS
 
-# Observability lane: zero-cost goldens + timeline export validation
-# (its own build dir; obs is ON by default but the lane pins it).
-scripts/ci_obs.sh
+# The lane scripts below each take [build-dir] and, run on their own,
+# configure a tree of their own. Here they share this run's trees: the
+# ASan lanes reuse $BUILD_DIR (same flags), and the two Release lanes
+# share one Release tree.
+RELEASE_DIR=build-release
+
+# Observability lane: zero-cost goldens + timeline export validation.
+scripts/ci_obs.sh "$RELEASE_DIR"
 
 # Virtualization lane: virt suites, bare-platform no-op golden, guest
-# fuzz soak and the full platform sweep (its own Release build dir).
-scripts/ci_virt.sh
+# fuzz soak and the full platform sweep (Release).
+scripts/ci_virt.sh "$RELEASE_DIR"
 
 # Cluster/RDMA lane: fabric lifecycle suites, ClusterFuzz soak, the
-# thread-invariance golden and a 1K-QP erosion sweep, all under ASan
-# (its own build dir).
-scripts/ci_cluster.sh
+# thread-invariance golden and a 1K-QP erosion sweep, all under ASan.
+scripts/ci_cluster.sh "$BUILD_DIR"
 
 # Hostile-wire lane: lossy/congested fabric with the reliability
 # layer on — WireFuzz soak, the golden_wire inertness gate and the
-# full storm sweep, all under ASan (its own build dir).
-scripts/ci_wire.sh
+# full storm sweep, all under ASan.
+scripts/ci_wire.sh "$BUILD_DIR"
 
 # Live-migration lane: pre-copy over the hostile wire, blackout
 # teardown, per-platform state replay — migration suite, MigrateFuzz
-# soak and the golden_migrate gate, all under ASan (its own build
-# dir).
-scripts/ci_migrate.sh
+# soak and the golden_migrate gate, all under ASan.
+scripts/ci_migrate.sh "$BUILD_DIR"
 
 echo "sanitized tier-1 suite passed"

@@ -129,13 +129,6 @@ struct CostModel
     // ---- Misc ----------------------------------------------------------
     /** Locked (atomic) read-modify-write, e.g. rRING tail bump. */
     Cycles locked_rmw = 20;
-    /**
-     * Kernel-abstraction overhead of a pass-through (un)map call:
-     * the paper measures ~200 cycles per packet of "unrelated kernel
-     * abstraction code" under HWpt/SWpt (§5.1); with two buffers per
-     * packet that is ~50 per map or unmap.
-     */
-    Cycles passthrough_call = 50;
 
     // ---- Fault reporting & recovery -----------------------------------
     /**

@@ -312,6 +312,8 @@ BaselineDmaHandle::mapSg(u16 rid, const std::vector<SgEntry> &sg,
         total_bytes += e.len;
     live_map_[range.value().pfn_lo] = LiveMappingInfo{
         out.front().device_addr, static_cast<u32>(total_bytes), rid};
+    // One logical mapping, matching unmapSg's single unmap().
+    traceEvent(TraceEvent::Kind::kMap, out.front().device_addr);
     return out;
 }
 
@@ -498,20 +500,16 @@ BaselineDmaHandle::deviceAccess(u64 device_addr,
 }
 
 Status
-BaselineDmaHandle::deviceRead(u64 device_addr, void *dst, u64 len)
+BaselineDmaHandle::readImpl(u64 device_addr, void *dst, u64 len)
 {
-    if (Status g = guardDetached(device_addr, iommu::Access::kRead); !g)
-        return g;
     return deviceAccess(device_addr, [&] {
         return iommu_.dmaRead(bdf_, device_addr, dst, len);
     });
 }
 
 Status
-BaselineDmaHandle::deviceWrite(u64 device_addr, const void *src, u64 len)
+BaselineDmaHandle::writeImpl(u64 device_addr, const void *src, u64 len)
 {
-    if (Status g = guardDetached(device_addr, iommu::Access::kWrite); !g)
-        return g;
     return deviceAccess(device_addr, [&] {
         return iommu_.dmaWrite(bdf_, device_addr, src, len);
     });

@@ -36,10 +36,6 @@ class BaselineDmaHandle : public DmaHandle
                       cycles::CycleAccount *acct);
     ~BaselineDmaHandle() override;
 
-    Result<DmaMapping> mapImpl(u16 rid, PhysAddr pa, u32 size,
-                               iommu::DmaDir dir) override;
-    Status unmapImpl(const DmaMapping &mapping, bool end_of_burst) override;
-
     /**
      * intel-iommu's dma_map_sg: ONE IOVA range covers the whole list
      * (each element rounded up to pages), so the device sees the
@@ -53,8 +49,6 @@ class BaselineDmaHandle : public DmaHandle
     /** Releases the shared range exactly once. */
     Status unmapSg(const std::vector<DmaMapping> &mappings,
                    bool end_of_burst) override;
-    Status deviceRead(u64 device_addr, void *dst, u64 len) override;
-    Status deviceWrite(u64 device_addr, const void *src, u64 len) override;
     u64 liveMappings() const override { return live_; }
     iommu::Bdf bdf() const override { return bdf_; }
 
@@ -112,6 +106,13 @@ class BaselineDmaHandle : public DmaHandle
     iommu::IoPageTable &pageTable() { return table_; }
     iova::IovaAllocator &allocator() { return *allocator_; }
     iommu::InvalQueue &invalQueue() { return inval_queue_; }
+
+  protected:
+    Result<DmaMapping> mapImpl(u16 rid, PhysAddr pa, u32 size,
+                               iommu::DmaDir dir) override;
+    Status unmapImpl(const DmaMapping &mapping, bool end_of_burst) override;
+    Status readImpl(u64 device_addr, void *dst, u64 len) override;
+    Status writeImpl(u64 device_addr, const void *src, u64 len) override;
 
   private:
     void

@@ -3,8 +3,8 @@
 #include "base/logging.h"
 #include "base/strings.h"
 #include "dma/baseline_handle.h"
+#include "dma/none_handle.h"
 #include "dma/riommu_handle.h"
-#include "dma/simple_handles.h"
 #include "obs/flight.h"
 
 namespace rio::dma {
@@ -58,14 +58,6 @@ DmaContext::makeHandleWithSpecs(ProtectionMode mode, iommu::Bdf bdf,
         break;
       case ProtectionMode::kNone:
         handle = std::make_unique<NoneDmaHandle>(pm_, bdf, cost_, acct);
-        break;
-      case ProtectionMode::kHwPassthrough:
-        handle = std::make_unique<HwPassthroughDmaHandle>(pm_, bdf, cost_,
-                                                          acct);
-        break;
-      case ProtectionMode::kSwPassthrough:
-        handle = std::make_unique<SwPassthroughDmaHandle>(iommu_, pm_, bdf,
-                                                          cost_, acct);
         break;
     }
     RIO_ASSERT(handle != nullptr, "bad protection mode");

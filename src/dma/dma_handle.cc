@@ -44,29 +44,73 @@ DmaHandle::bindObs(const char *mode, cycles::CycleAccount *acct,
 Result<DmaMapping>
 DmaHandle::map(u16 rid, PhysAddr pa, u32 size, iommu::DmaDir dir)
 {
-    if (!obs_map_cycles_)
-        return mapImpl(rid, pa, size, dir);
-    const Cycles c0 = obs_acct_ ? obs_acct_->total() : 0;
-    const Nanos t0 = obs_core_ ? obs_core_->virtualNow() : 0;
+    const bool observed = obs_map_cycles_ != nullptr;
+    const Cycles c0 = observed && obs_acct_ ? obs_acct_->total() : 0;
+    const Nanos t0 = observed && obs_core_ ? obs_core_->virtualNow() : 0;
     auto m = mapImpl(rid, pa, size, dir);
-    const Cycles dc = obs_acct_ ? obs_acct_->total() - c0 : 0;
-    obs_map_cycles_->observe(dc);
-    emitDmaSpan(obs::Ev::kMap, obs_core_, t0, dc, bdf().pack(), rid);
+    if (observed) {
+        const Cycles dc = obs_acct_ ? obs_acct_->total() - c0 : 0;
+        obs_map_cycles_->observe(dc);
+        emitDmaSpan(obs::Ev::kMap, obs_core_, t0, dc, bdf().pack(), rid);
+    }
+    if (m.isOk())
+        traceEvent(TraceEvent::Kind::kMap, m.value().device_addr);
     return m;
 }
 
 Status
 DmaHandle::unmap(const DmaMapping &mapping, bool end_of_burst)
 {
-    if (!obs_unmap_cycles_)
-        return unmapImpl(mapping, end_of_burst);
-    const Cycles c0 = obs_acct_ ? obs_acct_->total() : 0;
-    const Nanos t0 = obs_core_ ? obs_core_->virtualNow() : 0;
+    const bool observed = obs_unmap_cycles_ != nullptr;
+    const Cycles c0 = observed && obs_acct_ ? obs_acct_->total() : 0;
+    const Nanos t0 = observed && obs_core_ ? obs_core_->virtualNow() : 0;
     Status s = unmapImpl(mapping, end_of_burst);
-    const Cycles dc = obs_acct_ ? obs_acct_->total() - c0 : 0;
-    obs_unmap_cycles_->observe(dc);
-    emitDmaSpan(obs::Ev::kUnmap, obs_core_, t0, dc, bdf().pack(), 0);
+    if (observed) {
+        const Cycles dc = obs_acct_ ? obs_acct_->total() - c0 : 0;
+        obs_unmap_cycles_->observe(dc);
+        emitDmaSpan(obs::Ev::kUnmap, obs_core_, t0, dc, bdf().pack(), 0);
+    }
+    if (s.isOk())
+        traceEvent(TraceEvent::Kind::kUnmap, mapping.device_addr);
     return s;
+}
+
+Status
+DmaHandle::deviceRead(u64 device_addr, void *dst, u64 len)
+{
+    traceEvent(TraceEvent::Kind::kAccess, device_addr);
+    Status s = guardDetached(device_addr, iommu::Access::kRead);
+    if (s.isOk())
+        s = readImpl(device_addr, dst, len);
+    if (!s.isOk())
+        traceEvent(TraceEvent::Kind::kFault, device_addr);
+    return s;
+}
+
+Status
+DmaHandle::deviceWrite(u64 device_addr, const void *src, u64 len)
+{
+    traceEvent(TraceEvent::Kind::kAccess, device_addr);
+    Status s = guardDetached(device_addr, iommu::Access::kWrite);
+    if (s.isOk())
+        s = writeImpl(device_addr, src, len);
+    if (!s.isOk())
+        traceEvent(TraceEvent::Kind::kFault, device_addr);
+    return s;
+}
+
+Status
+DmaHandle::guardDetached(u64 device_addr, iommu::Access access)
+{
+    if (!detached_)
+        return Status::ok();
+    const iommu::FaultRecord rec{bdf(), device_addr, access,
+                                 iommu::FaultReason::kDetached};
+    constexpr size_t kMaxDetachFaults = 65536;
+    if (detach_faults_.size() < kMaxDetachFaults)
+        detach_faults_.push_back(rec);
+    onDetachedAccess(rec);
+    return Status(ErrorCode::kDetached, "DMA through detached BDF");
 }
 
 Result<std::vector<DmaMapping>>

@@ -18,6 +18,7 @@
 
 #include "base/status.h"
 #include "base/types.h"
+#include "dma/dma_trace.h"
 #include "dma/fault.h"
 #include "iommu/types.h"
 
@@ -79,8 +80,9 @@ class DmaHandle
      *        device).
      *
      * Non-virtual: the public call wraps the mode's mapImpl() so the
-     * per-mode map-latency histogram and timeline span are recorded
-     * at one choke point (when bindObs() armed them).
+     * per-mode map-latency histogram and timeline span (when
+     * bindObs() armed them) and the kMap trace event (when
+     * bindTrace() did) are recorded at one choke point.
      */
     Result<DmaMapping> map(u16 rid, PhysAddr pa, u32 size,
                            iommu::DmaDir dir);
@@ -97,11 +99,17 @@ class DmaHandle
      * Arm map/unmap observability: cycle-latency histograms labeled
      * {mode=@p mode} fed from @p acct's deltas, timeline spans on
      * @p core's track. Any argument may be null/absent; recording
-     * degrades gracefully. Called by DmaContext::makeHandleWithSpecs
-     * — decorators stay unbound so nothing double-counts.
+     * degrades gracefully. Called by DmaContext::makeHandleWithSpecs.
      */
     void bindObs(const char *mode, cycles::CycleAccount *acct,
                  des::Core *core);
+
+    /**
+     * Record every successful map/unmap and every device access (plus
+     * a kFault marker when the access failed) into @p trace, at
+     * IOVA-page granularity (the §5.4 capture). Null unbinds.
+     */
+    void bindTrace(DmaTrace *trace) { trace_ = trace; }
 
     /**
      * Map a scatter-gather list (the Linux dma_map_sg path). The
@@ -117,12 +125,17 @@ class DmaHandle
     virtual Status unmapSg(const std::vector<DmaMapping> &mappings,
                            bool end_of_burst);
 
-    /** Device-side read of memory (DMA toward the device). */
-    virtual Status deviceRead(u64 device_addr, void *dst, u64 len) = 0;
+    /**
+     * Device-side read of memory (DMA toward the device). Non-virtual
+     * wrapper over readImpl(): records the access, rejects DMA
+     * through a detached BDF, then records a fault if the mode's
+     * access failed.
+     */
+    Status deviceRead(u64 device_addr, void *dst, u64 len);
 
-    /** Device-side write of memory (DMA from the device). */
-    virtual Status deviceWrite(u64 device_addr, const void *src,
-                               u64 len) = 0;
+    /** Device-side write of memory (DMA from the device); as
+     * deviceRead(), over writeImpl(). */
+    Status deviceWrite(u64 device_addr, const void *src, u64 len);
 
     /** Mappings currently live through this handle. */
     virtual u64 liveMappings() const = 0;
@@ -131,27 +144,22 @@ class DmaHandle
     virtual iommu::Bdf bdf() const = 0;
 
     // ---- fault recovery & injection -----------------------------------
-    // Virtual so decorators (trace::RecordingDmaHandle) can forward to
-    // the handle that actually runs the device path.
 
     /** Select the recovery policy for faulted device accesses. */
-    virtual void setFaultPolicy(FaultPolicy policy)
-    {
-        fault_.setPolicy(policy);
-    }
+    void setFaultPolicy(FaultPolicy policy) { fault_.setPolicy(policy); }
 
-    virtual FaultPolicy faultPolicy() const { return fault_.policy(); }
+    FaultPolicy faultPolicy() const { return fault_.policy(); }
 
     /**
      * Arm (rate > 0) or disarm deterministic fault injection on this
      * handle's device-access path.
      */
-    virtual void setFaultInjection(const FaultInjectConfig &cfg)
+    void setFaultInjection(const FaultInjectConfig &cfg)
     {
         fault_.setInjection(cfg);
     }
 
-    virtual FaultStats faultStats() const { return fault_.stats(); }
+    FaultStats faultStats() const { return fault_.stats(); }
 
     /**
      * Opt the handle's IOVA allocator into the per-core magazine
@@ -178,8 +186,6 @@ class DmaHandle
     virtual void setStage1Superpages(bool /*on*/) {}
 
     // ---- device lifecycle (quiesce protocol + surprise removal) -------
-    // Virtual for the same reason as the fault API: decorators must
-    // forward lifecycle calls to the handle that owns the real state.
 
     /**
      * Flush phase of the quiesce protocol (stop posting → drain ring
@@ -218,12 +224,12 @@ class DmaHandle
         return Status::ok();
     }
 
-    virtual bool detached() const { return detached_; }
+    bool detached() const { return detached_; }
 
     /**
      * The live mappings, one record each, for the leak detector.
-     * Modes with no per-mapping state (None/HWpt/SWpt identity maps)
-     * report nothing; their liveMappings() counter still counts.
+     * A mode with no per-mapping state (None's identity map) reports
+     * nothing; its liveMappings() counter still counts.
      */
     virtual std::vector<LiveMappingInfo> liveMappingList() const
     {
@@ -231,12 +237,12 @@ class DmaHandle
     }
 
     /** Typed records of DMA attempts through the detached BDF. */
-    virtual const std::vector<iommu::FaultRecord> &detachFaults() const
+    const std::vector<iommu::FaultRecord> &detachFaults() const
     {
         return detach_faults_;
     }
 
-    virtual void clearDetachFaults() { detach_faults_.clear(); }
+    void clearDetachFaults() { detach_faults_.clear(); }
 
   protected:
     /** Mode-specific body of map(); see the public wrapper. */
@@ -247,35 +253,39 @@ class DmaHandle
     virtual Status unmapImpl(const DmaMapping &mapping,
                              bool end_of_burst) = 0;
 
-    /**
-     * Use-after-detach guard, called at the top of every device
-     * access path: a DMA through a detached BDF yields one typed
-     * fault record (and, where an IOMMU exists, a FaultLog entry via
-     * onDetachedAccess) instead of undefined behaviour.
-     */
-    Status
-    guardDetached(u64 device_addr, iommu::Access access)
-    {
-        if (!detached_)
-            return Status::ok();
-        const iommu::FaultRecord rec{bdf(), device_addr, access,
-                                     iommu::FaultReason::kDetached};
-        constexpr size_t kMaxDetachFaults = 65536;
-        if (detach_faults_.size() < kMaxDetachFaults)
-            detach_faults_.push_back(rec);
-        onDetachedAccess(rec);
-        return Status(ErrorCode::kDetached,
-                      "DMA through detached BDF");
-    }
+    /** Mode-specific body of deviceRead(); the BDF is attached. */
+    virtual Status readImpl(u64 device_addr, void *dst, u64 len) = 0;
+
+    /** Mode-specific body of deviceWrite(); the BDF is attached. */
+    virtual Status writeImpl(u64 device_addr, const void *src,
+                             u64 len) = 0;
 
     /** Hook for modes with a FaultLog to record the detached access. */
     virtual void onDetachedAccess(const iommu::FaultRecord &) {}
+
+    /** Record @p kind at @p addr's IOVA page if a trace is bound. */
+    void
+    traceEvent(TraceEvent::Kind kind, u64 addr)
+    {
+        if (trace_)
+            trace_->add(kind, addr >> kPageShift);
+    }
 
     FaultEngine fault_;
     bool detached_ = false;
     std::vector<iommu::FaultRecord> detach_faults_;
 
   private:
+    /**
+     * Use-after-detach guard, run by deviceRead/deviceWrite before
+     * the mode's access: a DMA through a detached BDF yields one
+     * typed fault record (and, where an IOMMU exists, a FaultLog
+     * entry via onDetachedAccess) instead of undefined behaviour.
+     */
+    Status guardDetached(u64 device_addr, iommu::Access access);
+
+    DmaTrace *trace_ = nullptr; //!< bindTrace; null = not recording
+
     // Observability bindings (bindObs); never read by mode logic.
     // Null until bound.
     obs::Histogram *obs_map_cycles_ = nullptr;

@@ -13,8 +13,6 @@ modeName(ProtectionMode mode)
       case ProtectionMode::kRiommuNc: return "riommu-";
       case ProtectionMode::kRiommu: return "riommu";
       case ProtectionMode::kNone: return "none";
-      case ProtectionMode::kHwPassthrough: return "hw-pt";
-      case ProtectionMode::kSwPassthrough: return "sw-pt";
     }
     return "unknown";
 }
@@ -22,12 +20,7 @@ modeName(ProtectionMode mode)
 std::optional<ProtectionMode>
 parseMode(const std::string &name)
 {
-    for (ProtectionMode m :
-         {ProtectionMode::kStrict, ProtectionMode::kStrictPlus,
-          ProtectionMode::kDefer, ProtectionMode::kDeferPlus,
-          ProtectionMode::kRiommuNc, ProtectionMode::kRiommu,
-          ProtectionMode::kNone, ProtectionMode::kHwPassthrough,
-          ProtectionMode::kSwPassthrough}) {
+    for (ProtectionMode m : kEvaluatedModes) {
         if (name == modeName(m))
             return m;
     }

@@ -1,8 +1,6 @@
 /**
  * @file
- * The seven IOMMU protection modes the paper evaluates (§5.1), plus
- * the two pass-through control modes used to validate the
- * methodology:
+ * The seven IOMMU protection modes the paper evaluates (§5.1):
  *
  *   strict   — completely safe Linux baseline: synchronous IOTLB
  *              invalidation on every unmap
@@ -13,8 +11,6 @@
  *   riommu-  — the proposed rIOMMU, non-coherent I/O table walks
  *   riommu   — rIOMMU with coherent walks
  *   none     — IOMMU disabled (unprotected optimum)
- *   hw-pt    — hardware pass-through (control, §5.1)
- *   sw-pt    — software pass-through via identity mappings (control)
  */
 #ifndef RIO_DMA_PROTECTION_MODE_H
 #define RIO_DMA_PROTECTION_MODE_H
@@ -32,12 +28,10 @@ enum class ProtectionMode {
     kDeferPlus,
     kRiommuNc, //!< riommu- : non-coherent I/O page-table walks
     kRiommu,
-    kNone,
-    kHwPassthrough,
-    kSwPassthrough
+    kNone
 };
 
-/** The seven modes of the paper's evaluation, in its display order. */
+/** Every mode, in the paper's display order. */
 inline constexpr std::array<ProtectionMode, 7> kEvaluatedModes = {
     ProtectionMode::kStrict,    ProtectionMode::kStrictPlus,
     ProtectionMode::kDefer,     ProtectionMode::kDeferPlus,
@@ -59,7 +53,7 @@ bool modeUsesBaselineIommu(ProtectionMode mode);
 
 /** True for the modes offering full intra-OS protection
  * (strict, strict+, riommu-, riommu). Deferred modes trade a stale
- * window for speed; pass-through/none offer no protection. */
+ * window for speed; none offers no protection. */
 bool modeIsFullySafe(ProtectionMode mode);
 
 /** True if the mode uses the constant-time ("+") IOVA allocator. */

@@ -92,10 +92,8 @@ RiommuDmaHandle::deviceAccess(u64 device_addr,
 }
 
 Status
-RiommuDmaHandle::deviceRead(u64 device_addr, void *dst, u64 len)
+RiommuDmaHandle::readImpl(u64 device_addr, void *dst, u64 len)
 {
-    if (Status g = guardDetached(device_addr, iommu::Access::kRead); !g)
-        return g;
     return deviceAccess(device_addr, [&] {
         return riommu_.dmaRead(rdevice_.bdf(),
                                riommu::RIova{device_addr}, dst, len);
@@ -103,10 +101,8 @@ RiommuDmaHandle::deviceRead(u64 device_addr, void *dst, u64 len)
 }
 
 Status
-RiommuDmaHandle::deviceWrite(u64 device_addr, const void *src, u64 len)
+RiommuDmaHandle::writeImpl(u64 device_addr, const void *src, u64 len)
 {
-    if (Status g = guardDetached(device_addr, iommu::Access::kWrite); !g)
-        return g;
     return deviceAccess(device_addr, [&] {
         return riommu_.dmaWrite(rdevice_.bdf(),
                                 riommu::RIova{device_addr}, src, len);

@@ -26,11 +26,6 @@ class RiommuDmaHandle : public DmaHandle
                     const cycles::CostModel &cost,
                     cycles::CycleAccount *acct);
 
-    Result<DmaMapping> mapImpl(u16 rid, PhysAddr pa, u32 size,
-                               iommu::DmaDir dir) override;
-    Status unmapImpl(const DmaMapping &mapping, bool end_of_burst) override;
-    Status deviceRead(u64 device_addr, void *dst, u64 len) override;
-    Status deviceWrite(u64 device_addr, const void *src, u64 len) override;
     u64 liveMappings() const override;
     iommu::Bdf bdf() const override { return rdevice_.bdf(); }
 
@@ -55,6 +50,13 @@ class RiommuDmaHandle : public DmaHandle
     std::vector<LiveMappingInfo> liveMappingList() const override;
 
     riommu::RDevice &rdevice() { return rdevice_; }
+
+  protected:
+    Result<DmaMapping> mapImpl(u16 rid, PhysAddr pa, u32 size,
+                               iommu::DmaDir dir) override;
+    Status unmapImpl(const DmaMapping &mapping, bool end_of_burst) override;
+    Status readImpl(u64 device_addr, void *dst, u64 len) override;
+    Status writeImpl(u64 device_addr, const void *src, u64 len) override;
 
   private:
     void onDetachedAccess(const iommu::FaultRecord &rec) override;

@@ -68,7 +68,7 @@ class ReplayTlb
 } // namespace
 
 ReplayResult
-replayTrace(const trace::DmaTrace &trace, TlbPrefetcher &prefetcher,
+replayTrace(const dma::DmaTrace &trace, TlbPrefetcher &prefetcher,
             const ReplayConfig &config)
 {
     ReplayResult result;
@@ -76,13 +76,13 @@ replayTrace(const trace::DmaTrace &trace, TlbPrefetcher &prefetcher,
     std::unordered_map<u64, u32> live; // pfn -> map count
 
     std::vector<u64> predictions;
-    for (const trace::TraceEvent &e : trace.events()) {
+    for (const dma::TraceEvent &e : trace.events()) {
         switch (e.kind) {
-          case trace::TraceEvent::Kind::kMap:
+          case dma::TraceEvent::Kind::kMap:
             ++live[e.iova_pfn];
             prefetcher.onMap(e.iova_pfn);
             break;
-          case trace::TraceEvent::Kind::kUnmap: {
+          case dma::TraceEvent::Kind::kUnmap: {
             auto it = live.find(e.iova_pfn);
             if (it != live.end() && --it->second == 0)
                 live.erase(it);
@@ -91,7 +91,7 @@ replayTrace(const trace::DmaTrace &trace, TlbPrefetcher &prefetcher,
                 prefetcher.invalidate(e.iova_pfn);
             break;
           }
-          case trace::TraceEvent::Kind::kAccess: {
+          case dma::TraceEvent::Kind::kAccess: {
             ++result.accesses;
             const int hit = tlb.lookup(e.iova_pfn);
             if (hit) {
@@ -115,7 +115,7 @@ replayTrace(const trace::DmaTrace &trace, TlbPrefetcher &prefetcher,
             }
             break;
           }
-          case trace::TraceEvent::Kind::kFault:
+          case dma::TraceEvent::Kind::kFault:
             // Faulted accesses install no translation; nothing to
             // replay into the TLB model.
             break;

@@ -10,8 +10,8 @@
 #ifndef RIO_PREFETCH_REPLAY_H
 #define RIO_PREFETCH_REPLAY_H
 
+#include "dma/dma_trace.h"
 #include "prefetch/prefetcher.h"
-#include "trace/trace.h"
 
 namespace rio::prefetch {
 
@@ -54,7 +54,7 @@ struct ReplayResult
 };
 
 /** Run @p trace through @p prefetcher under @p config. */
-ReplayResult replayTrace(const trace::DmaTrace &trace,
+ReplayResult replayTrace(const dma::DmaTrace &trace,
                          TlbPrefetcher &prefetcher,
                          const ReplayConfig &config);
 

@@ -38,6 +38,7 @@
 #include "des/core.h"
 #include "des/simulator.h"
 #include "dma/dma_context.h"
+#include "dma/dma_trace.h"
 #include "dma/protection_mode.h"
 #include "iommu/iommu.h"
 #include "iova/linux_allocator.h"
@@ -52,7 +53,6 @@
 #include "riommu/riommu.h"
 #include "ring/descriptor_ring.h"
 #include "sys/machine.h"
-#include "trace/trace.h"
 #include "workloads/netperf_rr.h"
 #include "workloads/request_load.h"
 #include "workloads/stream.h"

@@ -41,7 +41,7 @@ Machine::Machine(des::Simulator &sim, dma::ProtectionMode mode,
 
 Machine::Machine(des::Simulator &sim, dma::ProtectionMode mode,
                  const nic::NicProfile &profile,
-                 const cycles::CostModel &cost, trace::DmaTrace *trace)
+                 const cycles::CostModel &cost, dma::DmaTrace *trace)
     : Machine(sim, mode, /*ncores=*/1, cost)
 {
     attachNic(profile, 0, trace);
@@ -101,7 +101,7 @@ Machine::faultStats() const
 
 unsigned
 Machine::attachNic(const nic::NicProfile &profile, unsigned core_idx,
-                   trace::DmaTrace *trace)
+                   dma::DmaTrace *trace)
 {
     RIO_ASSERT(core_idx < cores_.size(), "pin to nonexistent core ",
                core_idx);
@@ -111,14 +111,9 @@ Machine::attachNic(const nic::NicProfile &profile, unsigned core_idx,
         ctx_.makeHandle(mode_, nextBdf(), &core.acct(),
                         node->profile.riommuRingSizes(), &core);
     applyFaultConfig(*node->handle);
-    dma::DmaHandle *handle = node->handle.get();
-    if (trace) {
-        node->recorder = std::make_unique<trace::RecordingDmaHandle>(
-            *handle, *trace);
-        handle = node->recorder.get();
-    }
+    node->handle->bindTrace(trace);
     node->nic = std::make_unique<nic::Nic>(sim_, core, ctx_.memory(),
-                                           *handle, node->profile);
+                                           *node->handle, node->profile);
     nodes_.push_back(std::move(node));
     return static_cast<unsigned>(nodes_.size() - 1);
 }

@@ -21,7 +21,6 @@
 #include "des/simulator.h"
 #include "dma/dma_context.h"
 #include "nic/nic.h"
-#include "trace/trace.h"
 
 namespace rio::sys {
 
@@ -87,7 +86,7 @@ class Machine
     Machine(des::Simulator &sim, dma::ProtectionMode mode,
             const nic::NicProfile &profile,
             const cycles::CostModel &cost = cycles::defaultCostModel(),
-            trace::DmaTrace *trace = nullptr);
+            dma::DmaTrace *trace = nullptr);
 
     /**
      * Bare N-core machine sharing one DmaContext; attach devices
@@ -106,7 +105,7 @@ class Machine
      * context-global locks). Returns the NIC's index.
      */
     unsigned attachNic(const nic::NicProfile &profile, unsigned core_idx,
-                       trace::DmaTrace *trace = nullptr);
+                       dma::DmaTrace *trace = nullptr);
 
     /**
      * Create a DMA handle for an additional non-NIC device (NVMe,
@@ -243,7 +242,6 @@ class Machine
         const nic::NicProfile profile;
         unsigned core_idx;
         std::unique_ptr<dma::DmaHandle> handle;
-        std::unique_ptr<trace::RecordingDmaHandle> recorder;
         std::unique_ptr<nic::Nic> nic;
 
         Node(const nic::NicProfile &p, unsigned c)

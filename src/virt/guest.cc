@@ -245,9 +245,9 @@ Guest::bindHandle(dma::DmaHandle &h, des::Core &core)
         binding->bindBaseline(*bh);
     else if (auto *rh = dynamic_cast<dma::RiommuDmaHandle *>(&h))
         binding->bindRiommu(*rh);
-    // Passthrough-style handles (none / hw-pt / sw-pt) manage no
-    // translation tables, so no vIOMMU strategy has anything to
-    // trap; they run at bare-metal speed inside the guest.
+    // The none handle manages no translation tables, so no vIOMMU
+    // strategy has anything to trap; it runs at bare-metal speed
+    // inside the guest.
     bindings_.push_back(std::move(binding));
     return static_cast<unsigned>(bindings_.size() - 1);
 }

@@ -101,7 +101,7 @@ class Guest final : public iommu::VirtStage2
      * The hypervisor's merged shadow radix table for binding @p i
      * (NIC handles first, in NIC order, then extra handles in
      * bindHandle() order), or null (non-shadow strategy, or an
-     * rIOMMU/passthrough handle whose shadow is not a radix table).
+     * rIOMMU/none handle whose shadow is not a radix table).
      */
     const iommu::IoPageTable *shadowTable(unsigned nic_idx) const;
 

@@ -17,10 +17,10 @@
 #include <memory>
 #include <vector>
 
+#include "dma/dma_trace.h"
 #include "dma/fault.h"
 #include "dma/protection_mode.h"
 #include "nic/profile.h"
-#include "trace/trace.h"
 #include "virt/platform.h"
 #include "workloads/result.h"
 
@@ -53,7 +53,7 @@ struct StreamParams
     /** Rx-stack cost of processing one ACK. */
     Cycles per_ack_cycles = 600;
     /** Optional DMA trace capture (§5.4). */
-    trace::DmaTrace *trace = nullptr;
+    dma::DmaTrace *trace = nullptr;
     /**
      * Deterministic DMA fault injection (0 = off). Armed after
      * bring-up so initialization is always clean; faulted Tx packets

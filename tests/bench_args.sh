@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Strict bench command lines: a malformed number (non-numeric, out of
 # range, below the bench's minimum, empty, missing, or an empty list
-# entry) must be rejected with a usage line on stderr and exit status
-# 2 before any simulation runs — never silently coerced, clamped or
-# defaulted into a different experiment. An accepted bad value would
-# start a simulation, so each case gets a short time limit.
+# entry) or a missing --json/--timeline path must be rejected with a
+# usage line on stderr and exit status 2 before any simulation runs —
+# never silently coerced, clamped or defaulted into a different
+# experiment. An accepted bad value would start a simulation, so each
+# case gets a short time limit.
 #
 # Usage: bench_args.sh <bench-binary-directory>
 set -uo pipefail
@@ -40,6 +41,11 @@ expect_usage_error bench_scaling_cores --threads ''
 expect_usage_error bench_scaling_cores --threads 4x
 expect_usage_error bench_scaling_cores --threads
 expect_usage_error bench_scaling_cores --timeline-cap -1
+# Output paths: a missing path, or a flag where the path should be.
+for flag in --json --timeline; do
+    expect_usage_error bench_scaling_cores "$flag"
+    expect_usage_error bench_scaling_cores "$flag" --threads 4
+done
 
 # --loss is a drop rate in [0, 1); 0 selects the golden compat rows,
 # so a typo must not quietly become 0.

@@ -80,12 +80,7 @@ TEST_P(DmaModeTest, ManySequentialMappingsStayConsistent)
 
 INSTANTIATE_TEST_SUITE_P(
     AllModes, DmaModeTest,
-    ::testing::Values(ProtectionMode::kStrict, ProtectionMode::kStrictPlus,
-                      ProtectionMode::kDefer, ProtectionMode::kDeferPlus,
-                      ProtectionMode::kRiommuNc, ProtectionMode::kRiommu,
-                      ProtectionMode::kNone,
-                      ProtectionMode::kHwPassthrough,
-                      ProtectionMode::kSwPassthrough),
+    ::testing::ValuesIn(kEvaluatedModes),
     [](const ::testing::TestParamInfo<ProtectionMode> &info) {
         std::string n = modeName(info.param);
         for (char &c : n) {
@@ -296,20 +291,6 @@ TEST_F(ProtectionSemanticsTest, NoneModeChargesNothing)
     auto m = handle->map(0, buf, 512, DmaDir::kBidir);
     ASSERT_TRUE(handle->unmap(m.value(), true).isOk());
     EXPECT_EQ(acct.total(), 0u);
-}
-
-TEST_F(ProtectionSemanticsTest, PassthroughChargesOnlyAbstractionCost)
-{
-    for (ProtectionMode mode : {ProtectionMode::kHwPassthrough,
-                                ProtectionMode::kSwPassthrough}) {
-        CycleAccount a;
-        auto handle = ctx.makeHandle(mode, Bdf{0, 10, 0}, &a);
-        const PhysAddr buf = ctx.memory().allocFrame();
-        auto m = handle->map(0, buf, 512, DmaDir::kBidir);
-        ASSERT_TRUE(handle->unmap(m.value(), true).isOk());
-        EXPECT_EQ(a.total(), 2 * ctx.cost().passthrough_call)
-            << modeName(mode);
-    }
 }
 
 TEST_F(ProtectionSemanticsTest, MultiPageBufferMapsAllPages)

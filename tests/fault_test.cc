@@ -11,7 +11,7 @@
 
 #include "dma/dma_context.h"
 #include "dma/fault.h"
-#include "dma/simple_handles.h"
+#include "dma/none_handle.h"
 #include "iommu/fault_log.h"
 #include "riommu/rdevice.h"
 

@@ -222,14 +222,8 @@ faultFuzzParams()
     // 8 base seeds; RIO_FUZZ_EXTRA_SEEDS appends more (sanitize CI).
     std::vector<u64> seeds = {3, 7, 31, 64, 129, 1023, 4096, 65537};
     appendExtraSeeds(seeds, "RIO_FUZZ_EXTRA_SEEDS");
-    const std::array<dma::ProtectionMode, 9> all = {
-        dma::ProtectionMode::kStrict,    dma::ProtectionMode::kStrictPlus,
-        dma::ProtectionMode::kDefer,     dma::ProtectionMode::kDeferPlus,
-        dma::ProtectionMode::kRiommuNc,  dma::ProtectionMode::kRiommu,
-        dma::ProtectionMode::kNone,      dma::ProtectionMode::kHwPassthrough,
-        dma::ProtectionMode::kSwPassthrough};
     std::vector<FaultFuzzParam> params;
-    for (dma::ProtectionMode mode : all)
+    for (dma::ProtectionMode mode : dma::kEvaluatedModes)
         for (u64 seed : seeds)
             params.push_back({mode, seed, 400});
     return params;
@@ -388,13 +382,8 @@ lifecycleFuzzParams()
 {
     std::vector<u64> seeds = {2, 17, 301};
     appendExtraSeeds(seeds, "RIO_CHURN_EXTRA_SEEDS");
-    const std::array<dma::ProtectionMode, 7> modes = {
-        dma::ProtectionMode::kStrict,   dma::ProtectionMode::kStrictPlus,
-        dma::ProtectionMode::kDefer,    dma::ProtectionMode::kDeferPlus,
-        dma::ProtectionMode::kRiommuNc, dma::ProtectionMode::kRiommu,
-        dma::ProtectionMode::kNone};
     std::vector<LifecycleFuzzParam> params;
-    for (dma::ProtectionMode mode : modes)
+    for (dma::ProtectionMode mode : dma::kEvaluatedModes)
         for (u64 seed : seeds)
             params.push_back({mode, seed, 60});
     return params;

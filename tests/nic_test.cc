@@ -40,8 +40,7 @@ TEST_P(NicModeTest, BringUpInstallsRxWorkingSet)
     const NicProfile profile = testProfile();
     sys::Machine m(sim, GetParam(), profile);
     m.bringUp();
-    if (GetParam() != ProtectionMode::kNone &&
-        GetParam() != ProtectionMode::kHwPassthrough) {
+    if (GetParam() != ProtectionMode::kNone) {
         // 64 rx buffers + 3 static ring mappings.
         EXPECT_EQ(m.nic().liveMappings(),
                   u64{profile.rx_rings} * profile.rx_ring_entries + 3);
@@ -104,10 +103,7 @@ TEST_P(NicModeTest, RxPacketsAreDeliveredAndBuffersRecycled)
 
 INSTANTIATE_TEST_SUITE_P(
     AllModes, NicModeTest,
-    ::testing::Values(ProtectionMode::kStrict, ProtectionMode::kStrictPlus,
-                      ProtectionMode::kDefer, ProtectionMode::kDeferPlus,
-                      ProtectionMode::kRiommuNc, ProtectionMode::kRiommu,
-                      ProtectionMode::kNone),
+    ::testing::ValuesIn(dma::kEvaluatedModes),
     [](const ::testing::TestParamInfo<ProtectionMode> &info) {
         std::string n = dma::modeName(info.param);
         for (char &c : n) {

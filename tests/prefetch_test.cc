@@ -13,8 +13,8 @@
 namespace rio::prefetch {
 namespace {
 
-using trace::DmaTrace;
-using trace::TraceEvent;
+using dma::DmaTrace;
+using dma::TraceEvent;
 
 /** Synthesize the canonical ring workload trace:
  * map k+burst, access k, unmap k, ... in ring order. */

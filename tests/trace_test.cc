@@ -1,33 +1,32 @@
 /**
  * @file
- * Tests for DMA trace capture and (de)serialization.
+ * Tests for DMA trace capture: a handle bound with bindTrace records
+ * map/unmap/access/fault events at its own choke points.
  */
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "dma/dma_context.h"
-#include "trace/trace.h"
+#include "dma/dma_trace.h"
 
-namespace rio::trace {
+namespace rio::dma {
 namespace {
 
 TEST(TraceTest, RecordingHandleCapturesEvents)
 {
-    dma::DmaContext ctx;
+    DmaContext ctx;
     cycles::CycleAccount acct;
-    auto inner = ctx.makeHandle(dma::ProtectionMode::kStrict,
-                                iommu::Bdf{0, 3, 0}, &acct);
+    auto handle =
+        ctx.makeHandle(ProtectionMode::kStrict, iommu::Bdf{0, 3, 0}, &acct);
     DmaTrace trace;
-    RecordingDmaHandle handle(*inner, trace);
+    handle->bindTrace(&trace);
 
     const PhysAddr buf = ctx.memory().allocFrame();
-    auto m = handle.map(0, buf, 512, iommu::DmaDir::kBidir);
+    auto m = handle->map(0, buf, 512, iommu::DmaDir::kBidir);
     ASSERT_TRUE(m.isOk());
     u64 v = 0;
-    ASSERT_TRUE(handle.deviceWrite(m.value().device_addr, &v, 8).isOk());
-    ASSERT_TRUE(handle.deviceRead(m.value().device_addr, &v, 8).isOk());
-    ASSERT_TRUE(handle.unmap(m.value(), true).isOk());
+    ASSERT_TRUE(handle->deviceWrite(m.value().device_addr, &v, 8).isOk());
+    ASSERT_TRUE(handle->deviceRead(m.value().device_addr, &v, 8).isOk());
+    ASSERT_TRUE(handle->unmap(m.value(), true).isOk());
 
     ASSERT_EQ(trace.size(), 4u);
     const auto &ev = trace.events();
@@ -41,22 +40,22 @@ TEST(TraceTest, RecordingHandleCapturesEvents)
 
 TEST(TraceTest, RecordingIsTransparent)
 {
-    dma::DmaContext ctx;
+    DmaContext ctx;
     cycles::CycleAccount acct;
-    auto inner = ctx.makeHandle(dma::ProtectionMode::kRiommu,
-                                iommu::Bdf{0, 3, 0}, &acct, {16});
+    auto handle = ctx.makeHandle(ProtectionMode::kRiommu,
+                                 iommu::Bdf{0, 3, 0}, &acct, {16});
     DmaTrace trace;
-    RecordingDmaHandle handle(*inner, trace);
+    handle->bindTrace(&trace);
     const PhysAddr buf = ctx.memory().allocFrame();
-    auto m = handle.map(0, buf, 100, iommu::DmaDir::kBidir);
+    auto m = handle->map(0, buf, 100, iommu::DmaDir::kBidir);
     ASSERT_TRUE(m.isOk());
-    EXPECT_EQ(handle.liveMappings(), 1u);
+    EXPECT_EQ(handle->liveMappings(), 1u);
     // Failed accesses are recorded (access + fault marker) but still
     // propagate the error.
     u64 v = 0;
     const u64 before = trace.size();
     EXPECT_FALSE(
-        handle.deviceRead(m.value().device_addr, &v, 200).isOk())
+        handle->deviceRead(m.value().device_addr, &v, 200).isOk())
         << "read beyond the 100-byte mapping must fault";
     ASSERT_EQ(trace.size(), before + 2);
     EXPECT_EQ(trace.events()[before].kind, TraceEvent::Kind::kAccess);
@@ -66,109 +65,55 @@ TEST(TraceTest, RecordingIsTransparent)
               m.value().device_addr >> kPageShift);
 }
 
-TEST(TraceTest, SaveAndLoadTextRoundTrip)
+TEST(TraceTest, TracedBaselineKeepsItsScatterGatherPath)
 {
+    DmaContext ctx;
+    cycles::CycleAccount acct;
+    auto handle =
+        ctx.makeHandle(ProtectionMode::kStrict, iommu::Bdf{0, 3, 0}, &acct);
     DmaTrace trace;
-    trace.add(TraceEvent::Kind::kMap, 100);
-    trace.add(TraceEvent::Kind::kAccess, 100);
-    trace.add(TraceEvent::Kind::kUnmap, 100);
-    const std::string path = "/tmp/rio_trace_test.txt";
-    ASSERT_TRUE(trace.saveText(path).isOk());
+    handle->bindTrace(&trace);
+    std::vector<SgEntry> sg;
+    for (int i = 0; i < 3; ++i)
+        sg.push_back(SgEntry{ctx.memory().allocFrame(), 3000});
 
-    DmaTrace loaded;
-    ASSERT_TRUE(loaded.loadText(path).isOk());
-    ASSERT_EQ(loaded.size(), 3u);
-    EXPECT_EQ(loaded.events()[0].kind, TraceEvent::Kind::kMap);
-    EXPECT_EQ(loaded.events()[1].kind, TraceEvent::Kind::kAccess);
-    EXPECT_EQ(loaded.events()[2].kind, TraceEvent::Kind::kUnmap);
-    EXPECT_EQ(loaded.events()[2].iova_pfn, 100u);
-    std::remove(path.c_str());
-}
+    const u64 allocs_before = acct.ops(cycles::Cat::kMapIovaAlloc);
+    auto m = handle->mapSg(0, sg, iommu::DmaDir::kBidir);
+    ASSERT_TRUE(m.isOk());
+    ASSERT_EQ(m.value().size(), 3u);
+    EXPECT_EQ(acct.ops(cycles::Cat::kMapIovaAlloc), allocs_before + 1)
+        << "a traced handle still allocates one IOVA range per list";
+    ASSERT_TRUE(handle->unmapSg(m.value(), true).isOk());
+    EXPECT_EQ(handle->liveMappings(), 0u);
 
-TEST(TraceTest, SaveAndLoadRoundTripsEveryKind)
-{
-    DmaTrace trace;
-    trace.add(TraceEvent::Kind::kMap, 7);
-    trace.add(TraceEvent::Kind::kAccess, 7);
-    trace.add(TraceEvent::Kind::kFault, 7);
-    trace.add(TraceEvent::Kind::kUnmap, 0xfffffffffffULL);
-    const std::string path = "/tmp/rio_trace_kinds_test.txt";
-    ASSERT_TRUE(trace.saveText(path).isOk());
-
-    DmaTrace loaded;
-    ASSERT_TRUE(loaded.loadText(path).isOk());
-    ASSERT_EQ(loaded.size(), trace.size());
-    for (size_t i = 0; i < trace.events().size(); ++i) {
-        EXPECT_EQ(loaded.events()[i].kind, trace.events()[i].kind) << i;
-        EXPECT_EQ(loaded.events()[i].iova_pfn, trace.events()[i].iova_pfn)
-            << i;
-    }
-    std::remove(path.c_str());
-}
-
-TEST(TraceTest, LoadMissingFileFails)
-{
-    DmaTrace trace;
-    EXPECT_EQ(trace.loadText("/tmp/definitely-not-here-42").code(),
-              ErrorCode::kNotFound);
-}
-
-namespace {
-
-/** Write @p text to a temp file and return loadText's status. */
-Status
-loadFrom(const std::string &text, DmaTrace &trace)
-{
-    const std::string path = "/tmp/rio_trace_malformed_test.txt";
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    EXPECT_NE(f, nullptr);
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-    Status s = trace.loadText(path);
-    std::remove(path.c_str());
-    return s;
-}
-
-} // namespace
-
-TEST(TraceTest, LoadRejectsUnknownKind)
-{
-    DmaTrace trace;
-    const Status s = loadFrom("M 1\nX 2\n", trace);
-    EXPECT_EQ(s.code(), ErrorCode::kInvalidArgument);
-    // The error names the offending line so a corrupted capture can
-    // be located, not just detected.
-    EXPECT_NE(s.toString().find(":2:"), std::string::npos)
-        << s.toString();
-    EXPECT_NE(s.toString().find("'X'"), std::string::npos)
-        << s.toString();
-}
-
-TEST(TraceTest, LoadRejectsMissingPfn)
-{
-    DmaTrace trace;
-    const Status s = loadFrom("M\n", trace);
-    EXPECT_EQ(s.code(), ErrorCode::kInvalidArgument);
-    EXPECT_NE(s.toString().find("malformed"), std::string::npos)
-        << s.toString();
-}
-
-TEST(TraceTest, LoadRejectsTrailingJunk)
-{
-    DmaTrace trace;
-    const Status s = loadFrom("A 5 extra\n", trace);
-    EXPECT_EQ(s.code(), ErrorCode::kInvalidArgument);
-    EXPECT_NE(s.toString().find(":1:"), std::string::npos)
-        << s.toString();
-}
-
-TEST(TraceTest, LoadSkipsBlankLines)
-{
-    DmaTrace trace;
-    ASSERT_TRUE(loadFrom("M 1\n\nU 1\n", trace).isOk());
+    // One logical mapping: one kMap, one kUnmap, same range.
     ASSERT_EQ(trace.size(), 2u);
+    EXPECT_EQ(trace.events()[0].kind, TraceEvent::Kind::kMap);
     EXPECT_EQ(trace.events()[1].kind, TraceEvent::Kind::kUnmap);
+    EXPECT_EQ(trace.events()[0].iova_pfn,
+              m.value().front().device_addr >> kPageShift);
+    EXPECT_EQ(trace.events()[1].iova_pfn, trace.events()[0].iova_pfn);
+}
+
+TEST(TraceTest, UnboundHandleRecordsNothing)
+{
+    DmaContext ctx;
+    cycles::CycleAccount acct;
+    auto handle =
+        ctx.makeHandle(ProtectionMode::kStrict, iommu::Bdf{0, 3, 0}, &acct);
+    DmaTrace trace;
+    handle->bindTrace(&trace);
+    handle->bindTrace(nullptr);
+
+    const PhysAddr buf = ctx.memory().allocFrame();
+    auto m = handle->map(0, buf, 512, iommu::DmaDir::kBidir);
+    ASSERT_TRUE(m.isOk());
+    u64 v = 0;
+    ASSERT_TRUE(handle->deviceWrite(m.value().device_addr, &v, 8).isOk());
+    ASSERT_TRUE(handle->unmap(m.value(), true).isOk());
+    EXPECT_FALSE(handle->deviceRead(m.value().device_addr, &v, 8).isOk());
+    EXPECT_EQ(trace.size(), 0u);
 }
 
 } // namespace
-} // namespace rio::trace
+} // namespace rio::dma
