@@ -32,7 +32,7 @@
  * thread counts and this bench itself asserts the fig7-equivalent
  * mode ordering at the smallest sweep point.
  */
-#include "bench_common.h"
+#include "fleet_rows.h"
 
 #include <string>
 #include <vector>
@@ -53,24 +53,13 @@ struct RowResult
     workloads::FleetReport rep;
 };
 
-workloads::FleetParams
-fleetParamsFor(u32 connections, bool quick)
-{
-    workloads::FleetParams p;
-    p.connections = connections;
-    p.credits = 16; // = sq_depth: fill the CQ batches
-    p.warmup_ops = quick ? 100 : 300;
-    p.measure_ops = quick ? 500 : 3000;
-    p.seed = 3;
-    return p;
-}
-
 RowResult
 runPoint(dma::ProtectionMode mode, const std::string &variant,
          u32 connections, unsigned machines, unsigned threads,
          bool quick)
 {
-    const workloads::FleetParams p = fleetParamsFor(connections, quick);
+    const workloads::FleetParams p =
+        bench::fleetParams(connections, quick);
     sys::ClusterConfig cfg;
     cfg.machines = machines;
     cfg.threads = threads;
@@ -110,7 +99,9 @@ perOp(u64 count, const workloads::FleetReport &rep)
 int
 main(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        argc, argv,
+        {{"--quick"}, {"--connections", true}, {"--machines", true}});
     bool quick = false;
     u32 max_connections = 0;
     unsigned machines = 2;
@@ -205,11 +196,7 @@ main(int argc, char **argv)
              "riotlb inv/op", "rdfetch hit%", "blocked"});
     bench::JsonWriter json("cluster_rdma", args.threads);
     for (const RowResult &r : rows) {
-        const double hitrate =
-            r.rep.rdcache.fetches
-                ? 100.0 * static_cast<double>(r.rep.rdcache.hot_hits) /
-                      static_cast<double>(r.rep.rdcache.fetches)
-                : 0.0;
+        const double hitrate = bench::rdcacheHitRate(r.rep);
         t.addRow(strprintf("%s/%s", dma::modeName(r.mode),
                            r.variant.c_str()),
                  {static_cast<double>(r.connections),
@@ -217,21 +204,7 @@ main(int argc, char **argv)
                   perOp(r.rep.riotlb.invalidations, r.rep), hitrate,
                   static_cast<double>(r.rep.posts_blocked)},
                  2);
-        json.beginRow();
-        json.add("mode", dma::modeName(r.mode));
-        json.add("variant", r.variant);
-        json.add("connections", static_cast<u64>(r.connections));
-        json.add("cycles_per_op", r.rep.cycles_per_op);
-        json.add("avg_burst", r.rep.avg_burst);
-        json.add("measured_ops", r.rep.measured_ops);
-        json.add("completions", r.rep.completions);
-        json.add("posts_blocked", r.rep.posts_blocked);
-        json.add("eob_unmaps", r.rep.eob_unmaps);
-        json.add("riotlb_invalidations", r.rep.riotlb.invalidations);
-        json.add("riotlb_walks", r.rep.riotlb.walks);
-        json.add("rdcache_fetches", r.rep.rdcache.fetches);
-        json.add("rdcache_hot_hits", r.rep.rdcache.hot_hits);
-        json.add("rdcache_hit_rate", hitrate);
+        bench::addFleetRow(json, r.mode, r.variant, r.connections, r.rep);
     }
     json.beginRow();
     json.add("mode", "summary");

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -78,9 +79,9 @@ struct BenchArgs
     /**
      * --threads N: worker threads for the engine-backed sweeps
      * (workloads/sweep.h). Simulation results are byte-identical for
-     * any value — only host wall-clock changes (golden_selfperf
-     * enforces this) — so benches that still run sequentially simply
-     * record the flag in their JSON and ignore it.
+     * any value — only host wall-clock changes (the golden_*_threads
+     * ctests enforce this) — so benches that still run sequentially
+     * simply record the flag in their JSON and ignore it.
      */
     unsigned threads = 1;
     /** --slo: turn on exact per-op tail recording (obs::SloReport). */
@@ -208,17 +209,29 @@ parseLossRate(char **argv, std::string_view value)
     return v;
 }
 
+/** A bench-specific flag: parseBenchArgs() lets it (and, when
+ * @c valued, the argument after it) through for the bench's own loop
+ * to read via flagValue() and check. */
+struct BenchFlag
+{
+    std::string_view name;
+    bool valued = false;
+};
+
 /**
- * Parse the uniform bench arguments (bench-specific flags like
- * --cores are parsed by the bench itself and ignored here). A
- * missing, non-numeric or zero --threads / --timeline-cap value is a
- * usage error (exit 2), never a silent default. Passing
- * --timeline turns the event timeline's recording gate on for the
- * whole run; pair with finishBench() to write the trace at exit.
- * --slo flips the obs::sloRecording() gate for the whole run.
+ * Parse the uniform bench arguments. Bench-specific flags (--cores,
+ * --loss, --quick, ...) are named in @p bench_flags and parsed by the
+ * bench itself; any other argument is a usage error (exit 2), so a
+ * mistyped flag never runs a default experiment. A missing,
+ * non-numeric or zero --threads / --timeline-cap value is a usage
+ * error too, never a silent default. Passing --timeline turns the
+ * event timeline's recording gate on for the whole run; pair with
+ * finishBench() to write the trace at exit. --slo flips the
+ * obs::sloRecording() gate for the whole run.
  */
 inline BenchArgs
-parseBenchArgs(int argc, char **argv)
+parseBenchArgs(int argc, char **argv,
+               std::initializer_list<BenchFlag> bench_flags = {})
 {
     benchStartTime(); // anchor host_ms at startup
     BenchArgs args;
@@ -238,8 +251,18 @@ parseBenchArgs(int argc, char **argv)
             if (value[0] == '\0' || value[0] == '-')
                 usageError(argv[0], std::string(arg) + " takes a path");
             (arg == "--json" ? args.json_path : args.timeline_path) = value;
-        } else if (arg == "--slo")
+        } else if (arg == "--slo") {
             args.slo = true;
+        } else {
+            const auto flag = std::find_if(
+                bench_flags.begin(), bench_flags.end(),
+                [&](const BenchFlag &f) { return f.name == arg; });
+            if (flag == bench_flags.end())
+                usageError(argv[0],
+                           "unknown argument '" + std::string(arg) + "'");
+            if (flag->valued)
+                ++i; // the bench's own loop reads and checks it
+        }
     }
     if (args.timeline_cap)
         obs::timeline().setCapacity(args.timeline_cap);

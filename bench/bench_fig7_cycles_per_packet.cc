@@ -10,90 +10,19 @@
  * invalidation bar; the "+" modes shrink the IOVA bar; the rIOMMU
  * modes shrink everything.
  */
-#include "bench_common.h"
-
-#include "cycles/cycle_account.h"
-#include "workloads/sweep.h"
+#include "fig7.h"
 
 using namespace rio;
-using cycles::Cat;
 
 int
 main(int argc, char **argv)
 {
     const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
-    bench::printHeader("Figure 7: cycles per packet by component, "
-                       "Netperf stream on mlx (paper C_none = 1816)");
-
-    workloads::StreamParams params =
-        workloads::streamParamsFor(nic::mlxProfile());
-    params.measure_packets = bench::scaled(40000);
-    params.warmup_packets = bench::scaled(10000);
-
-    struct Row
-    {
-        dma::ProtectionMode mode;
-        double inv, pt, iova, other, total;
-    };
-    // One job per mode on the parallel engine; results are in job
-    // order and byte-identical for any --threads value.
-    std::vector<workloads::StreamJob> jobs;
-    for (dma::ProtectionMode mode : bench::evaluatedModes())
-        jobs.push_back({mode, nic::mlxProfile(), params});
-    const std::vector<workloads::RunResult> results =
-        workloads::runStreamJobs(jobs, args.threads);
-
-    std::vector<Row> rows;
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        const workloads::RunResult &r = results[i];
-        const double pkts = static_cast<double>(r.tx_packets);
-        Row row;
-        row.mode = jobs[i].mode;
-        row.inv =
-            static_cast<double>(r.acct.get(Cat::kUnmapIotlbInv)) / pkts;
-        row.pt = static_cast<double>(r.acct.get(Cat::kMapPageTable) +
-                                     r.acct.get(Cat::kUnmapPageTable)) /
-                 pkts;
-        row.iova = static_cast<double>(r.acct.get(Cat::kMapIovaAlloc) +
-                                       r.acct.get(Cat::kUnmapIovaFind) +
-                                       r.acct.get(Cat::kUnmapIovaFree)) /
-                   pkts;
-        row.total = r.cycles_per_packet;
-        row.other = row.total - row.inv - row.pt - row.iova;
-        rows.push_back(row);
-    }
-    const double c_none = rows.back().total; // none is listed last
-
-    Table t({"mode", "iotlb inv", "page table", "iova (de)alloc",
-             "other", "C (total)", "C/C_none"});
-    for (const Row &row : rows) {
-        std::vector<std::string> cells = {dma::modeName(row.mode),
-                                          Table::num(row.inv, 0),
-                                          Table::num(row.pt, 0),
-                                          Table::num(row.iova, 0),
-                                          Table::num(row.other, 0),
-                                          Table::num(row.total, 0),
-                                          Table::num(row.total / c_none,
-                                                     2)};
-        t.addRow(cells);
-    }
-    std::printf("%s\n", t.toString().c_str());
-    std::printf("paper ratios: strict 9.4x, strict+ 5.2x, defer 4.7x, "
-                "defer+ 3.2x, riommu- ~1.9x, riommu ~1.3x, none 1.0x\n");
-
-    bench::JsonWriter json("fig7_cycles_per_packet", args.threads);
-    for (const Row &row : rows) {
-        json.beginRow();
-        json.add("mode", dma::modeName(row.mode));
-        json.add("iotlb_inv", row.inv);
-        json.add("page_table", row.pt);
-        json.add("iova", row.iova);
-        json.add("other", row.other);
-        json.add("total", row.total);
-        json.add("ratio_vs_none", row.total / c_none);
-    }
-    if (!json.writeTo(args.json_path))
-        return 1;
-    bench::finishBench(args);
-    return 0;
+    return bench::runFig7(
+        args,
+        "Figure 7: cycles per packet by component, Netperf stream on "
+        "mlx (paper C_none = 1816)",
+        "fig7_cycles_per_packet",
+        "paper ratios: strict 9.4x, strict+ 5.2x, defer 4.7x, defer+ "
+        "3.2x, riommu- ~1.9x, riommu ~1.3x, none 1.0x\n");
 }

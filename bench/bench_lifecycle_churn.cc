@@ -41,7 +41,8 @@ struct Row
 int
 main(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        argc, argv, {{"--rate", true}, {"--seed", true}, {"--down", true}});
     std::vector<double> rates = {0, 0.5, 2};
     u64 churn_seed = 1;
     Nanos down_ns = 20000;
@@ -137,8 +138,8 @@ main(int argc, char **argv)
     for (const Row &row : rows) {
         json.beginRow();
         // Rate-0 rows carry exactly fig7's fields, in fig7's order:
-        // tests/golden_lifecycle.sh diffs `--rate 0` output against
-        // bench_fig7's JSON byte-for-byte (modulo the bench name).
+        // the golden_lifecycle ctest diffs `--rate 0` output against
+        // bench_fig7's golden byte-for-byte (modulo the bench name).
         json.add("mode", dma::modeName(row.mode));
         json.add("iotlb_inv", row.inv);
         json.add("page_table", row.pt);

@@ -30,7 +30,7 @@
  * ctest diffs them against the checked-in cluster golden to prove the
  * whole migration subsystem is bit-for-bit inert when off.
  */
-#include "bench_common.h"
+#include "fleet_rows.h"
 
 #include <algorithm>
 #include <cmath>
@@ -273,70 +273,6 @@ tableRow(Table &t, const MigRun &r, const MigOut &o)
              2);
 }
 
-/** The bench_cluster_rdma base rows on a migration-disabled cluster,
- * for the golden_migrate inertness diff (exact bench_wire_storm
- * recipe; byte-identical rows by construction). */
-int
-runCompat(const bench::BenchArgs &args, bool quick)
-{
-    bench::printHeader(
-        "Migration, --loss 0: migration-disabled compat rows "
-        "(byte-identical to bench_cluster_rdma; golden_migrate gate)");
-    workloads::FleetParams p;
-    p.connections = 64;
-    p.credits = 16;
-    p.warmup_ops = quick ? 100 : 300;
-    p.measure_ops = quick ? 500 : 3000;
-    p.seed = 3;
-
-    Table t({"mode", "conns", "cycles/op", "avg burst"});
-    bench::JsonWriter json("migration_compat", args.threads);
-    for (const dma::ProtectionMode mode : bench::evaluatedModes()) {
-        sys::ClusterConfig cfg;
-        cfg.machines = 2;
-        cfg.threads = args.threads;
-        cfg.mode = mode;
-        cfg.max_qps = workloads::fleetMaxQps(p, 2);
-        cfg.migration = false; // the subsystem under inertness test
-        sys::Cluster cluster(cfg);
-        const workloads::FleetReport rep =
-            workloads::runFleet(cluster, p);
-        RIO_ASSERT(rep.leaks_clean && rep.comp_errors == 0 &&
-                       rep.remote_faults == 0,
-                   "compat row must match the lossless fabric at ",
-                   dma::modeName(mode));
-        const double hitrate =
-            rep.rdcache.fetches
-                ? 100.0 * static_cast<double>(rep.rdcache.hot_hits) /
-                      static_cast<double>(rep.rdcache.fetches)
-                : 0.0;
-        t.addRow(dma::modeName(mode),
-                 {static_cast<double>(p.connections),
-                  rep.cycles_per_op, rep.avg_burst},
-                 2);
-        json.beginRow();
-        json.add("mode", dma::modeName(mode));
-        json.add("variant", "base");
-        json.add("connections", static_cast<u64>(p.connections));
-        json.add("cycles_per_op", rep.cycles_per_op);
-        json.add("avg_burst", rep.avg_burst);
-        json.add("measured_ops", rep.measured_ops);
-        json.add("completions", rep.completions);
-        json.add("posts_blocked", rep.posts_blocked);
-        json.add("eob_unmaps", rep.eob_unmaps);
-        json.add("riotlb_invalidations", rep.riotlb.invalidations);
-        json.add("riotlb_walks", rep.riotlb.walks);
-        json.add("rdcache_fetches", rep.rdcache.fetches);
-        json.add("rdcache_hot_hits", rep.rdcache.hot_hits);
-        json.add("rdcache_hit_rate", hitrate);
-    }
-    std::printf("%s\n", t.toString().c_str());
-    if (!json.writeTo(args.json_path))
-        return 1;
-    bench::finishBench(args);
-    return 0;
-}
-
 u64
 pctNs(std::vector<u64> v, double q)
 {
@@ -352,7 +288,8 @@ pctNs(std::vector<u64> v, double q)
 int
 main(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        argc, argv, {{"--quick"}, {"--loss", true}, {"--pages", true}});
     bool quick = bench::runScale() < 1.0;
     double loss = -1.0;
     u64 pages_override = 0;
@@ -367,7 +304,11 @@ main(int argc, char **argv)
                 argv, arg, bench::flagValue(argc, argv, i), u64{64});
     }
     if (loss == 0.0)
-        return runCompat(args, quick);
+        return bench::runCompatRows(
+            args,
+            "Migration, --loss 0: migration-disabled compat rows "
+            "(byte-identical to bench_cluster_rdma; golden_migrate gate)",
+            "migration_compat", quick);
 
     const u64 P = pages_override ? pages_override : (quick ? 4096 : 8192);
     const double armed_loss = loss > 0.0 ? loss : 0.02;

@@ -23,16 +23,16 @@ using namespace rio;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+    const bench::BenchArgs args =
+        bench::parseBenchArgs(argc, argv, {{"--cores", true}});
 
     // `--cores 1,2,4` overrides the default sweep (the golden-output
     // regression test pins {1,2} for a fast deterministic run).
     std::vector<unsigned> core_counts = {1, 2, 4, 8};
     for (int i = 1; i < argc; ++i) {
-        if (std::string_view(argv[i]) != "--cores")
-            continue;
-        if (i + 1 >= argc ||
-            !bench::parseCountList(argv[i + 1], core_counts))
+        if (std::string_view(argv[i]) == "--cores" &&
+            !bench::parseCountList(bench::flagValue(argc, argv, i),
+                                   core_counts))
             bench::usageError(argv[0], "--cores takes a comma-separated "
                                        "list of positive integers");
     }

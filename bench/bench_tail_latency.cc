@@ -21,7 +21,7 @@
  * sample quick runs meaningful: every op is recorded, nothing is
  * bucketed away.
  */
-#include "bench_common.h"
+#include "fleet_rows.h"
 
 #include <algorithm>
 #include <map>
@@ -37,18 +37,6 @@
 using namespace rio;
 
 namespace {
-
-workloads::FleetParams
-baseParams(bool quick)
-{
-    workloads::FleetParams p;
-    p.connections = 64;
-    p.credits = 16;
-    p.warmup_ops = quick ? 100 : 300;
-    p.measure_ops = quick ? 500 : 3000;
-    p.seed = 3;
-    return p;
-}
 
 /** Sum of the DMA-management categories (map/unmap bookkeeping, the
  * IOMMU's share of an op) in a per-Cat cycle vector. */
@@ -69,7 +57,7 @@ workloads::FleetReport
 runPoint(dma::ProtectionMode mode, double loss, bool incast,
          unsigned machines, unsigned threads, bool quick)
 {
-    workloads::FleetParams p = baseParams(quick);
+    workloads::FleetParams p = bench::fleetParams(64, quick);
     sys::ClusterConfig cfg;
     cfg.machines = machines;
     cfg.threads = threads;
@@ -114,7 +102,8 @@ runPoint(dma::ProtectionMode mode, double loss, bool incast,
 int
 main(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        argc, argv, {{"--quick"}, {"--machines", true}});
     // Exact per-op records are this bench's entire point: recording is
     // forced on, `--slo` is accepted for uniformity with other benches.
     obs::setSloRecording(true);

@@ -16,7 +16,7 @@
  * --platform bare reproduces bench_fig7 byte for byte (the golden_virt
  * invariant: an idle virtualization layer is a perfect no-op).
  */
-#include "bench_common.h"
+#include "fig7.h"
 
 #include "cycles/cycle_account.h"
 #include "virt/platform.h"
@@ -26,83 +26,6 @@ using namespace rio;
 using cycles::Cat;
 
 namespace {
-
-/** Exactly bench_fig7's flow, so --platform bare stays byte-identical
- * to the checked-in fig7 golden (modulo the bench name). */
-int
-runBareGolden(const bench::BenchArgs &args)
-{
-    bench::printHeader("Virtualization, bare platform: identical to "
-                       "Figure 7 (golden_virt invariant)");
-
-    workloads::StreamParams params =
-        workloads::streamParamsFor(nic::mlxProfile());
-    params.measure_packets = bench::scaled(40000);
-    params.warmup_packets = bench::scaled(10000);
-
-    struct Row
-    {
-        dma::ProtectionMode mode;
-        double inv, pt, iova, other, total;
-    };
-    std::vector<workloads::StreamJob> jobs;
-    for (dma::ProtectionMode mode : bench::evaluatedModes())
-        jobs.push_back({mode, nic::mlxProfile(), params});
-    const std::vector<workloads::RunResult> results =
-        workloads::runStreamJobs(jobs, args.threads);
-
-    std::vector<Row> rows;
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        const workloads::RunResult &r = results[i];
-        const double pkts = static_cast<double>(r.tx_packets);
-        Row row;
-        row.mode = jobs[i].mode;
-        row.inv =
-            static_cast<double>(r.acct.get(Cat::kUnmapIotlbInv)) / pkts;
-        row.pt = static_cast<double>(r.acct.get(Cat::kMapPageTable) +
-                                     r.acct.get(Cat::kUnmapPageTable)) /
-                 pkts;
-        row.iova = static_cast<double>(r.acct.get(Cat::kMapIovaAlloc) +
-                                       r.acct.get(Cat::kUnmapIovaFind) +
-                                       r.acct.get(Cat::kUnmapIovaFree)) /
-                   pkts;
-        row.total = r.cycles_per_packet;
-        row.other = row.total - row.inv - row.pt - row.iova;
-        rows.push_back(row);
-    }
-    const double c_none = rows.back().total; // none is listed last
-
-    Table t({"mode", "iotlb inv", "page table", "iova (de)alloc",
-             "other", "C (total)", "C/C_none"});
-    for (const Row &row : rows) {
-        std::vector<std::string> cells = {dma::modeName(row.mode),
-                                          Table::num(row.inv, 0),
-                                          Table::num(row.pt, 0),
-                                          Table::num(row.iova, 0),
-                                          Table::num(row.other, 0),
-                                          Table::num(row.total, 0),
-                                          Table::num(row.total / c_none,
-                                                     2)};
-        t.addRow(cells);
-    }
-    std::printf("%s\n", t.toString().c_str());
-
-    bench::JsonWriter json("virt_bare", args.threads);
-    for (const Row &row : rows) {
-        json.beginRow();
-        json.add("mode", dma::modeName(row.mode));
-        json.add("iotlb_inv", row.inv);
-        json.add("page_table", row.pt);
-        json.add("iova", row.iova);
-        json.add("other", row.other);
-        json.add("total", row.total);
-        json.add("ratio_vs_none", row.total / c_none);
-    }
-    if (!json.writeTo(args.json_path))
-        return 1;
-    bench::finishBench(args);
-    return 0;
-}
 
 /**
  * Huge-page (2 MB) stage-2 ablation (--huge): the ROADMAP perf-debt
@@ -174,34 +97,37 @@ runHugeAblation(const bench::BenchArgs &args)
 int
 main(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        argc, argv, {{"--platform", true}, {"--huge"}});
     std::string which = "all";
     bool huge = false;
     for (int i = 1; i < argc; ++i) {
-        if (std::string_view(argv[i]) == "--platform" && i + 1 < argc)
-            which = argv[i + 1];
-        if (std::string_view(argv[i]) == "--huge")
+        const std::string_view arg(argv[i]);
+        if (arg == "--platform") {
+            which = bench::flagValue(argc, argv, i);
+            if (which != "all" && !virt::parsePlatform(which))
+                bench::usageError(argv[0], "--platform takes all, bare, "
+                                           "emulated, shadow or nested");
+        } else if (arg == "--huge") {
             huge = true;
+        }
     }
 
     if (huge)
         return runHugeAblation(args);
     if (which == "bare")
-        return runBareGolden(args);
+        return bench::runFig7(args,
+                              "Virtualization, bare platform: identical "
+                              "to Figure 7 (golden_virt invariant)",
+                              "virt_bare", "");
 
     std::vector<virt::Platform> platforms;
     if (which == "all") {
         platforms.assign(virt::kAllPlatforms.begin(),
                          virt::kAllPlatforms.end());
     } else {
-        const auto p = virt::parsePlatform(which);
-        if (!p) {
-            std::fprintf(stderr, "unknown --platform %s\n",
-                         which.c_str());
-            return 1;
-        }
         // Always include bare for the advantage comparison.
-        platforms = {virt::Platform::kBare, *p};
+        platforms = {virt::Platform::kBare, *virt::parsePlatform(which)};
     }
 
     bench::printHeader("Virtualization: cycles/packet by platform, "

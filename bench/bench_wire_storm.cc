@@ -34,7 +34,7 @@
  * checked-in cluster golden to prove the hostile-wire subsystem is
  * bit-for-bit inert when disarmed.
  */
-#include "bench_common.h"
+#include "fleet_rows.h"
 
 #include <algorithm>
 #include <string>
@@ -48,20 +48,6 @@ using namespace rio;
 
 namespace {
 
-workloads::FleetParams
-baseParams(bool quick)
-{
-    // Mirrors bench_cluster_rdma's 64-connection point exactly; the
-    // compat rows below must be byte-identical to its golden.
-    workloads::FleetParams p;
-    p.connections = 64;
-    p.credits = 16;
-    p.warmup_ops = quick ? 100 : 300;
-    p.measure_ops = quick ? 500 : 3000;
-    p.seed = 3;
-    return p;
-}
-
 struct StormPoint
 {
     dma::ProtectionMode mode;
@@ -74,7 +60,7 @@ StormPoint
 runStorm(dma::ProtectionMode mode, double loss, bool incast,
          unsigned machines, unsigned threads, bool quick)
 {
-    workloads::FleetParams p = baseParams(quick);
+    workloads::FleetParams p = bench::fleetParams(64, quick);
     p.churn_period_ops = 25; // rebind QPs: stale rkeys for stragglers
     p.churn_abort_fraction = 0.5; // half the churn is app death
     if (incast) {
@@ -141,68 +127,13 @@ runStorm(dma::ProtectionMode mode, double loss, bool incast,
     return pt;
 }
 
-/** The bench_cluster_rdma base rows, for the golden_wire diff. */
-int
-runCompat(const bench::BenchArgs &args, unsigned machines, bool quick)
-{
-    bench::printHeader(
-        "Wire storm, --loss 0: lossless-wire compat rows "
-        "(byte-identical to bench_cluster_rdma; golden_wire gate)");
-    const workloads::FleetParams p = baseParams(quick);
-
-    Table t({"mode", "conns", "cycles/op", "avg burst"});
-    bench::JsonWriter json("wire_storm_compat", args.threads);
-    for (const dma::ProtectionMode mode : bench::evaluatedModes()) {
-        sys::ClusterConfig cfg;
-        cfg.machines = machines;
-        cfg.threads = args.threads;
-        cfg.mode = mode;
-        cfg.max_qps = workloads::fleetMaxQps(p, machines);
-        sys::Cluster cluster(cfg);
-        const workloads::FleetReport rep =
-            workloads::runFleet(cluster, p);
-        RIO_ASSERT(rep.leaks_clean && rep.comp_errors == 0 &&
-                       rep.remote_faults == 0,
-                   "compat row must match the lossless fabric at ",
-                   dma::modeName(mode));
-        const double hitrate =
-            rep.rdcache.fetches
-                ? 100.0 * static_cast<double>(rep.rdcache.hot_hits) /
-                      static_cast<double>(rep.rdcache.fetches)
-                : 0.0;
-        t.addRow(dma::modeName(mode),
-                 {static_cast<double>(p.connections),
-                  rep.cycles_per_op, rep.avg_burst},
-                 2);
-        json.beginRow();
-        json.add("mode", dma::modeName(mode));
-        json.add("variant", "base");
-        json.add("connections", static_cast<u64>(p.connections));
-        json.add("cycles_per_op", rep.cycles_per_op);
-        json.add("avg_burst", rep.avg_burst);
-        json.add("measured_ops", rep.measured_ops);
-        json.add("completions", rep.completions);
-        json.add("posts_blocked", rep.posts_blocked);
-        json.add("eob_unmaps", rep.eob_unmaps);
-        json.add("riotlb_invalidations", rep.riotlb.invalidations);
-        json.add("riotlb_walks", rep.riotlb.walks);
-        json.add("rdcache_fetches", rep.rdcache.fetches);
-        json.add("rdcache_hot_hits", rep.rdcache.hot_hits);
-        json.add("rdcache_hit_rate", hitrate);
-    }
-    std::printf("%s\n", t.toString().c_str());
-    if (!json.writeTo(args.json_path))
-        return 1;
-    bench::finishBench(args);
-    return 0;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        argc, argv, {{"--quick"}, {"--loss", true}, {"--machines", true}});
     bool quick = false;
     double loss = -1.0;
     unsigned machines = 3;
@@ -218,7 +149,11 @@ main(int argc, char **argv)
     }
 
     if (loss == 0.0)
-        return runCompat(args, /*machines=*/2, quick);
+        return bench::runCompatRows(
+            args,
+            "Wire storm, --loss 0: lossless-wire compat rows "
+            "(byte-identical to bench_cluster_rdma; golden_wire gate)",
+            "wire_storm_compat", quick);
 
     std::vector<double> losses;
     if (loss > 0.0)

@@ -21,10 +21,8 @@ exactly zero drift; the bands exist so an intentional model change
 that moves a number by a fraction of a percent (rounding in a
 refactored formula) fails loudly only when it matters. Anything
 beyond the band is a regression (or an un-regenerated ledger) and
-fails CI. Host-side speed (bench_selfperf throughput for core, the
-wall time of the bench_migration run for migrate) is recorded in a
-separate "host" section for trend plotting and is never gated — it
-measures the machine, not the model.
+fails CI. Host-side speed is perfbench's job (perfbench/README.md),
+not this ledger's.
 """
 
 import argparse
@@ -33,7 +31,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import time
 
 # Relative tolerance per gated metric. Metrics absent here are gated
 # exactly (the simulation is deterministic; page and ring counts must
@@ -92,16 +89,7 @@ def collect(build):
             "p999_ns": row["p999_ns"],
         }
 
-    host = {}
-    for row in run_bench(build, "bench_selfperf", ["--quick"]):
-        key = f"selfperf/{row['config']}/t{row['threads']}"
-        host[key] = {
-            "events_per_sec": row["events_per_sec"],
-            "host_ms": row["host_ms"],
-        }
-
-    return {"schema": 1, "quick": True, "entries": entries,
-            "host": host}
+    return {"schema": 1, "quick": True, "entries": entries}
 
 
 def collect_migrate(build):
@@ -110,10 +98,8 @@ def collect_migrate(build):
     lossy stream), gating the headline claims — blackout within its
     band, pages shipped / state freight / live rings exact."""
     entries = {}
-    t0 = time.perf_counter()
-    rows = run_bench(build, "bench_migration", ["--quick", "--threads", "1"])
-    host_ms = (time.perf_counter() - t0) * 1e3
-    for row in rows:
+    for row in run_bench(build, "bench_migration",
+                         ["--quick", "--threads", "1"]):
         if "blackout_ns" not in row:
             continue  # compat/base rows carry no migration metrics
         key = (f"migrate/{row['variant']}/{row['mode']}"
@@ -124,9 +110,7 @@ def collect_migrate(build):
             "state_bytes": row["state_bytes"],
             "live_rings": row["live_rings"],
         }
-    host = {"migration/quick/t1": {"host_ms": round(host_ms, 1)}}
-    return {"schema": 1, "quick": True, "entries": entries,
-            "host": host}
+    return {"schema": 1, "quick": True, "entries": entries}
 
 
 def check(ledger, baseline):

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <utility>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "base/logging.h"
 #include "obs/trace_ctx.h"
 
@@ -133,6 +137,15 @@ ParallelEngine::startPoolOnce()
 {
     if (!pool_.empty() || threads_ <= 1)
         return;
+#if defined(__GLIBC__)
+    // Earlier workers' malloc arenas outlive them and keep what their
+    // lanes freed. New threads adopt those arenas in host scheduling
+    // order and claim lanes as they come free, so how much of that
+    // cached memory this run would reuse, and so its peak RSS, varied
+    // by megabytes from one process to the next. Handing the free
+    // memory back first starts every threaded run from the same state.
+    malloc_trim(0);
+#endif
     pool_.reserve(threads_ - 1);
     for (unsigned i = 0; i + 1 < threads_; ++i)
         pool_.emplace_back([this] { workerLoop(); });

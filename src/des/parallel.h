@@ -29,8 +29,9 @@
  *    total order fixed by the simulation itself — so the FIFO
  *    tie-break seq numbers each lane assigns to delivered messages
  *    are reproducible.
- * This is enforced by tests (parallel_test) and by the golden
- * selfperf ctest (--threads 1 vs 4 byte-identical bench JSON).
+ * This is enforced by tests (parallel_test) and by the
+ * golden_*_threads ctests (--threads 1 vs 4 byte-identical bench
+ * JSON).
  *
  * Lookahead defaults to "infinite" (kNoEvent): lanes that never talk
  * (a parameter sweep: one independent run per lane) need exactly one

@@ -13,7 +13,7 @@
  * lock.
  *
  * Hot-path design (the simulator itself is a measured artifact, see
- * bench_selfperf): the priority queue holds small POD entries only;
+ * perfbench): the priority queue holds small POD entries only;
  * callbacks live in a generation-tagged slot table whose cells are
  * recycled the moment an event fires or is cancelled, so cancellation
  * leaves no unbounded tombstone state (stale queue entries are

@@ -84,10 +84,9 @@ FlightRecorder::dump(const std::string &reason)
         d.text = renderText();
         // Label the dump with the (machine, lane) of the newest event
         // so cluster dumps from different machines are attributable.
-        const auto events = ring_.inOrder();
-        if (!events.empty()) {
-            d.pid = events.back().pid;
-            d.tid = events.back().tid;
+        if (const Event *last = ring_.newest()) {
+            d.pid = last->pid;
+            d.tid = last->tid;
         }
         std::fprintf(stderr,
                      "=== flight recorder dump #%llu (%s), last %zu "
@@ -148,11 +147,10 @@ flightDump(const std::string &reason)
     Event marker;
     marker.kind = Ev::kFlightDump;
     marker.arg = seq;
-    const auto events = flightRecorder().ring().inOrder();
-    if (!events.empty()) {
-        marker.t = events.back().t;
-        marker.pid = events.back().pid;
-        marker.tid = events.back().tid;
+    if (const Event *last = flightRecorder().ring().newest()) {
+        marker.t = last->t;
+        marker.pid = last->pid;
+        marker.tid = last->tid;
     }
     timeline().emit(marker);
     return seq;

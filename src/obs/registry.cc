@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.h"
-#include "base/strings.h"
 
 namespace rio::obs {
 
@@ -239,19 +238,6 @@ Registry::clear()
     std::lock_guard<std::mutex> g(mu_);
     entries_.clear();
     index_.clear();
-}
-
-std::string
-Registry::textDump() const
-{
-    std::string out;
-    for (const SnapshotEntry &s : snapshot()) {
-        out += s.key;
-        for (u64 v : s.values)
-            out += strprintf(" %llu", (unsigned long long)v);
-        out += '\n';
-    }
-    return out;
 }
 
 Registry &

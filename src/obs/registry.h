@@ -212,9 +212,6 @@ class Registry
      * only, between fixtures that re-create their components. */
     void clear();
 
-    /** Prometheus-flavored text dump, one "key value..." per line. */
-    std::string textDump() const;
-
   private:
     MetricEntry &findOrCreate(MetricEntry::Type type,
                               const std::string &name,

@@ -104,6 +104,15 @@ class EventRing
     /** Events oldest-first. */
     std::vector<Event> inOrder() const;
 
+    /** The most recently pushed event, or null when empty. */
+    const Event *
+    newest() const
+    {
+        if (buf_.empty())
+            return nullptr;
+        return &buf_[(next_ + buf_.size() - 1) % buf_.size()];
+    }
+
     u64 pushed() const { return pushed_; }
     u64 dropped() const { return dropped_; }
     size_t size() const { return buf_.size(); }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Strict bench command lines: a malformed number (non-numeric, out of
-# range, below the bench's minimum, empty, missing, or an empty list
-# entry) or a missing --json/--timeline path must be rejected with a
-# usage line on stderr and exit status 2 before any simulation runs —
+# Strict bench command lines: an unknown flag or stray argument, a
+# malformed number (non-numeric, out of range, below the bench's
+# minimum, empty, missing, or an empty list entry), an unknown
+# --platform or a missing --json/--timeline path must be rejected with
+# a usage line on stderr and exit status 2 before any simulation runs —
 # never silently coerced, clamped or defaulted into a different
 # experiment. An accepted bad value would start a simulation, so each
 # case gets a short time limit.
@@ -46,6 +47,15 @@ for flag in --json --timeline; do
     expect_usage_error bench_scaling_cores "$flag"
     expect_usage_error bench_scaling_cores "$flag" --threads 4
 done
+
+# Unknown arguments: a misspelt flag must not quietly run the default
+# experiment (fig7 at one thread would still match its golden).
+expect_usage_error bench_fig7_cycles_per_packet --thread 4
+expect_usage_error bench_fig7_cycles_per_packet 4
+expect_usage_error bench_virt --platfrom bare
+# bench_virt's platform: a missing or unknown name is not "all".
+expect_usage_error bench_virt --platform
+expect_usage_error bench_virt --platform nope
 
 # --loss is a drop rate in [0, 1); 0 selects the golden compat rows,
 # so a typo must not quietly become 0.

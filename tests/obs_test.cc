@@ -229,6 +229,22 @@ TEST_F(ObsTest, EventRingKeepsNewestAndCountsDrops)
         EXPECT_EQ(events[i].t, i + 3) << "oldest-first, newest kept";
 }
 
+TEST_F(ObsTest, EventRingNewestIsLastPushedBeforeAndAfterWrap)
+{
+    EventRing ring(3);
+    EXPECT_EQ(ring.newest(), nullptr);
+    for (u64 i = 1; i <= 7; ++i) {
+        Event e;
+        e.t = i;
+        ring.push(e);
+        ASSERT_NE(ring.newest(), nullptr);
+        EXPECT_EQ(ring.newest()->t, i);
+        EXPECT_EQ(ring.newest()->t, ring.inOrder().back().t);
+    }
+    ring.clear();
+    EXPECT_EQ(ring.newest(), nullptr);
+}
+
 TEST_F(ObsTest, TracksRecordOnlyWhileRecording)
 {
     RIO_REQUIRE_OBS_COMPILED();
