@@ -27,10 +27,12 @@
  *                           perf-debt fix) instead of the legacy
  *                           per-handle depot.
  *
- * Simulated results are byte-identical for any --threads value; the
- * golden_cluster ctest pins `--connections 64 --quick` JSON across
- * thread counts and this bench itself asserts the fig7-equivalent
- * mode ordering at the smallest sweep point.
+ * --threads N runs up to N rows (one whole cluster each) at a time;
+ * rows are printed and checked in sweep order, so output is
+ * byte-identical for any --threads value. The golden_cluster ctest
+ * pins `--connections 64 --quick` JSON across thread counts and this
+ * bench itself asserts the fig7-equivalent mode ordering at the
+ * smallest sweep point.
  */
 #include "fleet_rows.h"
 
@@ -38,6 +40,7 @@
 #include <vector>
 
 #include "base/logging.h"
+#include "des/parallel.h"
 #include "sys/cluster.h"
 #include "workloads/fleet.h"
 
@@ -55,14 +58,12 @@ struct RowResult
 
 RowResult
 runPoint(dma::ProtectionMode mode, const std::string &variant,
-         u32 connections, unsigned machines, unsigned threads,
-         bool quick)
+         u32 connections, unsigned machines, bool quick)
 {
     const workloads::FleetParams p =
         bench::fleetParams(connections, quick);
     sys::ClusterConfig cfg;
     cfg.machines = machines;
-    cfg.threads = threads;
     cfg.mode = mode;
     cfg.max_qps = workloads::fleetMaxQps(p, machines);
     if (variant == "rdfetch" || variant == "rdfetch+tier")
@@ -134,20 +135,20 @@ main(int argc, char **argv)
     std::vector<RowResult> rows;
     for (const u32 conns : sweep) {
         for (const dma::ProtectionMode mode : bench::evaluatedModes())
-            rows.push_back(runPoint(mode, "base", conns, machines,
-                                    args.threads, quick));
+            rows.push_back({mode, "base", conns, {}});
         // Ablations ride the same sweep point.
-        rows.push_back(runPoint(dma::ProtectionMode::kRiommu, "rdfetch",
-                                conns, machines, args.threads, quick));
-        rows.push_back(runPoint(dma::ProtectionMode::kRiommu,
-                                "rdfetch+tier", conns, machines,
-                                args.threads, quick));
+        rows.push_back({dma::ProtectionMode::kRiommu, "rdfetch", conns, {}});
+        rows.push_back(
+            {dma::ProtectionMode::kRiommu, "rdfetch+tier", conns, {}});
         for (const dma::ProtectionMode mode :
              {dma::ProtectionMode::kStrictPlus,
               dma::ProtectionMode::kDeferPlus})
-            rows.push_back(runPoint(mode, "coredepot", conns, machines,
-                                    args.threads, quick));
+            rows.push_back({mode, "coredepot", conns, {}});
     }
+    des::parallelFor(rows.size(), args.threads, [&](size_t i) {
+        rows[i] = runPoint(rows[i].mode, rows[i].variant,
+                           rows[i].connections, machines, quick);
+    });
 
     // Fig7-equivalent ordering gate at the bare (smallest) point: the
     // unprotected optimum is cheapest and rIOMMU beats strict — the

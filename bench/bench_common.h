@@ -77,11 +77,15 @@ struct BenchArgs
     const char *json_path = nullptr;     //!< --json <path>
     const char *timeline_path = nullptr; //!< --timeline <path>
     /**
-     * --threads N: worker threads for the engine-backed sweeps
-     * (workloads/sweep.h). Simulation results are byte-identical for
-     * any value — only host wall-clock changes (the golden_*_threads
-     * ctests enforce this) — so benches that still run sequentially
-     * simply record the flag in their JSON and ignore it.
+     * --threads N: most threads for independent work, through
+     * des::parallelFor — the lanes of an uncoupled sweep
+     * (workloads/sweep.h), or whole-cluster rows in the cluster,
+     * wire-storm, tail-latency and migration benches (a cluster
+     * itself always runs on one thread). Simulation results are
+     * byte-identical for any value — only host wall-clock changes
+     * (the golden_*_threads ctests enforce this) — so benches that
+     * still run sequentially simply record the flag in their JSON and
+     * ignore it.
      */
     unsigned threads = 1;
     /** --slo: turn on exact per-op tail recording (obs::SloReport). */

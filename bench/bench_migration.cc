@@ -33,12 +33,15 @@
 #include "fleet_rows.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "base/logging.h"
+#include "des/parallel.h"
 #include "migrate/migrate.h"
 #include "sys/cluster.h"
 #include "virt/guest.h"
@@ -89,7 +92,6 @@ struct MigRun
     double loss = 0.0;  //!< hostile-wire drop rate
     u64 pages = 4096;
     unsigned app_qps = 8; //!< guest data QPs live at blackout
-    unsigned threads = 1;
     u64 dirty_seed = 1;
     bool strays = true;
 };
@@ -108,7 +110,6 @@ runMigration(const MigRun &r)
 {
     sys::ClusterConfig cfg;
     cfg.machines = 2;
-    cfg.threads = r.threads;
     cfg.mode = r.mode;
     cfg.max_qps = r.app_qps + 4;
     cfg.migration = true;
@@ -324,70 +325,124 @@ main(int argc, char **argv)
              "total ms", "stray flt", "stray land"});
     bench::JsonWriter json("migration", args.threads);
 
-    // ---- base sweep: every platform x every mode, moderate dirt ----
-    struct Key
+    // Every run, in output order: the base sweep, rIOMMU scaling,
+    // dirty-rate pressure, the hostile wire, then (--slo) the dirtier
+    // seeds. Up to --threads of them run at a time; the table, the
+    // JSON and the claims below walk them in this order.
+    struct Row
     {
-        std::string mode;
-        virt::Platform platform;
-        MigOut out;
+        const char *variant;
+        MigRun run;
     };
-    std::vector<Key> base;
-    for (const virt::Platform plat : virt::kAllPlatforms) {
-        for (const dma::ProtectionMode mode : bench::evaluatedModes()) {
-            MigRun r;
-            r.mode = mode;
-            r.platform = plat;
-            r.dirty = base_dirty;
-            r.pages = P;
-            r.threads = args.threads;
-            const MigOut o = runMigration(r);
-            tableRow(t, r, o);
-            jsonRow(json, "migrate", r, o);
+    std::vector<Row> rows;
+    const auto add = [&rows, P](const char *variant,
+                                dma::ProtectionMode mode,
+                                virt::Platform plat,
+                                double dirty) -> MigRun & {
+        MigRun r;
+        r.mode = mode;
+        r.platform = plat;
+        r.dirty = dirty;
+        r.pages = P;
+        rows.push_back({variant, r});
+        return rows.back().run;
+    };
+    const std::vector<dma::ProtectionMode> &modes = bench::evaluatedModes();
+    const std::array<dma::ProtectionMode, 2> pair = {
+        dma::ProtectionMode::kRiommu, dma::ProtectionMode::kStrict};
+    constexpr u64 kSloSeeds = 5;
 
-            const std::string_view n(dma::modeName(mode));
-            RIO_ASSERT(o.stray_arrivals > 0,
-                       "no stray ever reached the migrated-away "
-                       "ledger at ", n, "/", virt::platformName(plat));
-            if (isProtectedMode(n)) {
-                RIO_ASSERT(o.stray_landed == 0, n,
-                           " must stop every post-migration stray, "
-                           "but ", o.stray_landed, " landed");
-                RIO_ASSERT(o.stray_faulted > 0,
-                           "protected mode never faulted a stray");
-            }
-            if (n == "none") {
-                RIO_ASSERT(o.stray_faulted == 0,
-                           "mode none cannot fault, but ",
-                           o.stray_faulted, " strays faulted");
-                RIO_ASSERT(o.stray_landed > 0,
-                           "mode none should land strays");
-            }
-            if (dma::modeUsesRiommu(mode) &&
-                (plat == virt::Platform::kEmulated ||
-                 plat == virt::Platform::kNested)) {
-                RIO_ASSERT(o.rep.reg_hypercalls == o.rep.live_rings &&
-                               o.rep.live_rings > 0,
-                           "rIOMMU state transfer must be one "
-                           "hypercall per live ring");
-            }
-            base.push_back({std::string(n), plat, o});
+    // ---- base sweep: every platform x every mode, moderate dirt ----
+    for (const virt::Platform plat : virt::kAllPlatforms)
+        for (const dma::ProtectionMode mode : modes)
+            add("migrate", mode, plat, base_dirty);
+    const size_t scaling_at = rows.size();
+    // ---- rIOMMU scaling: blackout ~ rings, flat in memory ----------
+    // Clean (dirty 0): state transfer only.
+    for (const auto &[mode, qps, pages] :
+         {std::tuple{dma::ProtectionMode::kRiommu, 4u, P},
+          std::tuple{dma::ProtectionMode::kRiommu, 12u, P},
+          std::tuple{dma::ProtectionMode::kRiommu, 4u, 4 * P},
+          std::tuple{dma::ProtectionMode::kStrict, 4u, P},
+          std::tuple{dma::ProtectionMode::kStrict, 4u, 4 * P}}) {
+        MigRun &r = add("scaling", mode, virt::Platform::kNested, 0.0);
+        r.app_qps = qps;
+        r.pages = pages;
+        r.strays = false;
+    }
+    const size_t dirty_at = rows.size();
+    // ---- dirty-rate pressure: the round cap earns its keep ---------
+    for (const dma::ProtectionMode mode : pair)
+        add("dirty", mode, virt::Platform::kNested, 800.0);
+    const size_t loss_at = rows.size();
+    // ---- hostile wire: loss on the migration stream ----------------
+    for (const dma::ProtectionMode mode : pair)
+        add("loss", mode, virt::Platform::kNested, base_dirty).loss =
+            armed_loss;
+    const size_t slo_at = rows.size();
+    // ---- --slo: blackout percentiles over dirtier seeds ------------
+    if (args.slo)
+        for (const virt::Platform plat : virt::kAllPlatforms)
+            for (const dma::ProtectionMode mode : pair)
+                for (u64 seed = 1; seed <= kSloSeeds; ++seed)
+                    add("slo", mode, plat, base_dirty).dirty_seed = seed;
+
+    std::vector<MigOut> outs(rows.size());
+    des::parallelFor(rows.size(), args.threads, [&](size_t i) {
+        outs[i] = runMigration(rows[i].run);
+    });
+    const auto emit = [&](size_t i) {
+        tableRow(t, rows[i].run, outs[i]);
+        jsonRow(json, rows[i].variant, rows[i].run, outs[i]);
+    };
+
+    for (size_t i = 0; i < scaling_at; ++i) {
+        emit(i);
+        const MigRun &r = rows[i].run;
+        const MigOut &o = outs[i];
+        const std::string_view n(dma::modeName(r.mode));
+        RIO_ASSERT(o.stray_arrivals > 0,
+                   "no stray ever reached the migrated-away "
+                   "ledger at ", n, "/", virt::platformName(r.platform));
+        if (isProtectedMode(n)) {
+            RIO_ASSERT(o.stray_landed == 0, n,
+                       " must stop every post-migration stray, "
+                       "but ", o.stray_landed, " landed");
+            RIO_ASSERT(o.stray_faulted > 0,
+                       "protected mode never faulted a stray");
         }
-        t.addSeparator();
+        if (n == "none") {
+            RIO_ASSERT(o.stray_faulted == 0,
+                       "mode none cannot fault, but ", o.stray_faulted,
+                       " strays faulted");
+            RIO_ASSERT(o.stray_landed > 0, "mode none should land strays");
+        }
+        if (dma::modeUsesRiommu(r.mode) &&
+            (r.platform == virt::Platform::kEmulated ||
+             r.platform == virt::Platform::kNested)) {
+            RIO_ASSERT(o.rep.reg_hypercalls == o.rep.live_rings &&
+                           o.rep.live_rings > 0,
+                       "rIOMMU state transfer must be one "
+                       "hypercall per live ring");
+        }
+        if ((i + 1) % modes.size() == 0)
+            t.addSeparator();
     }
 
     // The per-platform blackout ordering, on the representative
     // baseline mode: shadow (only what is mapped) < nested (stage-2
     // for the whole arena) < emulated (per-mapping exit replay).
-    const auto find = [&base](const char *m, virt::Platform p) -> const MigOut & {
-        for (const Key &k : base)
-            if (k.mode == m && k.platform == p)
-                return k.out;
+    const auto find = [&](virt::Platform p) -> const MigOut & {
+        for (size_t i = 0; i < scaling_at; ++i)
+            if (rows[i].run.mode == dma::ProtectionMode::kStrict &&
+                rows[i].run.platform == p)
+                return outs[i];
         RIO_PANIC("missing base point");
     };
     {
-        const MigOut &sh = find("strict", virt::Platform::kShadow);
-        const MigOut &ne = find("strict", virt::Platform::kNested);
-        const MigOut &em = find("strict", virt::Platform::kEmulated);
+        const MigOut &sh = find(virt::Platform::kShadow);
+        const MigOut &ne = find(virt::Platform::kNested);
+        const MigOut &em = find(virt::Platform::kEmulated);
         RIO_ASSERT(sh.rep.state_bytes < ne.rep.state_bytes,
                    "shadow must ship less state than nested: ",
                    sh.rep.state_bytes, " vs ", ne.rep.state_bytes);
@@ -400,113 +455,66 @@ main(int argc, char **argv)
                    ")");
     }
 
-    // ---- rIOMMU scaling: blackout ~ rings, flat in memory ----------
-    const auto scaled_run = [&](dma::ProtectionMode mode, unsigned qps,
-                                u64 pages) {
-        MigRun r;
-        r.mode = mode;
-        r.platform = virt::Platform::kNested;
-        r.dirty = 0.0; // clean scaling: state transfer only
-        r.pages = pages;
-        r.app_qps = qps;
-        r.threads = args.threads;
-        r.strays = false;
-        const MigOut o = runMigration(r);
-        tableRow(t, r, o);
-        jsonRow(json, "scaling", r, o);
-        return o;
-    };
-    const MigOut rq4 = scaled_run(dma::ProtectionMode::kRiommu, 4, P);
-    const MigOut rq12 = scaled_run(dma::ProtectionMode::kRiommu, 12, P);
-    const MigOut rp4 = scaled_run(dma::ProtectionMode::kRiommu, 4, 4 * P);
-    const MigOut sp1 = scaled_run(dma::ProtectionMode::kStrict, 4, P);
-    const MigOut sp4 = scaled_run(dma::ProtectionMode::kStrict, 4, 4 * P);
+    for (size_t i = scaling_at; i < dirty_at; ++i)
+        emit(i);
     t.addSeparator();
-    RIO_ASSERT(rq12.rep.live_rings == rq4.rep.live_rings + 16,
-               "ring count must track QP count: ", rq4.rep.live_rings,
-               " -> ", rq12.rep.live_rings);
-    RIO_ASSERT(rq12.rep.blackout_ns > rq4.rep.blackout_ns,
-               "rIOMMU blackout must grow with live rings: ",
-               rq4.rep.blackout_ns, " -> ", rq12.rep.blackout_ns);
-    RIO_ASSERT(static_cast<double>(rp4.rep.blackout_ns) <=
-                   1.10 * static_cast<double>(rq4.rep.blackout_ns),
-               "rIOMMU blackout must stay flat in guest memory: ",
-               rq4.rep.blackout_ns, " ns at ", P, " pages vs ",
-               rp4.rep.blackout_ns, " ns at ", 4 * P);
-    RIO_ASSERT(static_cast<double>(sp4.rep.blackout_ns) >
-                   1.30 * static_cast<double>(sp1.rep.blackout_ns),
-               "nested baseline blackout must be memory-proportional: ",
-               sp1.rep.blackout_ns, " -> ", sp4.rep.blackout_ns);
+    {
+        const MigOut &rq4 = outs[scaling_at];
+        const MigOut &rq12 = outs[scaling_at + 1];
+        const MigOut &rp4 = outs[scaling_at + 2];
+        const MigOut &sp1 = outs[scaling_at + 3];
+        const MigOut &sp4 = outs[scaling_at + 4];
+        RIO_ASSERT(rq12.rep.live_rings == rq4.rep.live_rings + 16,
+                   "ring count must track QP count: ",
+                   rq4.rep.live_rings, " -> ", rq12.rep.live_rings);
+        RIO_ASSERT(rq12.rep.blackout_ns > rq4.rep.blackout_ns,
+                   "rIOMMU blackout must grow with live rings: ",
+                   rq4.rep.blackout_ns, " -> ", rq12.rep.blackout_ns);
+        RIO_ASSERT(static_cast<double>(rp4.rep.blackout_ns) <=
+                       1.10 * static_cast<double>(rq4.rep.blackout_ns),
+                   "rIOMMU blackout must stay flat in guest memory: ",
+                   rq4.rep.blackout_ns, " ns at ", P, " pages vs ",
+                   rp4.rep.blackout_ns, " ns at ", 4 * P);
+        RIO_ASSERT(static_cast<double>(sp4.rep.blackout_ns) >
+                       1.30 * static_cast<double>(sp1.rep.blackout_ns),
+                   "nested baseline blackout must be memory-proportional: ",
+                   sp1.rep.blackout_ns, " -> ", sp4.rep.blackout_ns);
+    }
 
-    // ---- dirty-rate pressure: the round cap earns its keep ---------
-    for (const dma::ProtectionMode mode :
-         {dma::ProtectionMode::kRiommu, dma::ProtectionMode::kStrict}) {
-        MigRun r;
-        r.mode = mode;
-        r.platform = virt::Platform::kNested;
-        r.dirty = 800.0;
-        r.pages = P;
-        r.threads = args.threads;
-        const MigOut o = runMigration(r);
-        tableRow(t, r, o);
-        jsonRow(json, "dirty", r, o);
-        RIO_ASSERT(o.rep.rounds > 1 && o.rep.pages_reshipped > 0,
+    for (size_t i = dirty_at; i < loss_at; ++i) {
+        emit(i);
+        RIO_ASSERT(outs[i].rep.rounds > 1 && outs[i].rep.pages_reshipped > 0,
                    "a hot dirtier must force extra pre-copy rounds");
     }
     t.addSeparator();
 
-    // ---- hostile wire: loss on the migration stream ----------------
-    for (const dma::ProtectionMode mode :
-         {dma::ProtectionMode::kRiommu, dma::ProtectionMode::kStrict}) {
-        MigRun r;
-        r.mode = mode;
-        r.platform = virt::Platform::kNested;
-        r.dirty = base_dirty;
-        r.loss = armed_loss;
-        r.pages = P;
-        r.threads = args.threads;
-        const MigOut o = runMigration(r);
-        tableRow(t, r, o);
-        jsonRow(json, "loss", r, o);
-    }
+    for (size_t i = loss_at; i < slo_at; ++i)
+        emit(i);
 
     std::printf("%s\n", t.toString().c_str());
 
-    // ---- --slo: blackout percentiles over dirtier seeds ------------
     if (args.slo) {
         bench::printHeader(
             "Blackout tail over 5 dirtier seeds (p50/p99, ns)");
         Table st({"mode/platform", "p50 us", "p99 us"});
-        for (const virt::Platform plat : virt::kAllPlatforms) {
-            for (const dma::ProtectionMode mode :
-                 {dma::ProtectionMode::kRiommu,
-                  dma::ProtectionMode::kStrict}) {
-                std::vector<u64> blk;
-                for (u64 seed = 1; seed <= 5; ++seed) {
-                    MigRun r;
-                    r.mode = mode;
-                    r.platform = plat;
-                    r.dirty = base_dirty;
-                    r.pages = P;
-                    r.threads = args.threads;
-                    r.dirty_seed = seed;
-                    blk.push_back(static_cast<u64>(
-                        runMigration(r).rep.blackout_ns));
-                }
-                const u64 p50 = pctNs(blk, 0.50);
-                const u64 p99 = pctNs(blk, 0.99);
-                st.addRow(strprintf("%s/%s", dma::modeName(mode),
-                                    virt::platformName(plat)),
-                          {static_cast<double>(p50) / 1e3,
-                           static_cast<double>(p99) / 1e3},
-                          2);
-                json.beginRow();
-                json.add("variant", "slo");
-                json.add("mode", dma::modeName(mode));
-                json.add("platform", virt::platformName(plat));
-                json.add("blackout_p50_ns", p50);
-                json.add("blackout_p99_ns", p99);
-            }
+        for (size_t i = slo_at; i < rows.size(); i += kSloSeeds) {
+            std::vector<u64> blk;
+            for (size_t k = i; k < i + kSloSeeds; ++k)
+                blk.push_back(static_cast<u64>(outs[k].rep.blackout_ns));
+            const MigRun &r = rows[i].run;
+            const u64 p50 = pctNs(blk, 0.50);
+            const u64 p99 = pctNs(blk, 0.99);
+            st.addRow(strprintf("%s/%s", dma::modeName(r.mode),
+                                virt::platformName(r.platform)),
+                      {static_cast<double>(p50) / 1e3,
+                       static_cast<double>(p99) / 1e3},
+                      2);
+            json.beginRow();
+            json.add("variant", "slo");
+            json.add("mode", dma::modeName(r.mode));
+            json.add("platform", virt::platformName(r.platform));
+            json.add("blackout_p50_ns", p50);
+            json.add("blackout_p99_ns", p99);
         }
         std::printf("%s\n", st.toString().c_str());
     }

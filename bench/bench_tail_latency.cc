@@ -31,6 +31,7 @@
 
 #include "base/logging.h"
 #include "cycles/cycle_account.h"
+#include "des/parallel.h"
 #include "sys/cluster.h"
 #include "workloads/fleet.h"
 
@@ -53,14 +54,22 @@ dmaCycles(const std::array<u64, obs::kSloMaxCats> &cats)
     return n;
 }
 
+/** One grid row: its spec and its report. */
+struct TailPoint
+{
+    dma::ProtectionMode mode;
+    double loss = 0;
+    bool incast = false;
+    workloads::FleetReport rep;
+};
+
 workloads::FleetReport
 runPoint(dma::ProtectionMode mode, double loss, bool incast,
-         unsigned machines, unsigned threads, bool quick)
+         unsigned machines, bool quick)
 {
     workloads::FleetParams p = bench::fleetParams(64, quick);
     sys::ClusterConfig cfg;
     cfg.machines = machines;
-    cfg.threads = threads;
     cfg.mode = mode;
     if (loss > 0.0) {
         // The wire-storm fabric: loss + duplicate/straggler tail,
@@ -131,55 +140,59 @@ main(int argc, char **argv)
              "p999 us", "max us", "top cat @p99", "share",
              "tail rtx/op"});
     bench::JsonWriter json("tail_latency", args.threads);
+    std::vector<TailPoint> points;
+    for (const double loss : losses)
+        for (const bool incast : {false, true})
+            for (const dma::ProtectionMode mode : bench::evaluatedModes())
+                points.push_back({mode, loss, incast, {}});
+    des::parallelFor(points.size(), args.threads, [&](size_t i) {
+        TailPoint &pt = points[i];
+        pt.rep = runPoint(pt.mode, pt.loss, pt.incast, machines, quick);
+    });
+
     // Reports of the lossless/no-incast anchor, keyed by mode name,
     // for the structural-tail assertions below.
     std::map<std::string, workloads::FleetReport> anchor;
-    for (const double loss : losses) {
-        for (const bool incast : {false, true}) {
-            for (const dma::ProtectionMode mode :
-                 bench::evaluatedModes()) {
-                const workloads::FleetReport rep = runPoint(
-                    mode, loss, incast, machines, args.threads, quick);
-                const obs::SloReport &s = rep.slo;
-                const char *top =
-                    cycles::catName(static_cast<cycles::Cat>(s.top_cat));
-                const double tail_rtx =
-                    s.tail_ops ? static_cast<double>(s.tail_retransmits) /
-                                     static_cast<double>(s.tail_ops)
-                               : 0.0;
-                if (loss == 0.0 && !incast)
-                    anchor.emplace(dma::modeName(mode), rep);
-                t.addRow({dma::modeName(mode), Table::num(loss, 3),
-                          incast ? "yes" : "no",
-                          Table::num(static_cast<double>(s.count), 0),
-                          Table::num(static_cast<double>(s.p50) / 1e3, 3),
-                          Table::num(static_cast<double>(s.p99) / 1e3, 3),
-                          Table::num(static_cast<double>(s.p999) / 1e3, 3),
-                          Table::num(static_cast<double>(s.max) / 1e3, 3),
-                          top, Table::num(s.top_cat_share, 3),
-                          Table::num(tail_rtx, 3)});
-                json.beginRow();
-                json.add("mode", dma::modeName(mode));
-                json.add("loss", loss);
-                json.add("incast", static_cast<u64>(incast));
-                json.add("machines", static_cast<u64>(machines));
-                json.add("count", s.count);
-                json.add("errors", s.errors);
-                json.add("p50_ns", static_cast<u64>(s.p50));
-                json.add("p99_ns", static_cast<u64>(s.p99));
-                json.add("p999_ns", static_cast<u64>(s.p999));
-                json.add("max_ns", static_cast<u64>(s.max));
-                json.add("mean_ns", s.mean_ns);
-                json.add("top_cat", top);
-                json.add("top_cat_share", s.top_cat_share);
-                json.add("tail_ops", s.tail_ops);
-                json.add("tail_retransmits", s.tail_retransmits);
-                json.add("cycles_per_op", rep.cycles_per_op);
-                json.add("completions", rep.completions);
-                json.add("retransmits", rep.retransmits);
-                json.add("qp_errors", rep.qp_errors);
-            }
-        }
+    for (const TailPoint &pt : points) {
+        const workloads::FleetReport &rep = pt.rep;
+        const obs::SloReport &s = rep.slo;
+        const char *top =
+            cycles::catName(static_cast<cycles::Cat>(s.top_cat));
+        const double tail_rtx =
+            s.tail_ops ? static_cast<double>(s.tail_retransmits) /
+                             static_cast<double>(s.tail_ops)
+                       : 0.0;
+        if (pt.loss == 0.0 && !pt.incast)
+            anchor.emplace(dma::modeName(pt.mode), rep);
+        t.addRow({dma::modeName(pt.mode), Table::num(pt.loss, 3),
+                  pt.incast ? "yes" : "no",
+                  Table::num(static_cast<double>(s.count), 0),
+                  Table::num(static_cast<double>(s.p50) / 1e3, 3),
+                  Table::num(static_cast<double>(s.p99) / 1e3, 3),
+                  Table::num(static_cast<double>(s.p999) / 1e3, 3),
+                  Table::num(static_cast<double>(s.max) / 1e3, 3),
+                  top, Table::num(s.top_cat_share, 3),
+                  Table::num(tail_rtx, 3)});
+        json.beginRow();
+        json.add("mode", dma::modeName(pt.mode));
+        json.add("loss", pt.loss);
+        json.add("incast", static_cast<u64>(pt.incast));
+        json.add("machines", static_cast<u64>(machines));
+        json.add("count", s.count);
+        json.add("errors", s.errors);
+        json.add("p50_ns", static_cast<u64>(s.p50));
+        json.add("p99_ns", static_cast<u64>(s.p99));
+        json.add("p999_ns", static_cast<u64>(s.p999));
+        json.add("max_ns", static_cast<u64>(s.max));
+        json.add("mean_ns", s.mean_ns);
+        json.add("top_cat", top);
+        json.add("top_cat_share", s.top_cat_share);
+        json.add("tail_ops", s.tail_ops);
+        json.add("tail_retransmits", s.tail_retransmits);
+        json.add("cycles_per_op", rep.cycles_per_op);
+        json.add("completions", rep.completions);
+        json.add("retransmits", rep.retransmits);
+        json.add("qp_errors", rep.qp_errors);
     }
     std::printf("%s\n", t.toString().c_str());
 

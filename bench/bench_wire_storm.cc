@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "base/logging.h"
+#include "des/parallel.h"
 #include "sys/cluster.h"
 #include "workloads/fleet.h"
 
@@ -58,7 +59,7 @@ struct StormPoint
 
 StormPoint
 runStorm(dma::ProtectionMode mode, double loss, bool incast,
-         unsigned machines, unsigned threads, bool quick)
+         unsigned machines, bool quick)
 {
     workloads::FleetParams p = bench::fleetParams(64, quick);
     p.churn_period_ops = 25; // rebind QPs: stale rkeys for stragglers
@@ -70,7 +71,6 @@ runStorm(dma::ProtectionMode mode, double loss, bool incast,
 
     sys::ClusterConfig cfg;
     cfg.machines = machines;
-    cfg.threads = threads;
     cfg.mode = mode;
     cfg.max_qps = workloads::fleetMaxQps(p, machines);
     cfg.wire.drop_rate = loss;
@@ -171,62 +171,63 @@ main(int argc, char **argv)
     Table t({"mode", "loss", "incast", "cycles/op", "goodput kop/s",
              "rtx/op", "p99 us", "late flt", "late land", "cong drop",
              "qp err"});
+    std::vector<StormPoint> points;
+    for (const double l : losses)
+        for (const bool incast : {false, true})
+            for (const dma::ProtectionMode mode : bench::evaluatedModes())
+                points.push_back({mode, l, incast, {}});
+    des::parallelFor(points.size(), args.threads, [&](size_t i) {
+        points[i] = runStorm(points[i].mode, points[i].loss,
+                             points[i].incast, machines, quick);
+    });
+
     bench::JsonWriter json("wire_storm", args.threads);
-    for (const double l : losses) {
-        for (const bool incast : {false, true}) {
-            for (const dma::ProtectionMode mode :
-                 bench::evaluatedModes()) {
-                const StormPoint pt = runStorm(
-                    mode, l, incast, machines, args.threads, quick);
-                const workloads::FleetReport &r = pt.rep;
-                const double good = static_cast<double>(
-                    r.completions - r.comp_errors);
-                const double goodput_kops =
-                    r.end_ns ? good /
-                                   (static_cast<double>(r.end_ns) * 1e-9) /
-                                   1e3
-                             : 0.0;
-                const double rtx_per_op =
-                    r.completions ? static_cast<double>(r.retransmits) /
-                                        static_cast<double>(r.completions)
-                                  : 0.0;
-                t.addRow(dma::modeName(mode),
-                         {l, static_cast<double>(incast),
-                          r.cycles_per_op, goodput_kops, rtx_per_op,
-                          static_cast<double>(r.p99_latency_ns) / 1e3,
-                          static_cast<double>(r.late_faulted),
-                          static_cast<double>(r.late_landed),
-                          static_cast<double>(r.wire_congestion_drops),
-                          static_cast<double>(r.qp_errors)},
-                         3);
-                json.beginRow();
-                json.add("mode", dma::modeName(pt.mode));
-                json.add("variant", "storm");
-                json.add("loss", l);
-                json.add("incast", static_cast<u64>(incast));
-                json.add("machines", static_cast<u64>(machines));
-                json.add("cycles_per_op", r.cycles_per_op);
-                json.add("completions", r.completions);
-                json.add("posts", r.posts);
-                json.add("comp_errors", r.comp_errors);
-                json.add("goodput_kops", goodput_kops);
-                json.add("retransmits", r.retransmits);
-                json.add("rto_fires", r.rto_fires);
-                json.add("nak_seq", r.nak_seq);
-                json.add("qp_errors", r.qp_errors);
-                json.add("qp_error_recovered", r.qp_error_recovered);
-                json.add("late_arrivals", r.late_arrivals);
-                json.add("late_faulted", r.late_faulted);
-                json.add("late_landed", r.late_landed);
-                json.add("wire_drops", r.wire_drops);
-                json.add("wire_dups", r.wire_dups);
-                json.add("wire_delays", r.wire_delays);
-                json.add("wire_congestion_drops",
-                         r.wire_congestion_drops);
-                json.add("p50_ns", static_cast<u64>(r.p50_latency_ns));
-                json.add("p99_ns", static_cast<u64>(r.p99_latency_ns));
-            }
-        }
+    for (const StormPoint &pt : points) {
+        const workloads::FleetReport &r = pt.rep;
+        const double good =
+            static_cast<double>(r.completions - r.comp_errors);
+        const double goodput_kops =
+            r.end_ns
+                ? good / (static_cast<double>(r.end_ns) * 1e-9) / 1e3
+                : 0.0;
+        const double rtx_per_op =
+            r.completions ? static_cast<double>(r.retransmits) /
+                                static_cast<double>(r.completions)
+                          : 0.0;
+        t.addRow(dma::modeName(pt.mode),
+                 {pt.loss, static_cast<double>(pt.incast),
+                  r.cycles_per_op, goodput_kops, rtx_per_op,
+                  static_cast<double>(r.p99_latency_ns) / 1e3,
+                  static_cast<double>(r.late_faulted),
+                  static_cast<double>(r.late_landed),
+                  static_cast<double>(r.wire_congestion_drops),
+                  static_cast<double>(r.qp_errors)},
+                 3);
+        json.beginRow();
+        json.add("mode", dma::modeName(pt.mode));
+        json.add("variant", "storm");
+        json.add("loss", pt.loss);
+        json.add("incast", static_cast<u64>(pt.incast));
+        json.add("machines", static_cast<u64>(machines));
+        json.add("cycles_per_op", r.cycles_per_op);
+        json.add("completions", r.completions);
+        json.add("posts", r.posts);
+        json.add("comp_errors", r.comp_errors);
+        json.add("goodput_kops", goodput_kops);
+        json.add("retransmits", r.retransmits);
+        json.add("rto_fires", r.rto_fires);
+        json.add("nak_seq", r.nak_seq);
+        json.add("qp_errors", r.qp_errors);
+        json.add("qp_error_recovered", r.qp_error_recovered);
+        json.add("late_arrivals", r.late_arrivals);
+        json.add("late_faulted", r.late_faulted);
+        json.add("late_landed", r.late_landed);
+        json.add("wire_drops", r.wire_drops);
+        json.add("wire_dups", r.wire_dups);
+        json.add("wire_delays", r.wire_delays);
+        json.add("wire_congestion_drops", r.wire_congestion_drops);
+        json.add("p50_ns", static_cast<u64>(r.p50_latency_ns));
+        json.add("p99_ns", static_cast<u64>(r.p99_latency_ns));
     }
     std::printf("%s\n", t.toString().c_str());
 

@@ -11,8 +11,10 @@
 #include "bench_common.h"
 
 #include <string>
+#include <vector>
 
 #include "base/logging.h"
+#include "des/parallel.h"
 #include "sys/cluster.h"
 #include "workloads/fleet.h"
 
@@ -77,26 +79,30 @@ runCompatRows(const BenchArgs &args, const std::string &title,
     printHeader(title);
     const workloads::FleetParams p = fleetParams(64, quick);
 
-    Table t({"mode", "conns", "cycles/op", "avg burst"});
-    JsonWriter json(json_name, args.threads);
-    for (const dma::ProtectionMode mode : evaluatedModes()) {
+    const std::vector<dma::ProtectionMode> &modes = evaluatedModes();
+    std::vector<workloads::FleetReport> reps(modes.size());
+    des::parallelFor(modes.size(), args.threads, [&](size_t i) {
         sys::ClusterConfig cfg;
         cfg.machines = 2;
-        cfg.threads = args.threads;
-        cfg.mode = mode;
+        cfg.mode = modes[i];
         cfg.max_qps = workloads::fleetMaxQps(p, 2);
         sys::Cluster cluster(cfg);
-        const workloads::FleetReport rep =
-            workloads::runFleet(cluster, p);
+        reps[i] = workloads::runFleet(cluster, p);
+    });
+
+    Table t({"mode", "conns", "cycles/op", "avg burst"});
+    JsonWriter json(json_name, args.threads);
+    for (size_t i = 0; i < modes.size(); ++i) {
+        const workloads::FleetReport &rep = reps[i];
         RIO_ASSERT(rep.leaks_clean && rep.comp_errors == 0 &&
                        rep.remote_faults == 0,
                    "compat row must match the lossless fabric at ",
-                   dma::modeName(mode));
-        t.addRow(dma::modeName(mode),
+                   dma::modeName(modes[i]));
+        t.addRow(dma::modeName(modes[i]),
                  {static_cast<double>(p.connections),
                   rep.cycles_per_op, rep.avg_burst},
                  2);
-        addFleetRow(json, mode, "base", p.connections, rep);
+        addFleetRow(json, modes[i], "base", p.connections, rep);
     }
     std::printf("%s\n", t.toString().c_str());
     if (!json.writeTo(args.json_path))

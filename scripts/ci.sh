@@ -14,9 +14,10 @@
 #   lane       flavour  what it adds
 #   sanitize   asan     every ctest; FaultFuzz, LifecycleFuzz and
 #                       VirtFuzz soaks (recovery and teardown paths)
-#   tsan       tsan     everything that runs worker threads: engine,
-#                       obs and lock suites, ClusterFuzz, and threaded
-#                       fig7 / scaling / cluster / tail sweeps
+#   tsan       tsan     everything that runs parallelFor threads:
+#                       engine, obs, lock and cluster suites,
+#                       ClusterFuzz, threaded fig7 / scaling sweeps and
+#                       concurrent cluster / tail / migration rows
 #   obs        release  zero-cost goldens, fault-storm and wire-storm
 #                       trace validation, the BENCH_9/BENCH_10 ledgers
 #   virt       release  virt suites, VirtFuzz soak, all-platform sweep
@@ -48,8 +49,9 @@ declare -A FLAVOUR=([sanitize]=asan [tsan]=tsan [obs]=release
 declare -A TARGETS=(
     [sanitize]=all
     [tsan]="parallel_test obs_test des_test spinlock_test
-            magazine_churn_test fuzz_test bench_fig7_cycles_per_packet
-            bench_scaling_cores bench_cluster_rdma bench_tail_latency"
+            magazine_churn_test cluster_test fuzz_test
+            bench_fig7_cycles_per_packet bench_scaling_cores
+            bench_cluster_rdma bench_tail_latency bench_migration"
     [obs]=all
     [virt]=all
     [cluster]="cluster_test fuzz_test bench_cluster_rdma"
@@ -60,7 +62,7 @@ declare -A TARGETS=(
 )
 declare -A TESTS=(
     [sanitize]='.*'
-    [tsan]='parallel_test|obs_test|des_test|spinlock_test|magazine_churn_test'
+    [tsan]='parallel_test|obs_test|des_test|spinlock_test|magazine_churn_test|cluster_test'
     [obs]='obs_test|golden_obs|golden_fig7.*|golden_virt_threads|golden_scaling.*|golden_lifecycle'
     [virt]='virt_test|magazine_churn_test|golden_virt'
     [cluster]='cluster_test|golden_cluster.*'
@@ -98,14 +100,18 @@ extras_tsan() {
     # K-core flows: each (mode, cores) lane contends on its own locks.
     RIO_BENCH_QUICK=1 "$1/bench/bench_scaling_cores" \
         --cores 1,2 --threads 4 > /dev/null
-    # Cross-lane mail hand-off and the barrier drain are the fabric's
-    # only inter-thread channels; TSan holds them to that.
+    # Concurrent rows: whole clusters side by side, each on one
+    # thread, sharing only the process-wide obs state (registry, SLO
+    # gate, timeline pids); TSan holds them to that.
     "$1/tests/fuzz_test" --gtest_filter='*ClusterFuzz*'
     RIO_BENCH_QUICK=1 "$1/bench/bench_cluster_rdma" \
         --connections 64 --quick --threads 4 > /dev/null
-    # Per-lane SLO recorders and the thread-local trace slot.
+    # Per-cluster SLO recorders and the thread-local trace slot.
     RIO_BENCH_QUICK=1 "$1/bench/bench_tail_latency" \
         --quick --slo --threads 4 > /dev/null 2>&1
+    # Concurrent guests, arena hashing and stray ledgers.
+    RIO_BENCH_QUICK=1 "$1/bench/bench_migration" \
+        --quick --threads 4 > /dev/null
 }
 
 extras_obs() {
@@ -213,8 +219,8 @@ extras_virt() {
 }
 
 extras_cluster() {
-    # Churn x incast x fault injection, each campaign replayed on 1
-    # and 3 worker threads and compared field for field.
+    # Churn x incast x fault injection, each campaign run twice side
+    # by side and compared field for field.
     RIO_CLUSTER_EXTRA_SEEDS="1299709,15485863,32452843" \
         "$1/tests/fuzz_test" --gtest_filter='*ClusterFuzz*'
     # Thousands of live rRING mappings, the fetch-model ablations and
@@ -232,8 +238,8 @@ extras_wire() {
 }
 
 extras_migrate() {
-    # Platform x dirty x loss x stream-abort campaigns, each replayed
-    # on 1 and 2 worker threads (arena hashes and ledgers included).
+    # Platform x dirty x loss x stream-abort campaigns, each run twice
+    # side by side (arena hashes and ledgers included).
     RIO_MIGRATE_EXTRA_SEEDS="424243,797003,1299709" \
         "$1/tests/fuzz_test" --gtest_filter='*MigrateFuzz*'
 }

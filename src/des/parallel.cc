@@ -1,6 +1,8 @@
 #include "des/parallel.h"
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 #include <utility>
 
 #if defined(__GLIBC__)
@@ -13,22 +15,54 @@
 namespace rio::des {
 
 void
+parallelFor(size_t n, unsigned threads,
+            const std::function<void(size_t)> &fn)
+{
+    const size_t width = std::min<size_t>(threads, n);
+    if (width <= 1) {
+        for (size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
+    }
+#if defined(__GLIBC__)
+    // Earlier workers' malloc arenas outlive them and keep what their
+    // jobs freed. New threads adopt those arenas in host scheduling
+    // order and claim indices as they come free, so how much of that
+    // cached memory this call would reuse, and so its peak RSS, varied
+    // by megabytes from one process to the next. Handing the free
+    // memory back first starts every threaded call from the same state.
+    malloc_trim(0);
+#endif
+    std::atomic<size_t> next{0};
+    const auto claim = [&] {
+        for (size_t i = next++; i < n; i = next++)
+            fn(i);
+    };
+    // Declared after what the workers use: a jthread joins when it is
+    // destroyed, so every return path, exceptions included, joins.
+    std::vector<std::jthread> workers;
+    workers.reserve(width - 1);
+    for (size_t t = 1; t < width; ++t)
+        workers.emplace_back(claim);
+    claim(); // the caller is a worker too
+}
+
+void
 Lane::sendTo(Lane &dst, Nanos when, Simulator::Callback fn)
 {
     RIO_ASSERT(fn, "sending null mail");
-    const u64 seq = send_seq_++;
+    RIO_ASSERT(engine_.coupled(),
+               "cross-lane mail needs a coupled engine (setLookahead)");
     // Capture the sender's trace context so the receiving lane's
     // callback — and every event it emits — attributes to the same
     // distributed op. Host-side metadata only.
-    const u64 trace = obs::currentTrace();
-    std::lock_guard<std::mutex> g(dst.inbox_mu_);
-    dst.inbox_.push_back(Mail{when, id_, seq, trace, std::move(fn)});
+    dst.inbox_.push_back(
+        Mail{when, id_, send_seq_++, obs::currentTrace(), std::move(fn)});
 }
 
 Nanos
-Lane::earliestMail()
+Lane::earliestMail() const
 {
-    std::lock_guard<std::mutex> g(inbox_mu_);
     Nanos t = Simulator::kNoEvent;
     for (const Mail &m : inbox_)
         t = std::min(t, m.when);
@@ -38,16 +72,9 @@ Lane::earliestMail()
 void
 Lane::drainInbox()
 {
-    std::vector<Mail> mail;
-    {
-        std::lock_guard<std::mutex> g(inbox_mu_);
-        mail.swap(inbox_);
-    }
-    if (mail.empty())
-        return;
-    // Total order fixed by simulation content, not thread timing:
-    // timestamp, then sending lane, then the sender's own sequence.
-    std::sort(mail.begin(), mail.end(),
+    // Total order fixed by simulation content: timestamp, then
+    // sending lane, then the sender's own sequence.
+    std::sort(inbox_.begin(), inbox_.end(),
               [](const Mail &a, const Mail &b) {
                   if (a.when != b.when)
                       return a.when < b.when;
@@ -55,7 +82,7 @@ Lane::drainInbox()
                       return a.src < b.src;
                   return a.seq < b.seq;
               });
-    for (Mail &m : mail) {
+    for (Mail &m : inbox_) {
         // The conservative invariant: drains happen at window
         // barriers, where this lane's clock sits exactly at the end
         // of the last window it ran. Mail sent inside that window
@@ -81,39 +108,22 @@ Lane::drainInbox()
         }
         ++mail_delivered_;
     }
-}
-
-ParallelEngine::ParallelEngine(unsigned threads)
-    : threads_(threads == 0 ? 1 : threads)
-{
-}
-
-ParallelEngine::~ParallelEngine()
-{
-    if (pool_.empty())
-        return;
-    {
-        std::lock_guard<std::mutex> g(pool_mu_);
-        stopping_ = true;
-    }
-    cv_work_.notify_all();
-    for (std::thread &t : pool_)
-        t.join();
+    inbox_.clear();
 }
 
 Lane &
 ParallelEngine::addLane()
 {
     lanes_.push_back(
-        std::make_unique<Lane>(static_cast<u32>(lanes_.size())));
+        std::make_unique<Lane>(static_cast<u32>(lanes_.size()), *this));
     return *lanes_.back();
 }
 
 Nanos
-ParallelEngine::nextTime()
+ParallelEngine::nextTime() const
 {
     Nanos next = Simulator::kNoEvent;
-    for (auto &l : lanes_) {
+    for (const auto &l : lanes_) {
         next = std::min(next, l->sim().nextEventTime());
         next = std::min(next, l->earliestMail());
     }
@@ -121,103 +131,26 @@ ParallelEngine::nextTime()
 }
 
 void
-ParallelEngine::laneWindow(Lane &lane, Nanos window_end)
-{
-    // No inbox access here: mail is delivered only at the barrier in
-    // runWindow(), while every lane is quiescent. Draining from
-    // inside the window would race with concurrent senders — mail
-    // timestamped exactly at the horizon (wire == lookahead) would
-    // land in the current or the next drain batch depending on
-    // thread scheduling, perturbing the (when, src, seq) order.
-    lane.sim().runUntil(window_end);
-}
-
-void
-ParallelEngine::startPoolOnce()
-{
-    if (!pool_.empty() || threads_ <= 1)
-        return;
-#if defined(__GLIBC__)
-    // Earlier workers' malloc arenas outlive them and keep what their
-    // lanes freed. New threads adopt those arenas in host scheduling
-    // order and claim lanes as they come free, so how much of that
-    // cached memory this run would reuse, and so its peak RSS, varied
-    // by megabytes from one process to the next. Handing the free
-    // memory back first starts every threaded run from the same state.
-    malloc_trim(0);
-#endif
-    pool_.reserve(threads_ - 1);
-    for (unsigned i = 0; i + 1 < threads_; ++i)
-        pool_.emplace_back([this] { workerLoop(); });
-}
-
-void
-ParallelEngine::workerLoop()
-{
-    u64 seen = 0;
-    for (;;) {
-        Nanos window_end;
-        {
-            std::unique_lock<std::mutex> g(pool_mu_);
-            cv_work_.wait(g, [&] {
-                return stopping_ || generation_ != seen;
-            });
-            if (stopping_)
-                return;
-            seen = generation_;
-            window_end = window_end_;
-        }
-        for (;;) {
-            const size_t i =
-                next_lane_.fetch_add(1, std::memory_order_relaxed);
-            if (i >= lanes_.size())
-                break;
-            laneWindow(*lanes_[i], window_end);
-        }
-        {
-            std::lock_guard<std::mutex> g(pool_mu_);
-            ++workers_done_;
-        }
-        cv_done_.notify_one();
-    }
-}
-
-void
 ParallelEngine::runWindow(Nanos window_end)
 {
     ++rounds_;
-    // Deliver all queued mail before any lane starts the window.
-    // Every lane is quiescent at this point (between windows), so no
-    // sendTo can race the drain: each message is scheduled in exactly
-    // one deterministic batch — the barrier following the window that
-    // sent it — and the per-lane drain order (ascending lane index on
-    // this one thread) fixes the receiving simulators' FIFO sequence
-    // numbers independent of thread count or scheduling.
-    for (auto &l : lanes_)
-        l->drainInbox();
-    if (threads_ <= 1 || lanes_.size() <= 1) {
-        for (auto &l : lanes_)
-            laneWindow(*l, window_end);
+    if (!coupled()) {
+        // No mail and a single window: each lane is an independent
+        // job, so it may run on any thread.
+        parallelFor(lanes_.size(), threads_, [&](size_t i) {
+            lanes_[i]->sim().runUntil(window_end);
+        });
         return;
     }
-    startPoolOnce();
-    {
-        std::lock_guard<std::mutex> g(pool_mu_);
-        window_end_ = window_end;
-        workers_done_ = 0;
-        next_lane_.store(0, std::memory_order_relaxed);
-        ++generation_;
-    }
-    cv_work_.notify_all();
-    // The caller is a worker too.
-    for (;;) {
-        const size_t i = next_lane_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= lanes_.size())
-            break;
-        laneWindow(*lanes_[i], window_end);
-    }
-    std::unique_lock<std::mutex> g(pool_mu_);
-    cv_done_.wait(g, [&] { return workers_done_ == pool_.size(); });
+    // Deliver all queued mail before any lane starts the window, while
+    // every lane is quiescent: each message is scheduled in exactly
+    // one batch — the barrier following the window that sent it — and
+    // the drain order (ascending lane index) fixes the receiving
+    // simulators' FIFO sequence numbers.
+    for (auto &l : lanes_)
+        l->drainInbox();
+    for (auto &l : lanes_)
+        l->sim().runUntil(window_end);
 }
 
 void

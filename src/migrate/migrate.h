@@ -32,8 +32,9 @@
  *
  * Determinism: the engine draws random numbers only in the seeded
  * GuestDirtier; all cross-machine interaction rides the existing
- * QP/wire layer, so `--threads 1` ≡ `--threads N` byte-for-byte
- * (pinned by the golden_migrate ctest).
+ * QP/wire layer on one thread, so a migration replays byte-for-byte
+ * whether it runs alone or beside other rows (`--threads N`, pinned
+ * by the golden_migrate_threads ctest).
  */
 #ifndef RIO_MIGRATE_MIGRATE_H
 #define RIO_MIGRATE_MIGRATE_H
@@ -127,9 +128,9 @@ class GuestDirtier
  * One live migration on a Cluster built with `cfg.migration` on.
  * Construct after the cluster (and any Guests), call start() before
  * the run, then run the engine to idle; done()/report() afterwards.
- * The object is host-shared between the two lanes but each half's
- * mutable state is touched only from its own lane's callbacks, per
- * the ParallelEngine handoff contract.
+ * The object is shared between the two lanes, which run on one
+ * thread; each half's mutable state is still touched only from its
+ * own lane's callbacks, so cross-machine effects ride the wire.
  */
 class Migrator
 {

@@ -95,8 +95,8 @@ FlightRecorder::dump(const std::string &reason)
                      ring_.size(), d.text.c_str());
         {
             // Publish to the process-wide archive so a dump fired on
-            // a worker-lane thread outlives the pool and is readable
-            // from the main thread (dumps_ is thread-confined).
+            // a des::parallelFor worker outlives that thread and is
+            // readable from the main thread (dumps_ is thread-confined).
             std::lock_guard<std::mutex> g(archiveMutex());
             archiveList().push_back(d);
         }
@@ -124,12 +124,12 @@ flightRecorder()
 {
     // Thread-local: every event lands in the *emitting thread's* ring
     // with zero synchronization, keeping Timeline::emit lock-free on
-    // the recording-off default path. A worker lane that trips a dump
-    // renders its own last moments — which is exactly the context
+    // the recording-off default path. A worker thread that trips a
+    // dump renders its own last moments — which is exactly the context
     // that matters — and the dump is both printed to stderr and
     // published to the process-wide archive (flightDumpArchive()), so
-    // it stays inspectable from the main thread after lanes join and
-    // the pool thread (with its thread-local recorder) is gone.
+    // it stays inspectable from the main thread after the worker (with
+    // its thread-local recorder) is joined and gone.
     static thread_local FlightRecorder fr;
     return fr;
 }

@@ -79,8 +79,9 @@ class FlightRecorder
  * single-threaded run it behaves exactly like the old process-wide
  * singleton. Only the hot record() path is thread-confined: every
  * retained dump is also published to the process-wide archive below,
- * so a dump fired on a worker-lane thread survives the pool and is
- * visible to main-thread post-mortem inspection and trace export. */
+ * so a dump fired on a des::parallelFor worker survives that thread
+ * and is visible to main-thread post-mortem inspection and trace
+ * export. */
 FlightRecorder &flightRecorder();
 
 /**

@@ -130,8 +130,9 @@ class Histogram
   private:
     void observeLocked(u64 v);
 
-    /** Contention is rare (one observer per lane, short sections) so
-     * a spinlock beats a mutex on the per-op path. */
+    /** Sections are a few instructions, so a spinlock beats a mutex
+     * on the per-op path, even where concurrent bench rows share a
+     * histogram. */
     struct SpinGuard
     {
         explicit SpinGuard(std::atomic_flag &f) : f_(f)

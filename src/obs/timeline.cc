@@ -267,7 +267,7 @@ Timeline::writeChromeTrace(const std::string &path) const
     // Flight-recorder dumps ride along as named instants so a
     // `--timeline` artifact is self-contained evidence of failures.
     // Read the process-wide archive, not this thread's recorder:
-    // dumps fired on worker-lane threads must appear too.
+    // dumps fired on des::parallelFor workers must appear too.
     for (const FlightDump &d : flightDumpArchive()) {
         // Dumps carry the (machine, core) labels of their newest
         // event, so multi-machine cluster dumps are attributable.

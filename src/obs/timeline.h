@@ -151,11 +151,12 @@ class Timeline
     void setCapacity(size_t per_track);
     size_t capacity() const { return capacity_; }
 
-    /** Next unused track-group id (one per Machine). Atomic as a
-     * safety net, but determinism requires what every bench does:
-     * construct all Machines sequentially on the main thread during
-     * setup, before any lane runs — then pid assignment is fixed by
-     * construction order, independent of thread count. */
+    /** Next unused track-group id (one per Machine). Atomic, because
+     * row-parallel benches build their clusters on des::parallelFor
+     * threads. Pids are fixed by construction order only where
+     * Machines are built on one thread: sweeps build theirs on the
+     * calling thread, and a row-parallel bench does so at
+     * --threads 1. Simulation never reads a pid. */
     u16
     allocPid()
     {

@@ -15,13 +15,14 @@
  *
  * Determinism: the sequence counter lives on the injecting core,
  * which lives on exactly one event lane — ids depend only on
- * simulation content, never on thread scheduling, so traces are
- * byte-identical at `--threads 1` and `--threads N` (the PR 4 / PR 6
- * contract). Propagation is a thread-local "current trace" slot set
- * by TraceScope RAII around delivery callbacks; Timeline::emit()
- * auto-attaches it to any event that doesn't carry its own trace, so
- * every existing instrumentation point (map/unmap spans, QI spans,
- * lock waits, faults) becomes a child span of the op for free.
+ * simulation content and the machine's pid, never on thread
+ * scheduling inside a run (row-parallel benches at `--threads N`
+ * hand out pids in row start order; DESIGN.md §9). Propagation is
+ * a thread-local "current trace" slot set by TraceScope RAII around
+ * delivery callbacks; Timeline::emit() auto-attaches it to any
+ * event that doesn't carry its own trace, so every existing
+ * instrumentation point (map/unmap spans, QI spans, lock waits,
+ * faults) becomes a child span of the op for free.
  *
  * Everything here is host-only bookkeeping: zero simulated cycles,
  * zero RNG draws (golden_obs / golden_cluster byte-for-byte pins).

@@ -19,7 +19,8 @@
  *
  * Determinism: the model draws no random numbers and all latencies
  * are profile constants; cross-machine delivery order is fixed by the
- * ParallelEngine's (when, src lane, seq) mail sort.
+ * ParallelEngine's (when, src lane, seq) mail sort, and a cluster's
+ * lanes all run on one thread.
  */
 #ifndef RIO_RDMA_RDMA_H
 #define RIO_RDMA_RDMA_H

@@ -5,7 +5,7 @@
 namespace rio::sys {
 
 Cluster::Cluster(const ClusterConfig &cfg)
-    : cfg_(cfg), engine_(cfg.threads)
+    : cfg_(cfg)
 {
     RIO_ASSERT(cfg_.machines >= 1, "empty cluster");
     RIO_ASSERT(!cfg_.wire.armed() || cfg_.reliability.enabled,

@@ -11,10 +11,11 @@
  *
  * Wire model: every message pays profile.wire_ns one-way latency plus
  * RoCE serialization; wire_ns doubles as the engine's conservative
- * lookahead, so lanes run whole windows in parallel and runs are
- * byte-identical for any --threads value (the ParallelEngine
- * determinism contract, re-asserted by cluster_test and the
- * golden_cluster ctest).
+ * lookahead. That makes the engine coupled, so every window runs on
+ * the calling thread, and a Cluster is one single-threaded job.
+ * Benches run independent Clusters side by side instead, one per
+ * des::parallelFor index (a bench row); cluster_test pins that
+ * concurrent rows do not leak into one another.
  */
 #ifndef RIO_SYS_CLUSTER_H
 #define RIO_SYS_CLUSTER_H
@@ -34,7 +35,10 @@ namespace rio::sys {
 struct ClusterConfig
 {
     unsigned machines = 2;
-    unsigned threads = 1; //!< ParallelEngine workers
+    /** No effect: a cluster's engine is coupled, so it always runs
+     * on the calling thread. Kept only because perfbench/hostbench.cc
+     * still assigns it. */
+    unsigned threads = 1;
     dma::ProtectionMode mode = dma::ProtectionMode::kRiommu;
     rdma::RdmaProfile profile = rdma::rnicProfile();
     u32 max_qps = 64; //!< QP slots per machine (initiated + accepted)

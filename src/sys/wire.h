@@ -11,11 +11,12 @@
  * time (>= lookahead, as before); the fault model runs inside the
  * delivered callback on the destination lane, where mail is drained
  * in the engine's fixed (when, src lane, seq) order. RNG draws
- * therefore happen in an order independent of the worker-thread
- * count, and re-deliveries (duplicates, delays, queue drains) are
- * plain lane-local scheduleAt events — no second lookahead crossing
- * is ever needed. `--threads 1` ≡ `--threads N` byte-for-byte, the
- * same contract the lossless wire had (DESIGN.md §14).
+ * therefore happen in an order fixed by simulation content, and
+ * re-deliveries (duplicates, delays, queue drains) are plain
+ * lane-local scheduleAt events — no second lookahead crossing is
+ * ever needed. A cluster runs on one thread; `--threads N` only runs
+ * N clusters side by side, byte-for-byte the same as `--threads 1`,
+ * the same contract the lossless wire had (DESIGN.md §14).
  *
  * Inertness: every knob is gated on `rate > 0`, so the default
  * config draws zero random numbers and the Cluster bypasses the

@@ -17,7 +17,7 @@
  *
  * Determinism: all decisions are lane-local draws from per-machine
  * Rng streams seeded from params.seed + machine id; results are
- * byte-identical for any Cluster thread count.
+ * byte-identical whether a fleet runs alone or beside other rows.
  */
 #ifndef RIO_WORKLOADS_FLEET_H
 #define RIO_WORKLOADS_FLEET_H

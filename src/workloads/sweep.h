@@ -1,20 +1,18 @@
 /**
  * @file
- * Parameter sweeps on the parallel engine: every benchmark in this
- * repo is a loop over independent runs (one protection mode, one
- * platform, one core count per iteration), which is exactly the
- * embarrassingly-parallel shape des::ParallelEngine handles with
- * zero coupling — each job gets its own lane, its own Simulator, its
- * own Machine(s), and the engine's default infinite lookahead runs
- * them all in a single window.
+ * Parameter sweeps on an uncoupled des::ParallelEngine: a
+ * single-machine bench is a loop over independent runs (one
+ * protection mode, one platform, one core count per iteration). Each
+ * job gets its own lane, its own Simulator and its own Machine(s);
+ * the engine's default infinite lookahead runs them all in a single
+ * window, which des::parallelFor spreads over the threads.
  *
  * Determinism: each lane replays the exact event sequence the old
  * sequential bench ran in its private simulator, so per-job results
- * are bit-identical for any thread count — including thread count 1,
- * which must also be bit-identical to the pre-sweep sequential code
- * (enforced by the golden_* ctests). Jobs are constructed and
- * collected in order on the calling thread; only the event execution
- * between construction and collection is parallel.
+ * are bit-identical for any thread count (enforced by the golden_*
+ * ctests). Jobs are constructed and collected in order on the calling
+ * thread; only the event execution between construction and
+ * collection is parallel.
  */
 #ifndef RIO_WORKLOADS_SWEEP_H
 #define RIO_WORKLOADS_SWEEP_H
@@ -49,7 +47,7 @@ struct RrJob
 };
 
 /**
- * Run every job, one engine lane each, on @p threads worker threads
+ * Run every job, one engine lane each, on up to @p threads threads
  * (1 = sequential, the bench default). Results are in job order and
  * independent of @p threads.
  */

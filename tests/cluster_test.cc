@@ -7,9 +7,10 @@
  *   - QP lifecycle (connect / traffic / teardown, plus slot
  *     exhaustion and force-quiesce) leaves no mapping, IOTLB or
  *     rIOTLB residue, audited with checkHandleLeaks in all 7 modes;
- *   - fleet runs are bit-for-bit identical across ParallelEngine
- *     thread counts (the golden_cluster ctest pins the same property
- *     on the bench's JSON);
+ *   - fleet runs are bit-for-bit identical whether a cluster runs
+ *     alone or beside other clusters on parallelFor threads (the
+ *     golden_cluster_threads ctest pins the same property on the
+ *     bench's JSON);
  *   - the rDEVICE descriptor-fetch model and its hot tier count
  *     fetches consistently and default to off.
  */
@@ -364,8 +365,51 @@ TEST(Fleet, SmokeAllModes)
     }
 }
 
+/** Every FleetReport field, one per line, for field-for-field
+ * comparison with a readable diff. */
 std::string
-fleetFingerprint(unsigned threads)
+reportFields(const workloads::FleetReport &r)
+{
+    std::ostringstream os;
+    os << "measured_ops " << r.measured_ops << "\ntotal_ops "
+       << r.total_ops << "\nmeasured_cycles " << r.measured_cycles
+       << "\ncycles_per_op " << r.cycles_per_op << "\nposts " << r.posts
+       << "\nposts_blocked " << r.posts_blocked << "\ncomp_errors "
+       << r.comp_errors << "\nremote_faults " << r.remote_faults
+       << "\nlocal_fault_drops " << r.local_fault_drops << "\nconnects "
+       << r.connects << "\nteardowns " << r.teardowns << "\neob_unmaps "
+       << r.eob_unmaps << "\ncompletions " << r.completions
+       << "\navg_burst " << r.avg_burst << "\nriotlb "
+       << r.riotlb.lookups << ' ' << r.riotlb.hits << ' '
+       << r.riotlb.current << ' ' << r.riotlb.synced << ' '
+       << r.riotlb.prefetch_hits << ' ' << r.riotlb.walks << ' '
+       << r.riotlb.invalidations << "\nrdcache " << r.rdcache.fetches
+       << ' ' << r.rdcache.hot_hits << ' ' << r.rdcache.hot_misses
+       << "\nretransmits " << r.retransmits << "\nrto_fires "
+       << r.rto_fires << "\nnak_seq " << r.nak_seq << "\nqp_errors "
+       << r.qp_errors << "\nqp_error_recovered " << r.qp_error_recovered
+       << "\nlate " << r.late_arrivals << ' ' << r.late_faulted << ' '
+       << r.late_landed << "\nwire " << r.wire_drops << ' '
+       << r.wire_dups << ' ' << r.wire_delays << ' '
+       << r.wire_congestion_drops << ' ' << r.wire_peak_queue
+       << "\nlatency " << r.p50_latency_ns << ' ' << r.p99_latency_ns
+       << "\nslo " << r.slo_valid << ' ' << r.slo.count << ' '
+       << r.slo.dropped << ' ' << r.slo.errors << ' ' << r.slo.p50 << ' '
+       << r.slo.p99 << ' ' << r.slo.p999 << ' ' << r.slo.max << ' '
+       << r.slo.mean_ns << ' ' << r.slo.tail_ops << ' '
+       << r.slo.tail_retransmits << ' ' << r.slo.top_cat << ' '
+       << r.slo.top_cat_share;
+    for (size_t c = 0; c < obs::kSloMaxCats; ++c)
+        os << ' ' << r.slo.tail_cat_cycles[c] << '/'
+           << r.slo.all_cat_cycles[c];
+    os << "\nend_ns " << r.end_ns << "\nleaks_clean " << r.leaks_clean;
+    return os.str();
+}
+
+/** Row @p i of the isolation sweep: strict/riommu x loss 0/0.02, the
+ * lossy pair with the reliability layer on. */
+workloads::FleetReport
+runIsolationRow(size_t i)
 {
     workloads::FleetParams p;
     p.connections = 12;
@@ -377,36 +421,50 @@ fleetFingerprint(unsigned threads)
     p.seed = 7;
     sys::ClusterConfig cfg;
     cfg.machines = 3;
-    cfg.threads = threads;
-    cfg.mode = ProtectionMode::kRiommu;
+    cfg.mode = i % 2 ? ProtectionMode::kRiommu : ProtectionMode::kStrict;
     cfg.max_qps = workloads::fleetMaxQps(p, cfg.machines);
-    cfg.rdcache.model_fetch = true;
-    cfg.rdcache.hot_entries = 64;
+    if (i >= 2) {
+        cfg.wire.drop_rate = 0.02;
+        cfg.wire.dup_rate = 0.06;
+        cfg.wire.delay_rate = 0.2;
+        cfg.wire.delay_max_ns = 60000;
+        cfg.reliability.enabled = true;
+    }
     sys::Cluster cluster(cfg);
-    auto rep = runFleet(cluster, p);
-
-    std::ostringstream os;
-    os << rep.measured_ops << '/' << rep.measured_cycles << '/'
-       << rep.total_ops << '/' << rep.posts << '/'
-       << rep.posts_blocked << '/' << rep.connects << '/'
-       << rep.teardowns << '/' << rep.eob_unmaps << '/'
-       << rep.completions << '/' << rep.riotlb.lookups << '/'
-       << rep.riotlb.walks << '/' << rep.riotlb.invalidations << '/'
-       << rep.rdcache.fetches << '/' << rep.rdcache.hot_hits;
-    for (unsigned m = 0; m < cluster.size(); ++m)
-        os << '|' << cluster.machine(m).acct(0).total() << ':'
-           << cluster.lane(m).sim().now() << ':'
-           << cluster.lane(m).sim().eventsRun();
-    return os.str();
+    return runFleet(cluster, p);
 }
 
-/** The satellite determinism gate: --threads 1 and --threads 3 runs
- * are bit-for-bit identical, down to per-lane event counts. */
-TEST(Fleet, ThreadCountInvariance)
+std::vector<workloads::FleetReport>
+runIsolationRows(unsigned threads)
 {
-    const std::string one = fleetFingerprint(1);
-    const std::string three = fleetFingerprint(3);
-    EXPECT_EQ(one, three);
+    std::vector<workloads::FleetReport> reps(4);
+    des::parallelFor(reps.size(), threads,
+                     [&](size_t i) { reps[i] = runIsolationRow(i); });
+    return reps;
+}
+
+/** Concurrent rows do not leak into one another: four different
+ * clusters run one after another and side by side on four threads
+ * give identical reports, field for field. The process-wide obs state
+ * they all touch — the metrics registry, the SLO gate, the timeline's
+ * pid counter — and the thread-local flight recorder and trace slot
+ * must not feed a result. */
+TEST(Fleet, ConcurrentRowsMatchSequentialRows)
+{
+    obs::setSloRecording(true);
+    const auto seq = runIsolationRows(1);
+    const auto par = runIsolationRows(4);
+    obs::setSloRecording(false);
+    for (size_t i = 0; i < seq.size(); ++i) {
+        EXPECT_TRUE(seq[i].slo_valid) << "row " << i;
+        EXPECT_GT(seq[i].measured_ops, 0u) << "row " << i;
+        EXPECT_EQ(reportFields(seq[i]), reportFields(par[i])) << "row " << i;
+    }
+    EXPECT_EQ(seq[0].wire_drops + seq[1].wire_drops, 0u);
+    EXPECT_GT(seq[2].retransmits, 0u) << "the lossy rows must replay";
+    EXPECT_GT(seq[3].retransmits, 0u) << "the lossy rows must replay";
+    EXPECT_NE(seq[0].cycles_per_op, seq[1].cycles_per_op)
+        << "the rows must be different experiments";
 }
 
 /** The descriptor-fetch model defaults off and, when on, counts
@@ -450,7 +508,7 @@ TEST(Fleet, RdCacheAblationCounts)
  * and churn that go-back-N replays, duplicate deliveries and QP
  * errors all occur, small enough to stay fast. */
 workloads::FleetReport
-runTracedStorm(unsigned threads)
+runTracedStorm()
 {
     workloads::FleetParams p;
     p.connections = 8;
@@ -461,7 +519,6 @@ runTracedStorm(unsigned threads)
     p.seed = 3;
     sys::ClusterConfig cfg;
     cfg.machines = 2;
-    cfg.threads = threads;
     cfg.mode = ProtectionMode::kRiommu;
     cfg.wire.drop_rate = 0.05;
     cfg.wire.dup_rate = 0.15;
@@ -488,7 +545,7 @@ TEST(Tracing, SpanIdentityUnderHostileWire)
     obs::timeline().clear();
     obs::timeline().setCapacity(1u << 20); // retain every event
     obs::timeline().setRecording(true);
-    const auto rep = runTracedStorm(1);
+    const auto rep = runTracedStorm();
     obs::timeline().setRecording(false);
     ASSERT_GT(rep.retransmits, 0u) << "storm must actually replay";
     ASSERT_GT(rep.wire_dups, 0u) << "storm must actually duplicate";
@@ -543,22 +600,22 @@ TEST(Tracing, SpanIdentityUnderHostileWire)
 }
 
 std::string
-timelineFingerprint(unsigned threads)
+timelineFingerprint()
 {
     obs::timeline().clear();
     obs::timeline().setCapacity(1u << 20);
     obs::timeline().setRecording(true);
-    runTracedStorm(threads);
+    runTracedStorm();
     obs::timeline().setRecording(false);
     std::ostringstream os;
     for (const auto &[key, events] : obs::timeline().tracks()) {
         os << "track " << key << "\n";
         for (const obs::Event &e : events) {
-            // Flight-dump markers carry the process-wide dump ordinal
-            // in arg — a host-side sequence that depends on which lane
-            // reaches its QP error first in wall-clock time. Every
-            // simulated event (including the marker's virtual time and
-            // trace) is thread-invariant; the ordinal alone is not.
+            // Flight-dump markers carry the thread's dump ordinal in
+            // arg — a host-side sequence that keeps counting across
+            // runs. Every simulated event (including the marker's
+            // virtual time and trace) replays exactly; the ordinal
+            // alone does not.
             if (e.kind == obs::Ev::kFlightDump)
                 continue;
             os << static_cast<int>(e.kind) << ' ' << e.t << ' '
@@ -572,18 +629,18 @@ timelineFingerprint(unsigned threads)
     return os.str();
 }
 
-/** The tentpole determinism gate: with tracing fully on, the entire
+/** The trace determinism gate: with tracing fully on, the entire
  * event timeline — ids, traces, timestamps, order — is byte-identical
- * between --threads 1 and --threads 4. Trace ids come from
- * lane-confined counters, never a shared atomic. */
-TEST(Tracing, TimelineByteIdenticalAcrossThreadCounts)
+ * from one run to the next. Trace ids come from lane-confined
+ * counters, never a shared atomic. */
+TEST(Tracing, TimelineByteIdenticalAcrossRuns)
 {
     if (!obs::kObsCompiled)
         GTEST_SKIP() << "observability compiled out (RIO_OBS=OFF)";
-    const std::string one = timelineFingerprint(1);
-    const std::string four = timelineFingerprint(4);
-    ASSERT_FALSE(one.empty());
-    EXPECT_EQ(one, four);
+    const std::string first = timelineFingerprint();
+    const std::string second = timelineFingerprint();
+    ASSERT_FALSE(first.empty());
+    EXPECT_EQ(first, second);
 }
 
 /** Exact SLO records cover every completion, merge deterministically
@@ -591,7 +648,7 @@ TEST(Tracing, TimelineByteIdenticalAcrossThreadCounts)
 TEST(Tracing, SloReportCoversEveryCompletion)
 {
     obs::setSloRecording(true);
-    const auto rep = runTracedStorm(1);
+    const auto rep = runTracedStorm();
     obs::setSloRecording(false);
     ASSERT_TRUE(rep.slo_valid);
     EXPECT_EQ(rep.slo.dropped, 0u);

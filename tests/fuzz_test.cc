@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "base/rng.h"
+#include "des/parallel.h"
 #include "dma/baseline_handle.h"
 #include "dma/dma_context.h"
 #include "migrate/migrate.h"
@@ -670,9 +671,9 @@ INSTANTIATE_TEST_SUITE_P(
  * Zipf-skewed traffic, and (half the seeds) translation-fault
  * injection — the combination that exercises QP slot recycling, the
  * kClosing drain path, NAK completions, and cross-lane mail ordering
- * at once. Each campaign runs twice, on 1 worker thread and on 3, and
- * the two reports must agree field for field (the parallel engine's
- * determinism contract extended to the full RDMA stack). Invariants
+ * at once. Each campaign runs twice, side by side on two parallelFor
+ * threads, and the two reports must agree field for field: a cluster
+ * replays exactly whatever runs next to it. Invariants
  * on top: every successful post produces exactly one CQE (ok or
  * error), fault-free configs complete error-free, churn configs
  * actually tear down and re-establish QPs, and the leak detector is
@@ -709,10 +710,9 @@ struct ClusterCampaign
     u32 churn_period = 0;
 };
 
-/** Derive the whole campaign shape from @p seed (identically for any
- * @p threads — only the schedule may differ) and run it. */
+/** Derive the whole campaign shape from @p seed and run it. */
 ClusterCampaign
-runClusterCampaign(dma::ProtectionMode mode, u64 seed, unsigned threads)
+runClusterCampaign(dma::ProtectionMode mode, u64 seed)
 {
     Rng shape(seed * 0xD1B54A32D192ED03ULL + 11);
     workloads::FleetParams p;
@@ -729,7 +729,6 @@ runClusterCampaign(dma::ProtectionMode mode, u64 seed, unsigned threads)
 
     sys::ClusterConfig cfg;
     cfg.machines = static_cast<unsigned>(shape.range(2, 3));
-    cfg.threads = threads;
     cfg.mode = mode;
     cfg.max_qps = workloads::fleetMaxQps(p, cfg.machines);
     if (dma::modeUsesRiommu(mode)) {
@@ -753,22 +752,25 @@ class ClusterFuzz : public ::testing::TestWithParam<ClusterFuzzParam>
 {
 };
 
-TEST_P(ClusterFuzz, ChurnIncastFaultsAgreeAcrossThreadCounts)
+TEST_P(ClusterFuzz, ChurnIncastFaultsReplayConcurrently)
 {
     const auto [mode, seed] = GetParam();
-    const ClusterCampaign c1 = runClusterCampaign(mode, seed, 1);
-    const ClusterCampaign c3 = runClusterCampaign(mode, seed, 3);
-    const workloads::FleetReport &r1 = c1.rep;
-    const workloads::FleetReport &r3 = c3.rep;
+    std::array<ClusterCampaign, 2> c;
+    des::parallelFor(c.size(), 2, [&, mode = mode, seed = seed](size_t i) {
+        c[i] = runClusterCampaign(mode, seed);
+    });
+    const ClusterCampaign &c1 = c[0];
+    const workloads::FleetReport &r1 = c[0].rep;
+    const workloads::FleetReport &r2 = c[1].rep;
 
     // Nothing left mapped on any machine after quiesce.
     EXPECT_TRUE(r1.leaks_clean);
-    EXPECT_TRUE(r3.leaks_clean);
+    EXPECT_TRUE(r2.leaks_clean);
 
     // Conservation: one CQE per successful post, ok or error — the
     // drain at end of run and in the kClosing path loses nothing.
     EXPECT_EQ(r1.completions, r1.posts);
-    EXPECT_EQ(r3.completions, r3.posts);
+    EXPECT_EQ(r2.completions, r2.posts);
     EXPECT_EQ(r1.comp_errors,
               r1.remote_faults + r1.local_fault_drops);
 
@@ -782,25 +784,25 @@ TEST_P(ClusterFuzz, ChurnIncastFaultsAgreeAcrossThreadCounts)
         EXPECT_EQ(r1.local_fault_drops, 0u);
     }
 
-    // Thread-count invariance, field for field.
-    EXPECT_EQ(r1.measured_ops, r3.measured_ops);
-    EXPECT_EQ(r1.total_ops, r3.total_ops);
-    EXPECT_EQ(r1.measured_cycles, r3.measured_cycles);
-    EXPECT_DOUBLE_EQ(r1.cycles_per_op, r3.cycles_per_op);
-    EXPECT_EQ(r1.posts, r3.posts);
-    EXPECT_EQ(r1.posts_blocked, r3.posts_blocked);
-    EXPECT_EQ(r1.completions, r3.completions);
-    EXPECT_EQ(r1.comp_errors, r3.comp_errors);
-    EXPECT_EQ(r1.remote_faults, r3.remote_faults);
-    EXPECT_EQ(r1.local_fault_drops, r3.local_fault_drops);
-    EXPECT_EQ(r1.connects, r3.connects);
-    EXPECT_EQ(r1.teardowns, r3.teardowns);
-    EXPECT_EQ(r1.eob_unmaps, r3.eob_unmaps);
-    EXPECT_DOUBLE_EQ(r1.avg_burst, r3.avg_burst);
-    EXPECT_EQ(r1.riotlb.invalidations, r3.riotlb.invalidations);
-    EXPECT_EQ(r1.riotlb.walks, r3.riotlb.walks);
-    EXPECT_EQ(r1.rdcache.fetches, r3.rdcache.fetches);
-    EXPECT_EQ(r1.rdcache.hot_hits, r3.rdcache.hot_hits);
+    // Two copies side by side replay identically, field for field.
+    EXPECT_EQ(r1.measured_ops, r2.measured_ops);
+    EXPECT_EQ(r1.total_ops, r2.total_ops);
+    EXPECT_EQ(r1.measured_cycles, r2.measured_cycles);
+    EXPECT_DOUBLE_EQ(r1.cycles_per_op, r2.cycles_per_op);
+    EXPECT_EQ(r1.posts, r2.posts);
+    EXPECT_EQ(r1.posts_blocked, r2.posts_blocked);
+    EXPECT_EQ(r1.completions, r2.completions);
+    EXPECT_EQ(r1.comp_errors, r2.comp_errors);
+    EXPECT_EQ(r1.remote_faults, r2.remote_faults);
+    EXPECT_EQ(r1.local_fault_drops, r2.local_fault_drops);
+    EXPECT_EQ(r1.connects, r2.connects);
+    EXPECT_EQ(r1.teardowns, r2.teardowns);
+    EXPECT_EQ(r1.eob_unmaps, r2.eob_unmaps);
+    EXPECT_DOUBLE_EQ(r1.avg_burst, r2.avg_burst);
+    EXPECT_EQ(r1.riotlb.invalidations, r2.riotlb.invalidations);
+    EXPECT_EQ(r1.riotlb.walks, r2.riotlb.walks);
+    EXPECT_EQ(r1.rdcache.fetches, r2.rdcache.fetches);
+    EXPECT_EQ(r1.rdcache.hot_hits, r2.rdcache.hot_hits);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -819,7 +821,7 @@ INSTANTIATE_TEST_SUITE_P(
  * drop/dup/delay injection, bounded ingress ports under incast,
  * hard-abort churn (app death stranding in-flight data), and the
  * RoCE-style reliability layer recovering behind it all. Same
- * determinism contract: each campaign runs on 1 and 3 worker threads
+ * determinism contract: two copies of each campaign run side by side
  * and the reports must agree field for field, now including the
  * retransmit/RTO/QP-error and late-arrival counters. Invariants on
  * top: CQE conservation survives loss (every post completes, ok or
@@ -844,10 +846,9 @@ wireFuzzParams()
     return params;
 }
 
-/** Derive the storm shape from @p seed (identically for any
- * @p threads) and run it. */
+/** Derive the storm shape from @p seed and run it. */
 workloads::FleetReport
-runWireCampaign(dma::ProtectionMode mode, u64 seed, unsigned threads)
+runWireCampaign(dma::ProtectionMode mode, u64 seed)
 {
     Rng shape(seed * 0x9E3779B97F4A7C15ULL + 3);
     workloads::FleetParams p;
@@ -863,7 +864,6 @@ runWireCampaign(dma::ProtectionMode mode, u64 seed, unsigned threads)
 
     sys::ClusterConfig cfg;
     cfg.machines = static_cast<unsigned>(shape.range(2, 3));
-    cfg.threads = threads;
     cfg.mode = mode;
     cfg.max_qps = workloads::fleetMaxQps(p, cfg.machines);
     const double loss =
@@ -884,19 +884,23 @@ class WireFuzz : public ::testing::TestWithParam<ClusterFuzzParam>
 {
 };
 
-TEST_P(WireFuzz, LossyFabricAgreesAcrossThreadCounts)
+TEST_P(WireFuzz, LossyFabricReplaysConcurrently)
 {
     const auto [mode, seed] = GetParam();
-    const workloads::FleetReport r1 = runWireCampaign(mode, seed, 1);
-    const workloads::FleetReport r3 = runWireCampaign(mode, seed, 3);
+    std::array<workloads::FleetReport, 2> r;
+    des::parallelFor(r.size(), 2, [&, mode = mode, seed = seed](size_t i) {
+        r[i] = runWireCampaign(mode, seed);
+    });
+    const workloads::FleetReport &r1 = r[0];
+    const workloads::FleetReport &r2 = r[1];
 
     EXPECT_TRUE(r1.leaks_clean);
-    EXPECT_TRUE(r3.leaks_clean);
+    EXPECT_TRUE(r2.leaks_clean);
 
     // Conservation under loss: a dropped packet either recovers by
     // retransmit or flushes as an error CQE — no post may vanish.
     EXPECT_EQ(r1.completions, r1.posts);
-    EXPECT_EQ(r3.completions, r3.posts);
+    EXPECT_EQ(r2.completions, r2.posts);
 
     // The storm actually stormed, and the recovery machinery ran.
     EXPECT_GT(r1.measured_ops, 0u);
@@ -914,37 +918,37 @@ TEST_P(WireFuzz, LossyFabricAgreesAcrossThreadCounts)
     // no other ring — it faults.
     if (dma::modeUsesRiommu(mode)) {
         EXPECT_EQ(r1.late_landed, 0u);
-        EXPECT_EQ(r3.late_landed, 0u);
+        EXPECT_EQ(r2.late_landed, 0u);
     }
 
-    // Thread-count invariance, field for field — now including the
-    // reliability and wire-port counters.
-    EXPECT_EQ(r1.measured_ops, r3.measured_ops);
-    EXPECT_EQ(r1.total_ops, r3.total_ops);
-    EXPECT_EQ(r1.measured_cycles, r3.measured_cycles);
-    EXPECT_DOUBLE_EQ(r1.cycles_per_op, r3.cycles_per_op);
-    EXPECT_EQ(r1.posts, r3.posts);
-    EXPECT_EQ(r1.posts_blocked, r3.posts_blocked);
-    EXPECT_EQ(r1.completions, r3.completions);
-    EXPECT_EQ(r1.comp_errors, r3.comp_errors);
-    EXPECT_EQ(r1.connects, r3.connects);
-    EXPECT_EQ(r1.teardowns, r3.teardowns);
-    EXPECT_EQ(r1.retransmits, r3.retransmits);
-    EXPECT_EQ(r1.rto_fires, r3.rto_fires);
-    EXPECT_EQ(r1.nak_seq, r3.nak_seq);
-    EXPECT_EQ(r1.qp_errors, r3.qp_errors);
-    EXPECT_EQ(r1.qp_error_recovered, r3.qp_error_recovered);
-    EXPECT_EQ(r1.late_arrivals, r3.late_arrivals);
-    EXPECT_EQ(r1.late_faulted, r3.late_faulted);
-    EXPECT_EQ(r1.late_landed, r3.late_landed);
-    EXPECT_EQ(r1.wire_drops, r3.wire_drops);
-    EXPECT_EQ(r1.wire_dups, r3.wire_dups);
-    EXPECT_EQ(r1.wire_delays, r3.wire_delays);
-    EXPECT_EQ(r1.wire_congestion_drops, r3.wire_congestion_drops);
-    EXPECT_EQ(r1.wire_peak_queue, r3.wire_peak_queue);
-    EXPECT_EQ(r1.p50_latency_ns, r3.p50_latency_ns);
-    EXPECT_EQ(r1.p99_latency_ns, r3.p99_latency_ns);
-    EXPECT_EQ(r1.end_ns, r3.end_ns);
+    // Two copies side by side replay identically, field for field —
+    // now including the reliability and wire-port counters.
+    EXPECT_EQ(r1.measured_ops, r2.measured_ops);
+    EXPECT_EQ(r1.total_ops, r2.total_ops);
+    EXPECT_EQ(r1.measured_cycles, r2.measured_cycles);
+    EXPECT_DOUBLE_EQ(r1.cycles_per_op, r2.cycles_per_op);
+    EXPECT_EQ(r1.posts, r2.posts);
+    EXPECT_EQ(r1.posts_blocked, r2.posts_blocked);
+    EXPECT_EQ(r1.completions, r2.completions);
+    EXPECT_EQ(r1.comp_errors, r2.comp_errors);
+    EXPECT_EQ(r1.connects, r2.connects);
+    EXPECT_EQ(r1.teardowns, r2.teardowns);
+    EXPECT_EQ(r1.retransmits, r2.retransmits);
+    EXPECT_EQ(r1.rto_fires, r2.rto_fires);
+    EXPECT_EQ(r1.nak_seq, r2.nak_seq);
+    EXPECT_EQ(r1.qp_errors, r2.qp_errors);
+    EXPECT_EQ(r1.qp_error_recovered, r2.qp_error_recovered);
+    EXPECT_EQ(r1.late_arrivals, r2.late_arrivals);
+    EXPECT_EQ(r1.late_faulted, r2.late_faulted);
+    EXPECT_EQ(r1.late_landed, r2.late_landed);
+    EXPECT_EQ(r1.wire_drops, r2.wire_drops);
+    EXPECT_EQ(r1.wire_dups, r2.wire_dups);
+    EXPECT_EQ(r1.wire_delays, r2.wire_delays);
+    EXPECT_EQ(r1.wire_congestion_drops, r2.wire_congestion_drops);
+    EXPECT_EQ(r1.wire_peak_queue, r2.wire_peak_queue);
+    EXPECT_EQ(r1.p50_latency_ns, r2.p50_latency_ns);
+    EXPECT_EQ(r1.p99_latency_ns, r2.p99_latency_ns);
+    EXPECT_EQ(r1.end_ns, r2.end_ns);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -966,7 +970,7 @@ INSTANTIATE_TEST_SUITE_P(
  * forked, or double-applied, whatever the wire did), protected modes
  * land zero post-migration strays, both guest and hypervisor handles
  * quiesce leak-free, and the whole report agrees field for field
- * between 1 and 2 worker threads. RIO_MIGRATE_EXTRA_SEEDS appends
+ * between two copies run side by side. RIO_MIGRATE_EXTRA_SEEDS appends
  * seeds (the migration CI soak).
  */
 std::vector<ClusterFuzzParam>
@@ -998,7 +1002,7 @@ struct MigrateCampaign
 };
 
 MigrateCampaign
-runMigrateCampaign(dma::ProtectionMode mode, u64 seed, unsigned threads)
+runMigrateCampaign(dma::ProtectionMode mode, u64 seed)
 {
     Rng shape(seed * 0x9E3779B97F4A7C15ULL + 17);
     const std::array<virt::Platform, 4> platforms = {
@@ -1014,7 +1018,6 @@ runMigrateCampaign(dma::ProtectionMode mode, u64 seed, unsigned threads)
 
     sys::ClusterConfig cfg;
     cfg.machines = 2;
-    cfg.threads = threads;
     cfg.mode = mode;
     cfg.max_qps = app_qps + 4;
     cfg.migration = true;
@@ -1120,11 +1123,15 @@ class MigrateFuzz : public ::testing::TestWithParam<ClusterFuzzParam>
 {
 };
 
-TEST_P(MigrateFuzz, HostileMigrationConvergesIdenticallyAcrossThreads)
+TEST_P(MigrateFuzz, HostileMigrationConvergesIdenticallyConcurrently)
 {
     const auto [mode, seed] = GetParam();
-    const MigrateCampaign c1 = runMigrateCampaign(mode, seed, 1);
-    const MigrateCampaign c2 = runMigrateCampaign(mode, seed, 2);
+    std::array<MigrateCampaign, 2> c;
+    des::parallelFor(c.size(), 2, [&, mode = mode, seed = seed](size_t i) {
+        c[i] = runMigrateCampaign(mode, seed);
+    });
+    const MigrateCampaign &c1 = c[0];
+    const MigrateCampaign &c2 = c[1];
 
     EXPECT_TRUE(c1.rep.completed);
     EXPECT_FALSE(c1.rep.failed);
@@ -1136,7 +1143,7 @@ TEST_P(MigrateFuzz, HostileMigrationConvergesIdenticallyAcrossThreads)
         EXPECT_EQ(c1.stray_landed, 0u);
     }
 
-    // Thread-count invariance, field for field.
+    // Two copies side by side replay identically, field for field.
     EXPECT_EQ(c1.rep.rounds, c2.rep.rounds);
     EXPECT_EQ(c1.rep.pages_shipped, c2.rep.pages_shipped);
     EXPECT_EQ(c1.rep.pages_reshipped, c2.rep.pages_reshipped);

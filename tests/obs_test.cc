@@ -354,9 +354,9 @@ TEST_F(ObsTest, WorkerThreadDumpsReachProcessWideArchive)
 {
     RIO_REQUIRE_OBS_COMPILED();
     flightDump("main_side");
-    // A dump fired from a pool thread (mid-window assertion under
-    // ParallelEngine) lives in that thread's recorder, which dies
-    // with the thread — the archive is what keeps it inspectable.
+    // A dump fired from a parallelFor worker (an assertion inside a
+    // sweep lane or bench row) lives in that thread's recorder, which
+    // dies with the thread — the archive keeps it inspectable.
     std::thread worker([] {
         Event e;
         e.kind = Ev::kFault;

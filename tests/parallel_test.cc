@@ -1,12 +1,18 @@
 /**
  * @file
- * Tests for the conservative parallel engine: lane isolation, mail
- * ordering, horizon math, and the headline property — byte-identical
- * execution regardless of thread count.
+ * Tests for the conservative event engine and parallelFor: lane
+ * isolation, mail ordering, horizon math, the threading rule (only an
+ * uncoupled engine's lanes leave the calling thread), and the
+ * headline property — byte-identical execution regardless of thread
+ * count.
  */
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <mutex>
+#include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -14,6 +20,62 @@
 
 namespace rio::des {
 namespace {
+
+TEST(ParallelFor, RunsEachIndexOnceOnAtMostMinThreadsN)
+{
+    for (const size_t n : {0u, 1u, 3u, 17u}) {
+        for (const unsigned threads : {1u, 2u, 64u}) {
+            std::vector<std::atomic<int>> runs(n);
+            std::mutex mu;
+            std::set<std::thread::id> ids;
+            parallelFor(n, threads, [&](size_t i) {
+                runs[i].fetch_add(1);
+                std::lock_guard<std::mutex> g(mu);
+                ids.insert(std::this_thread::get_id());
+            });
+            for (size_t i = 0; i < n; ++i)
+                EXPECT_EQ(runs[i].load(), 1)
+                    << "index " << i << ", n=" << n << ", threads=" << threads;
+            EXPECT_LE(ids.size(), std::min<size_t>(threads, n))
+                << "n=" << n << ", threads=" << threads;
+        }
+    }
+}
+
+TEST(ParallelFor, SingleThreadRunsInOrderOnTheCaller)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<size_t> order;
+    parallelFor(5, 1, [&](size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+    });
+    EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(ParallelEngine, CoupledEngineRunsEveryLaneOnTheCaller)
+{
+    // threads=4 is ignored once a lookahead is set: thin windows would
+    // pay a cross-thread barrier each, so they all run inline.
+    ParallelEngine eng(4);
+    eng.setLookahead(10);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> elsewhere{0};
+    u64 ran = 0;
+    for (int i = 0; i < 4; ++i) {
+        Lane &l = eng.addLane();
+        for (int k = 1; k <= 20; ++k)
+            l.sim().scheduleAt(static_cast<Nanos>(7 * k), [&] {
+                ++ran;
+                if (std::this_thread::get_id() != caller)
+                    elsewhere.fetch_add(1);
+            });
+    }
+    eng.run();
+    EXPECT_EQ(ran, 80u);
+    EXPECT_EQ(elsewhere.load(), 0);
+    EXPECT_GT(eng.rounds(), 1u) << "coupled: many thin windows";
+}
 
 TEST(ParallelEngine, SingleLaneBehavesLikeSimulator)
 {
@@ -133,6 +195,8 @@ runPingPong(unsigned threads, int hops, Nanos wire)
 
 TEST(ParallelEngine, PingPongIsDeterministicAcrossThreadCounts)
 {
+    // A coupled engine ignores its thread count: these comparisons pin
+    // that `threads` has no effect on what it runs.
     const auto seq = runPingPong(1, 64, 50);
     const auto par2 = runPingPong(2, 64, 50);
     const auto par4 = runPingPong(4, 64, 50);
@@ -148,7 +212,8 @@ TEST(ParallelEngine, PingPongIsDeterministicAcrossThreadCounts)
 TEST(ParallelEngine, ManyLanesManyMessagesDeterministic)
 {
     // A denser pattern: every lane fires events that message its ring
-    // neighbor. Compare full arrival traces across thread counts.
+    // neighbor. Compare full arrival traces across thread counts,
+    // which a coupled engine ignores.
     auto run = [](unsigned threads) {
         constexpr int kLanes = 8, kMsgs = 40;
         constexpr Nanos kWire = 25;
@@ -180,6 +245,20 @@ TEST(ParallelEngine, ManyLanesManyMessagesDeterministic)
     EXPECT_EQ(seq.first, par.first);
     EXPECT_EQ(seq.second, par.second);
     EXPECT_EQ(seq.second, u64{8 * 40 * 2}) << "send event + delivery";
+}
+
+TEST(ParallelEngineDeathTest, MailOnAnUncoupledEngineIsCaught)
+{
+    // Without a lookahead the lanes may run on different threads, so
+    // the unlocked inbox must refuse mail outright.
+    EXPECT_DEATH(
+        {
+            ParallelEngine eng(1);
+            Lane &a = eng.addLane();
+            Lane &b = eng.addLane();
+            a.sendTo(b, 10, [] {});
+        },
+        "coupled");
 }
 
 TEST(ParallelEngineDeathTest, WireFasterThanLookaheadIsCaught)
@@ -266,7 +345,8 @@ TEST(ParallelEngine, HorizonMailOrderIsThreadCountInvariant)
     // Pin the exact semantics: dst's own horizon event ran in the
     // window that scheduled it; both mails were delivered in one
     // barrier batch after it, sorted by source lane; the zero-delay
-    // follow-up (scheduled during delivery) runs last.
+    // follow-up (scheduled during delivery) runs last. The engine is
+    // coupled, so the thread count must not change any of it.
     const std::vector<int> want{1, 2, 3, 4};
     EXPECT_EQ(runHorizonBoundary(1), want);
     // The race was thread-schedule-dependent; give it iterations.
