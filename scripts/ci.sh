@@ -36,7 +36,7 @@ declare -A DIR=([asan]=build-asan [tsan]=build-tsan
 declare -A CONFIG=(
     [asan]="-DRIO_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo"
     [tsan]="-DRIO_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo"
-    [release]="-DRIO_OBS=ON -DCMAKE_BUILD_TYPE=Release"
+    [release]="-DCMAKE_BUILD_TYPE=Release"
     [default]=""
 )
 
@@ -93,16 +93,18 @@ extras_sanitize() {
 }
 
 extras_tsan() {
-    # Four mode lanes on four workers, each updating the shared IOTLB,
-    # page-walk and DMA-latency metrics on every op.
+    # Four mode lanes on four workers, each counting into its own
+    # machine; every machine's teardown merges its totals into the
+    # process-wide registry.
     RIO_BENCH_QUICK=1 "$1/bench/bench_fig7_cycles_per_packet" \
         --threads 4 > /dev/null
     # K-core flows: each (mode, cores) lane contends on its own locks.
     RIO_BENCH_QUICK=1 "$1/bench/bench_scaling_cores" \
         --cores 1,2 --threads 4 > /dev/null
     # Concurrent rows: whole clusters side by side, each on one
-    # thread, sharing only the process-wide obs state (registry, SLO
-    # gate, timeline pids); TSan holds them to that.
+    # thread, sharing only the process-wide obs state (the registry's
+    # teardown merge, SLO gate, timeline pids); TSan holds them to
+    # that.
     "$1/tests/fuzz_test" --gtest_filter='*ClusterFuzz*'
     RIO_BENCH_QUICK=1 "$1/bench/bench_cluster_rdma" \
         --connections 64 --quick --threads 4 > /dev/null

@@ -10,8 +10,7 @@ AhciDevice::AhciDevice(des::Simulator &sim, des::Core &core,
                        mem::PhysicalMemory &pm, dma::DmaHandle &handle,
                        AhciProfile profile, u64 seed)
     : sim_(sim), core_(core), pm_(pm), handle_(handle), profile_(profile),
-      rng_(seed), scratch_(profile.sector_bytes, 0),
-      obs_slots_busy_(obs::registry().gauge("ahci.slots_busy"))
+      rng_(seed), scratch_(profile.sector_bytes, 0)
 {
 }
 
@@ -48,7 +47,6 @@ AhciDevice::issue(bool is_write, u64 lba, u32 nsectors, PhysAddr data_pa)
         return m.status();
 
     slots_[idx] = Slot{true, is_write, lba, nsectors, m.value()};
-    obs_slots_busy_.set(kSlots - freeSlots());
     const Nanos when =
         std::max(sim_.now(), core_.virtualNow()) + profile_.doorbell_ns;
     const u64 e = epoch_;
@@ -148,7 +146,6 @@ AhciDevice::complete(u32 slot_idx)
     Status s = handle_.unmap(slot.mapping, /*end_of_burst=*/true);
     RIO_ASSERT(s.isOk(), "ahci unmap failed: ", s.toString());
     slot.busy = false;
-    obs_slots_busy_.set(kSlots - freeSlots());
     ++completed_;
 }
 
@@ -171,8 +168,7 @@ AhciDevice::removeCleanup()
             continue;
         (void)handle_.unmap(slot.mapping, /*end_of_burst=*/true);
         slot.busy = false;
-        obs_slots_busy_.set(kSlots - freeSlots());
-    }
+        }
 }
 
 void

@@ -21,7 +21,6 @@
 #include "des/simulator.h"
 #include "dma/dma_handle.h"
 #include "mem/phys_mem.h"
-#include "obs/registry.h"
 
 namespace rio::ahci {
 
@@ -119,7 +118,6 @@ class AhciDevice
     u64 completed_ = 0;
     u64 bytes_moved_ = 0;
     std::vector<u8> scratch_;
-    obs::Gauge &obs_slots_busy_; //!< occupied NCQ slots
 
     CompletionCallback completion_cb_;
 };

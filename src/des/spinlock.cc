@@ -17,10 +17,8 @@ SimSpinlock::acquire(Core *core, cycles::CycleAccount *acct)
         return 0;
 
     const Nanos now = core->virtualNow();
-    if (now >= free_at_) {
-        obs_wait_.observe(0);
+    if (now >= free_at_)
         return 0;
-    }
 
     // Spin until the previous critical section's virtual end. Charging
     // the wait advances the core's virtualNow() to (at least) the
@@ -33,7 +31,6 @@ SimSpinlock::acquire(Core *core, cycles::CycleAccount *acct)
         acct->charge(cycles::Cat::kLockWait, wait);
     ++stats_.contended;
     stats_.wait_cycles += wait;
-    obs_wait_.observe(wait);
     obs::Event e;
     e.kind = obs::Ev::kLockAcquire;
     e.t = core->virtualNow(); // the charge above advanced it to grant

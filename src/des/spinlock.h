@@ -26,7 +26,6 @@
 #include "cycles/cost_model.h"
 #include "cycles/cycle_account.h"
 #include "des/core.h"
-#include "obs/registry.h"
 
 namespace rio::des {
 
@@ -43,9 +42,7 @@ class SimSpinlock
     };
 
     SimSpinlock(const cycles::CostModel &cost, const char *name)
-        : cost_(cost), name_(name),
-          obs_wait_(obs::registry().histogram("lock.wait_cycles",
-                                              {{"lock", name}}))
+        : cost_(cost), name_(name)
     {
     }
 
@@ -76,7 +73,6 @@ class SimSpinlock
     bool held_ = false;
     Nanos free_at_ = 0;
     Stats stats_;
-    obs::Histogram &obs_wait_; //!< per-acquire spin cycles, by lock
 };
 
 /** RAII guard; a null lock or core degrades to a no-op / free pass. */

@@ -43,6 +43,8 @@ BaselineDmaHandle::~BaselineDmaHandle()
 {
     if (!detached_)
         iommu_.detachDevice(bdf_);
+    obs::registry().merge(
+        {{"qi.sync_cycles", {}, 0, &inval_queue_.stats().sync_cycles}});
 }
 
 void

@@ -17,6 +17,16 @@ DmaContext::DmaContext(const cycles::CostModel &cost,
 {
 }
 
+DmaContext::~DmaContext()
+{
+    const iommu::IotlbStats &tlb = iommu_.iotlb().stats();
+    obs::registry().merge(
+        {{"iotlb.hits", {}, tlb.hits},
+         {"iotlb.misses", {}, tlb.misses},
+         {"riotlb.implicit_invalidations", {},
+          riommu_.riotlb().stats().implicit_invalidations}});
+}
+
 std::unique_ptr<DmaHandle>
 DmaContext::makeHandle(ProtectionMode mode, iommu::Bdf bdf,
                        cycles::CycleAccount *acct,

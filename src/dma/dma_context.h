@@ -59,6 +59,9 @@ class DmaContext
         const cycles::CostModel &cost = cycles::defaultCostModel(),
         iommu::IotlbConfig iotlb_config = {});
 
+    /** Publishes the IOTLB and rIOTLB totals to obs::registry(). */
+    ~DmaContext();
+
     DmaContext(const DmaContext &) = delete;
     DmaContext &operator=(const DmaContext &) = delete;
 

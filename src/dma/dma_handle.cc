@@ -30,13 +30,20 @@ emitDmaSpan(obs::Ev kind, des::Core *core, Nanos t0, Cycles cycles,
 
 } // namespace
 
+DmaHandle::~DmaHandle()
+{
+    if (!obs_mode_)
+        return;
+    const obs::Labels mode = {{"mode", obs_mode_}};
+    obs::registry().merge({{"dma.map_cycles", mode, 0, &map_cycles_},
+                           {"dma.unmap_cycles", mode, 0, &unmap_cycles_}});
+}
+
 void
 DmaHandle::bindObs(const char *mode, cycles::CycleAccount *acct,
                    des::Core *core)
 {
-    const obs::Labels labels = {{"mode", mode ? mode : "?"}};
-    obs_map_cycles_ = &obs::registry().histogram("dma.map_cycles", labels);
-    obs_unmap_cycles_ = &obs::registry().histogram("dma.unmap_cycles", labels);
+    obs_mode_ = mode ? mode : "?";
     obs_acct_ = acct;
     obs_core_ = core;
 }
@@ -44,13 +51,13 @@ DmaHandle::bindObs(const char *mode, cycles::CycleAccount *acct,
 Result<DmaMapping>
 DmaHandle::map(u16 rid, PhysAddr pa, u32 size, iommu::DmaDir dir)
 {
-    const bool observed = obs_map_cycles_ != nullptr;
+    const bool observed = obs_mode_ != nullptr;
     const Cycles c0 = observed && obs_acct_ ? obs_acct_->total() : 0;
     const Nanos t0 = observed && obs_core_ ? obs_core_->virtualNow() : 0;
     auto m = mapImpl(rid, pa, size, dir);
     if (observed) {
         const Cycles dc = obs_acct_ ? obs_acct_->total() - c0 : 0;
-        obs_map_cycles_->observe(dc);
+        map_cycles_.observe(dc);
         emitDmaSpan(obs::Ev::kMap, obs_core_, t0, dc, bdf().pack(), rid);
     }
     if (m.isOk())
@@ -61,13 +68,13 @@ DmaHandle::map(u16 rid, PhysAddr pa, u32 size, iommu::DmaDir dir)
 Status
 DmaHandle::unmap(const DmaMapping &mapping, bool end_of_burst)
 {
-    const bool observed = obs_unmap_cycles_ != nullptr;
+    const bool observed = obs_mode_ != nullptr;
     const Cycles c0 = observed && obs_acct_ ? obs_acct_->total() : 0;
     const Nanos t0 = observed && obs_core_ ? obs_core_->virtualNow() : 0;
     Status s = unmapImpl(mapping, end_of_burst);
     if (observed) {
         const Cycles dc = obs_acct_ ? obs_acct_->total() - c0 : 0;
-        obs_unmap_cycles_->observe(dc);
+        unmap_cycles_.observe(dc);
         emitDmaSpan(obs::Ev::kUnmap, obs_core_, t0, dc, bdf().pack(), 0);
     }
     if (s.isOk())

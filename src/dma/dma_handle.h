@@ -21,15 +21,13 @@
 #include "dma/dma_trace.h"
 #include "dma/fault.h"
 #include "iommu/types.h"
+#include "obs/registry.h"
 
 namespace rio::cycles {
 class CycleAccount;
 }
 namespace rio::des {
 class Core;
-}
-namespace rio::obs {
-class Histogram;
 }
 
 namespace rio::dma {
@@ -70,7 +68,8 @@ struct LiveMappingInfo
 class DmaHandle
 {
   public:
-    virtual ~DmaHandle() = default;
+    /** Publishes the bound map/unmap histograms to obs::registry(). */
+    virtual ~DmaHandle();
 
     /**
      * Map @p size bytes at physical @p pa for DMA in direction
@@ -96,13 +95,18 @@ class DmaHandle
     Status unmap(const DmaMapping &mapping, bool end_of_burst);
 
     /**
-     * Arm map/unmap observability: cycle-latency histograms labeled
-     * {mode=@p mode} fed from @p acct's deltas, timeline spans on
-     * @p core's track. Any argument may be null/absent; recording
-     * degrades gracefully. Called by DmaContext::makeHandleWithSpecs.
+     * Arm map/unmap observability: cycle-latency histograms fed from
+     * @p acct's deltas, published at teardown labeled {mode=@p mode};
+     * timeline spans on @p core's track. @p acct and @p core may be
+     * null; recording degrades gracefully. Called by
+     * DmaContext::makeHandleWithSpecs.
      */
     void bindObs(const char *mode, cycles::CycleAccount *acct,
                  des::Core *core);
+
+    /** Driver cycles of each map()/unmap() since bindObs(). */
+    const obs::Histogram &mapCycles() const { return map_cycles_; }
+    const obs::Histogram &unmapCycles() const { return unmap_cycles_; }
 
     /**
      * Record every successful map/unmap and every device access (plus
@@ -287,9 +291,10 @@ class DmaHandle
     DmaTrace *trace_ = nullptr; //!< bindTrace; null = not recording
 
     // Observability bindings (bindObs); never read by mode logic.
-    // Null until bound.
-    obs::Histogram *obs_map_cycles_ = nullptr;
-    obs::Histogram *obs_unmap_cycles_ = nullptr;
+    // obs_mode_ is null until bound.
+    const char *obs_mode_ = nullptr;
+    obs::Histogram map_cycles_{obs::cycleBuckets()};
+    obs::Histogram unmap_cycles_{obs::cycleBuckets()};
     cycles::CycleAccount *obs_acct_ = nullptr;
     des::Core *obs_core_ = nullptr;
 };

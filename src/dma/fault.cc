@@ -2,7 +2,6 @@
 
 #include "base/logging.h"
 #include "obs/flight.h"
-#include "obs/registry.h"
 #include "obs/timeline.h"
 
 namespace rio::dma {
@@ -35,9 +34,6 @@ FaultEngine::recover(Status fail, const std::function<void()> &repair,
 {
     RIO_ASSERT(!fail.isOk(), "recover() on a successful access");
     ++stats_.faults_seen;
-    obs::registry()
-        .counter("fault.recoveries", {{"policy", faultPolicyName(policy_)}})
-        .inc();
     obs::Event ev;
     ev.kind = obs::Ev::kFault;
     ev.arg = static_cast<u64>(policy_);

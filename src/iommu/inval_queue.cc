@@ -75,10 +75,7 @@ QiDescriptor::wait(PhysAddr status_addr)
 
 InvalQueue::InvalQueue(mem::PhysicalMemory &pm, Iommu &iommu,
                        const cycles::CostModel &cost, u32 entries)
-    : pm_(pm), iommu_(iommu), cost_(cost), entries_(entries),
-      obs_depth_(obs::registry().gauge("qi.depth")),
-      obs_sync_(obs::registry().histogram("qi.sync_cycles")),
-      obs_timeouts_(obs::registry().counter("qi.timeouts"))
+    : pm_(pm), iommu_(iommu), cost_(cost), entries_(entries)
 {
     RIO_ASSERT(entries_ >= 4, "QI ring too small");
     base_ = pm_.allocContiguous(static_cast<u64>(entries_) * kDescBytes);
@@ -165,15 +162,12 @@ InvalQueue::invalidateEntrySync(Bdf bdf, u64 iova_pfn,
     c += cost_.qi_doorbell;
     if (traps_)
         traps_->onQiDoorbell(acct);
-    obs_depth_.set((tail_ + entries_ - head_) % entries_);
     c += hardwareDrain();
     if (queue_error_ || head_ != tail_) {
         // Bounded spin: the wait never landed. Give up instead of
         // spinning forever in virtual time.
         c += cost_.qi_timeout_spin;
         ++stats_.timeouts;
-        obs_timeouts_.inc();
-        obs_depth_.set((tail_ + entries_ - head_) % entries_);
         obs::timeline().emit(qiEndEvent(issue, c, cost_.core_ghz, false));
         obs::flightDump("qi_timeout");
         if (acct)
@@ -186,8 +180,7 @@ InvalQueue::invalidateEntrySync(Bdf bdf, u64 iova_pfn,
     RIO_ASSERT(pm_.read64(status_addr_) == status_cookie_,
                "QI wait did not complete");
     c += 2 * cost_.cached_access;
-    obs_sync_.observe(c);
-    obs_depth_.set(0);
+    stats_.sync_cycles.observe(c);
     obs::timeline().emit(qiEndEvent(issue, c, cost_.core_ghz, true));
     if (acct)
         acct->charge(cycles::Cat::kUnmapIotlbInv, c);
@@ -205,13 +198,10 @@ InvalQueue::flushAllSync(cycles::CycleAccount *acct, cycles::Cat cat)
     c += cost_.qi_doorbell;
     if (traps_)
         traps_->onQiDoorbell(acct);
-    obs_depth_.set((tail_ + entries_ - head_) % entries_);
     c += hardwareDrain();
     if (queue_error_ || head_ != tail_) {
         c += cost_.qi_timeout_spin;
         ++stats_.timeouts;
-        obs_timeouts_.inc();
-        obs_depth_.set((tail_ + entries_ - head_) % entries_);
         obs::timeline().emit(qiEndEvent(issue, c, cost_.core_ghz, false));
         obs::flightDump("qi_timeout");
         if (acct)
@@ -223,8 +213,7 @@ InvalQueue::flushAllSync(cycles::CycleAccount *acct, cycles::Cat cat)
     RIO_ASSERT(pm_.read64(status_addr_) == status_cookie_,
                "QI wait did not complete");
     c += 2 * cost_.cached_access;
-    obs_sync_.observe(c);
-    obs_depth_.set(0);
+    stats_.sync_cycles.observe(c);
     obs::timeline().emit(qiEndEvent(issue, c, cost_.core_ghz, true));
     if (acct)
         acct->chargeCont(cat, c);

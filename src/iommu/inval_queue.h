@@ -52,6 +52,9 @@ struct QiDescriptor
 /** Running counters. */
 struct QiStats
 {
+    /** Completion latency of each successful sync op, cycles. */
+    obs::Histogram sync_cycles{obs::cycleBuckets()};
+
     u64 submitted = 0;
     u64 entry_invalidations = 0;
     u64 global_flushes = 0;
@@ -190,9 +193,6 @@ class InvalQueue
     des::SimSpinlock *lock_ = nullptr;
     des::Core *lock_core_ = nullptr;
     VirtTraps *traps_ = nullptr;
-    obs::Gauge &obs_depth_;       //!< descriptors pending, peak-tracked
-    obs::Histogram &obs_sync_;    //!< sync-op completion latency, cycles
-    obs::Counter &obs_timeouts_;
 };
 
 } // namespace rio::iommu

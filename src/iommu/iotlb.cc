@@ -5,10 +5,7 @@
 namespace rio::iommu {
 
 Iotlb::Iotlb(IotlbConfig config)
-    : config_(config),
-      obs_hits_(obs::registry().counter("iotlb.hits")),
-      obs_misses_(obs::registry().counter("iotlb.misses")),
-      obs_evictions_(obs::registry().counter("iotlb.evictions"))
+    : config_(config)
 {
     RIO_ASSERT(config_.sets > 0 && config_.ways > 0, "empty IOTLB");
     entries_.resize(static_cast<size_t>(config_.sets) * config_.ways);
@@ -47,11 +44,9 @@ Iotlb::lookup(u16 sid, u64 iova_pfn)
     Entry *e = findEntry(sid, iova_pfn);
     if (!e) {
         ++stats_.misses;
-        obs_misses_.inc();
         return std::nullopt;
     }
     ++stats_.hits;
-    obs_hits_.inc();
     e->lru_tick = ++tick_;
     return e->pte;
 }
@@ -75,10 +70,8 @@ Iotlb::insert(u16 sid, u64 iova_pfn, Pte pte)
         if (!victim || e.lru_tick < victim->lru_tick)
             victim = &e;
     }
-    if (victim->valid) {
+    if (victim->valid)
         ++stats_.evictions;
-        obs_evictions_.inc();
-    }
     *victim = Entry{true, sid, iova_pfn, pte, ++tick_};
     ++stats_.inserts;
 }

@@ -14,7 +14,6 @@
 #include "base/types.h"
 #include "iommu/page_table.h"
 #include "iommu/types.h"
-#include "obs/registry.h"
 
 namespace rio::iommu {
 
@@ -89,11 +88,6 @@ class Iotlb
     std::vector<Entry> entries_; // sets * ways, row-major by set
     u64 tick_ = 0;
     IotlbStats stats_;
-    // Process-wide mirrors of the hot counters (all IOTLBs
-    // aggregate).
-    obs::Counter &obs_hits_;
-    obs::Counter &obs_misses_;
-    obs::Counter &obs_evictions_;
 };
 
 } // namespace rio::iommu

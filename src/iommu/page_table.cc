@@ -4,7 +4,6 @@
 
 #include "base/logging.h"
 #include "iommu/virt_hooks.h"
-#include "obs/registry.h"
 
 namespace rio::iommu {
 
@@ -15,10 +14,6 @@ IoPageTable::IoPageTable(mem::PhysicalMemory &pm, bool coherent,
 {
     root_ = pm_.allocFrame();
     ++table_pages_;
-    for (int level = 1; level <= kLevels; ++level)
-        level_reads_[level - 1] = &obs::registry().counter(
-            "iommu.pt_walk.level_reads",
-            {{"level", std::to_string(level)}});
 }
 
 IoPageTable::~IoPageTable()
@@ -248,7 +243,7 @@ IoPageTable::walk(u64 iova_pfn, int *levels_touched, VirtStage2 *s2,
             table = s2->deviceTranslate(table, mem_refs);
         if (mem_refs)
             ++*mem_refs;
-        level_reads_[level - 1]->inc();
+        ++level_reads_[level - 1];
         const PhysAddr slot = table + levelIndex(iova_pfn, level) * 8;
         const Pte entry{pm_.read64(slot)};
         if (!entry.present()) {

@@ -20,10 +20,6 @@
 #include "iommu/types.h"
 #include "mem/phys_mem.h"
 
-namespace rio::obs {
-struct Counter;
-}
-
 namespace rio::iommu {
 
 class VirtStage2;
@@ -181,6 +177,9 @@ class IoPageTable
     /** 4 KB table pages backing the hierarchy. */
     u64 tablePages() const { return table_pages_; }
 
+    /** Table entries walk() read at @p level (1 = root). */
+    u64 levelReads(int level) const { return level_reads_[level - 1]; }
+
   private:
     static unsigned levelIndex(u64 iova_pfn, int level);
 
@@ -202,8 +201,8 @@ class IoPageTable
     u64 mapped_pages_ = 0;
     u64 huge_mappings_ = 0;
     u64 table_pages_ = 0;
-    /** Per-level hardware-walk read counters (obs::Registry). */
-    std::array<obs::Counter *, kLevels> level_reads_{};
+    /** Hardware-walk table reads per level (walk() is const). */
+    mutable std::array<u64, kLevels> level_reads_{};
 };
 
 } // namespace rio::iommu

@@ -20,9 +20,7 @@ Nic::BufferPool::pop()
 Nic::Nic(des::Simulator &sim, des::Core &core, mem::PhysicalMemory &pm,
          dma::DmaHandle &handle, const NicProfile &profile)
     : sim_(sim), core_(core), pm_(pm), handle_(handle), profile_(profile),
-      scratch_(profile.data_buf_bytes, 0),
-      obs_tx_occupancy_(obs::registry().gauge("nic.tx_ring_occupancy")),
-      obs_tx_wb_lag_(obs::registry().gauge("nic.tx_writeback_lag"))
+      scratch_(profile.data_buf_bytes, 0)
 {
 }
 
@@ -257,7 +255,6 @@ Nic::sendPacket(const net::Packet &pkt)
             meta.pkt = pkt;
         }
     }
-    updateObsGauges();
     kickTx();
     return Status::ok();
 }
@@ -371,7 +368,6 @@ Nic::deviceTxPump()
         }
         tx_completed_since_irq_ += static_cast<u32>(idxs.size());
         tx_completed_unclean_ += static_cast<u32>(idxs.size());
-        updateObsGauges();
         ++stats_.tx_packets;
         stats_.tx_payload_bytes += pkt.payload_bytes;
         if (!fault && wire_tx_cb_)
@@ -432,7 +428,6 @@ Nic::txIrqHandler()
         tx_clean_idx_ = tx_ring_->next(tx_clean_idx_);
         --tx_completed_unclean_;
     }
-    updateObsGauges();
     if (done.empty())
         return;
 

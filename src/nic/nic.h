@@ -26,7 +26,6 @@
 #include "dma/dma_handle.h"
 #include "net/packet.h"
 #include "nic/profile.h"
-#include "obs/registry.h"
 #include "ring/descriptor_ring.h"
 
 namespace rio::nic {
@@ -205,14 +204,6 @@ class Nic
     /** Shared unmap-all used by shutDown and removeCleanup. */
     void teardownMappings();
 
-    /** Refresh the ring-occupancy / writeback-lag gauges. */
-    void
-    updateObsGauges()
-    {
-        obs_tx_occupancy_.set(tx_ring_ ? tx_ring_->pending() : 0);
-        obs_tx_wb_lag_.set(tx_completed_unclean_);
-    }
-
     des::Simulator &sim_;
     des::Core &core_;
     mem::PhysicalMemory &pm_;
@@ -249,8 +240,6 @@ class Nic
 
     std::vector<u8> scratch_;
     NicStats stats_;
-    obs::Gauge &obs_tx_occupancy_; //!< device-owned tx descriptors
-    obs::Gauge &obs_tx_wb_lag_;    //!< completed but not yet recycled
 
     RxCallback rx_cb_;
     TxSpaceCallback tx_space_cb_;

@@ -11,8 +11,7 @@ NvmeDevice::NvmeDevice(des::Simulator &sim, des::Core &core,
                        mem::PhysicalMemory &pm, dma::DmaHandle &handle,
                        NvmeProfile profile)
     : sim_(sim), core_(core), pm_(pm), handle_(handle), profile_(profile),
-      scratch_(profile.block_bytes, 0),
-      obs_sq_inflight_(obs::registry().gauge("nvme.sq_inflight"))
+      scratch_(profile.block_bytes, 0)
 {
     RIO_ASSERT(profile_.queue_entries >= 2 &&
                    profile_.queue_entries <= 65536,
@@ -79,7 +78,6 @@ NvmeDevice::teardownMappings()
     sq_tail_ = 0;
     sq_head_ = 0;
     sq_inflight_ = 0;
-    obs_sq_inflight_.set(0);
     cq_tail_ = 0;
     cq_head_ = 0;
     completions_since_irq_ = 0;
@@ -153,7 +151,6 @@ NvmeDevice::submit(Opcode op, u64 slba, u32 nlb, PhysAddr data_pa)
 
     sq_tail_ = (sq_tail_ + 1) % profile_.queue_entries;
     ++sq_inflight_;
-    obs_sq_inflight_.set(sq_inflight_);
     kick();
     return cmd.cid;
 }
@@ -315,7 +312,6 @@ NvmeDevice::irqHandler()
         cid_to_slot_.erase(it);
         slot.busy = false;
         --sq_inflight_;
-        obs_sq_inflight_.set(sq_inflight_);
         ++completed_;
         // Keep the mapping to unmap in burst order below.
         const bool last = cq_head_ == cq_tail_;

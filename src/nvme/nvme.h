@@ -22,7 +22,6 @@
 #include "des/core.h"
 #include "des/simulator.h"
 #include "dma/dma_handle.h"
-#include "obs/registry.h"
 #include "mem/phys_mem.h"
 
 namespace rio::nvme {
@@ -198,7 +197,6 @@ class NvmeDevice
     u64 completed_ = 0;
     u64 media_bytes_ = 0;
     u64 dma_faults_ = 0;
-    obs::Gauge &obs_sq_inflight_; //!< commands the device owns
 
     CompletionCallback completion_cb_;
 };

@@ -4,7 +4,6 @@
 #include <mutex>
 
 #include "base/strings.h"
-#include "obs/registry.h"
 
 namespace rio::obs {
 
@@ -137,9 +136,6 @@ flightRecorder()
 u64
 flightDump(const std::string &reason)
 {
-    if (!kObsCompiled)
-        return 0;
-    registry().counter("flight.dumps").inc();
     const u64 seq = flightRecorder().dump(reason);
     // Mirror the dump into the timeline so `--timeline` output shows
     // where in virtual time the failure hit. Timestamp: the newest

@@ -101,7 +101,6 @@ void clearFlightDumpArchive();
  * Convenience trigger used by the failure paths: fire a flight dump
  * (subject to the rate limit) and mirror it into the timeline as an
  * instant event so `--timeline` output carries the dump marker.
- * No-op (returns 0) when observability is compiled out.
  */
 u64 flightDump(const std::string &reason);
 

@@ -15,7 +15,7 @@ Histogram::Histogram(std::vector<u64> bounds) : bounds_(std::move(bounds))
 }
 
 void
-Histogram::observeLocked(u64 v)
+Histogram::observe(u64 v)
 {
     size_t i = std::lower_bound(bounds_.begin(), bounds_.end(), v) -
                bounds_.begin();
@@ -25,37 +25,19 @@ Histogram::observeLocked(u64 v)
 }
 
 void
-Histogram::observe(u64 v)
+Histogram::merge(const Histogram &o)
 {
-    SpinGuard g(lock_);
-    observeLocked(v);
-}
-
-u64
-Histogram::count() const
-{
-    SpinGuard g(lock_);
-    return count_;
-}
-
-u64
-Histogram::sum() const
-{
-    SpinGuard g(lock_);
-    return sum_;
-}
-
-std::vector<u64>
-Histogram::buckets() const
-{
-    SpinGuard g(lock_);
-    return buckets_;
+    RIO_ASSERT(bounds_ == o.bounds_,
+               "merging histograms with different bounds");
+    for (size_t i = 0; i < buckets_.size(); ++i)
+        buckets_[i] += o.buckets_[i];
+    count_ += o.count_;
+    sum_ += o.sum_;
 }
 
 void
 Histogram::reset()
 {
-    SpinGuard g(lock_);
     std::fill(buckets_.begin(), buckets_.end(), u64{0});
     count_ = 0;
     sum_ = 0;
@@ -64,7 +46,6 @@ Histogram::reset()
 double
 Histogram::avg() const
 {
-    SpinGuard g(lock_);
     return count_ ? static_cast<double>(sum_) /
                         static_cast<double>(count_)
                   : 0.0;
@@ -73,7 +54,6 @@ Histogram::avg() const
 u64
 Histogram::quantileBound(double q) const
 {
-    SpinGuard g(lock_);
     if (count_ == 0)
         return 0;
     double target = q * static_cast<double>(count_);
@@ -127,65 +107,38 @@ MetricEntry::key() const
     return k;
 }
 
-MetricEntry &
-Registry::findOrCreate(MetricEntry::Type type, const std::string &name,
-                       Labels labels)
+void
+Registry::merge(const std::vector<Total> &totals)
 {
-    // Caller holds mu_.
-    // Canonical identity: labels sorted by key.
-    std::sort(labels.begin(), labels.end());
-    MetricEntry probe;
-    probe.name = name;
-    probe.labels = labels;
-    const std::string key = probe.key();
-    auto it = index_.find(key);
-    if (it != index_.end()) {
+    std::lock_guard<std::mutex> g(mu_);
+    for (const Total &t : totals) {
+        const auto type = t.histogram ? MetricEntry::Type::kHistogram
+                                      : MetricEntry::Type::kCounter;
+        MetricEntry probe;
+        probe.type = type;
+        probe.name = t.name;
+        probe.labels = t.labels;
+        // Canonical identity: labels sorted by key.
+        std::sort(probe.labels.begin(), probe.labels.end());
+        const std::string key = probe.key();
+        auto [it, fresh] = index_.emplace(key, entries_.size());
+        if (fresh) {
+            if (t.histogram)
+                probe.histogram =
+                    std::make_unique<Histogram>(t.histogram->bounds());
+            else
+                probe.counter = std::make_unique<Counter>();
+            entries_.push_back(
+                std::make_unique<MetricEntry>(std::move(probe)));
+        }
         MetricEntry &e = *entries_[it->second];
         RIO_ASSERT(e.type == type, "metric ", key,
-                   " re-registered with a different type");
-        return e;
+                   " merged with a different type");
+        if (t.histogram)
+            e.histogram->merge(*t.histogram);
+        else
+            e.counter->inc(t.count);
     }
-    auto entry = std::make_unique<MetricEntry>();
-    entry->type = type;
-    entry->name = name;
-    entry->labels = std::move(labels);
-    entries_.push_back(std::move(entry));
-    index_[key] = entries_.size() - 1;
-    return *entries_.back();
-}
-
-Counter &
-Registry::counter(const std::string &name, Labels labels)
-{
-    std::lock_guard<std::mutex> g(mu_);
-    MetricEntry &e = findOrCreate(MetricEntry::Type::kCounter, name,
-                                  std::move(labels));
-    if (!e.counter)
-        e.counter = std::make_unique<Counter>();
-    return *e.counter;
-}
-
-Gauge &
-Registry::gauge(const std::string &name, Labels labels)
-{
-    std::lock_guard<std::mutex> g(mu_);
-    MetricEntry &e =
-        findOrCreate(MetricEntry::Type::kGauge, name, std::move(labels));
-    if (!e.gauge)
-        e.gauge = std::make_unique<Gauge>();
-    return *e.gauge;
-}
-
-Histogram &
-Registry::histogram(const std::string &name, Labels labels,
-                    std::vector<u64> bounds)
-{
-    std::lock_guard<std::mutex> g(mu_);
-    MetricEntry &e = findOrCreate(MetricEntry::Type::kHistogram, name,
-                                  std::move(labels));
-    if (!e.histogram)
-        e.histogram = std::make_unique<Histogram>(std::move(bounds));
-    return *e.histogram;
 }
 
 std::vector<SnapshotEntry>
@@ -194,24 +147,16 @@ Registry::snapshot() const
     std::lock_guard<std::mutex> g(mu_);
     std::vector<SnapshotEntry> out;
     out.reserve(entries_.size());
-    for (const auto &e : entries_) {
+    for (const auto &[key, idx] : index_) {
+        const MetricEntry &e = *entries_[idx];
         SnapshotEntry s;
-        s.key = e->key();
-        switch (e->type) {
-          case MetricEntry::Type::kCounter:
-            s.values = {e->counter->get()};
-            break;
-          case MetricEntry::Type::kGauge:
-            s.values = {static_cast<u64>(e->gauge->value.load(
-                            std::memory_order_relaxed)),
-                        static_cast<u64>(e->gauge->high.load(
-                            std::memory_order_relaxed))};
-            break;
-          case MetricEntry::Type::kHistogram:
-            s.values = e->histogram->buckets();
-            s.values.push_back(e->histogram->count());
-            s.values.push_back(e->histogram->sum());
-            break;
+        s.key = key;
+        if (e.histogram) {
+            s.values = e.histogram->buckets();
+            s.values.push_back(e.histogram->count());
+            s.values.push_back(e.histogram->sum());
+        } else {
+            s.values = {e.counter->get()};
         }
         out.push_back(std::move(s));
     }
@@ -225,8 +170,6 @@ Registry::resetValues()
     for (auto &e : entries_) {
         if (e->counter)
             e->counter->reset();
-        if (e->gauge)
-            e->gauge->reset();
         if (e->histogram)
             e->histogram->reset();
     }

@@ -1,37 +1,32 @@
 /**
  * @file
- * Metrics registry: named counters, gauges and fixed-bucket
- * histograms the simulation layers update as they run, so a bench or
- * test can ask *when and where* cycles went (IOTLB churn, QI depth,
- * lock waits) instead of only reading end-of-run CycleAccount totals.
+ * Metrics registry: the process-wide totals of a few headline counts
+ * (IOTLB hits and misses, QI sync latency, rIOTLB implicit
+ * invalidations, per-mode DMA map/unmap latency), published once by
+ * each owner at teardown so a bench can read them after its machines
+ * are gone.
+ *
+ * Every count lives once, as a plain integer or Histogram in the
+ * component that owns it (IotlbStats, QiStats, RiotlbStats, the DMA
+ * handle's latency histograms). Those owners are lane-confined, so
+ * the per-op path touches no shared state. Their destructors fold
+ * the totals in here through one merge() call, the only writer.
  *
  * Two invariants carried by every metric:
- *  - zero simulated cost: updating a metric never charges cycles,
- *    never draws RNG, never touches simulated memory — golden benches
- *    replay bit-for-bit with instrumentation compiled in;
- *  - determinism: metrics live in registration order, and a
- *    deterministic run produces an identical snapshot() every time.
+ *  - zero simulated cost: counting never charges cycles, never draws
+ *    RNG, never touches simulated memory;
+ *  - determinism: snapshot() lists metrics sorted by key, and totals
+ *    are sums, so a deterministic run produces an identical snapshot
+ *    at any thread count.
  *
- * Metrics are identified by name + labels (e.g. "dma.map_cycles"
- * {mode=strict}); registering the same identity twice returns the
- * same object, so per-mode/per-device instances aggregate naturally.
- * Each metric's hot state is alignas(kCachelineSize) so one update
- * touches one line.
- *
- * Thread model (for des::ParallelEngine): every update goes straight
- * to its metric — Counter/Gauge updates are relaxed atomics,
- * Histogram serializes behind a per-histogram spinlock, and the
- * registry's structural maps take a mutex — so concurrent lanes may
- * hammer disjoint *or shared* metrics freely, and a metric read on
- * the updating thread is exact right after the op. Relaxed ordering
- * is enough because cross-lane totals are only *read* at barriers
- * (snapshot after all lanes joined), never used to communicate
- * between lanes.
+ * Thread model: merge(), snapshot(), resetValues() and clear() take
+ * the registry's one mutex. metrics() and the Counter/Histogram
+ * values it hands out are unsynchronized; read them only when no
+ * owner can be tearing down (after every lane has joined).
  */
 #ifndef RIO_OBS_REGISTRY_H
 #define RIO_OBS_REGISTRY_H
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -47,52 +42,13 @@ namespace rio::obs {
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
 /** Monotonic event count. */
-struct alignas(kCachelineSize) Counter
+struct Counter
 {
-    std::atomic<u64> value{0};
+    u64 value = 0;
 
-    void inc(u64 n = 1) { value.fetch_add(n, std::memory_order_relaxed); }
-    u64 get() const { return value.load(std::memory_order_relaxed); }
-    void reset() { value.store(0, std::memory_order_relaxed); }
-};
-
-/** Instantaneous level plus its high-water mark. */
-struct alignas(kCachelineSize) Gauge
-{
-    std::atomic<i64> value{0};
-    std::atomic<i64> high{0};
-
-    void
-    set(i64 v)
-    {
-        value.store(v, std::memory_order_relaxed);
-        raiseHigh(v);
-    }
-
-    void
-    add(i64 d)
-    {
-        raiseHigh(value.fetch_add(d, std::memory_order_relaxed) + d);
-    }
-
-    void
-    reset()
-    {
-        value.store(0, std::memory_order_relaxed);
-        high.store(0, std::memory_order_relaxed);
-    }
-
-  private:
-    /** CAS-max: lift the high-water mark to at least @p v. */
-    void
-    raiseHigh(i64 v)
-    {
-        i64 h = high.load(std::memory_order_relaxed);
-        while (v > h &&
-               !high.compare_exchange_weak(h, v,
-                                           std::memory_order_relaxed))
-            ;
-    }
+    void inc(u64 n = 1) { value += n; }
+    u64 get() const { return value; }
+    void reset() { value = 0; }
 };
 
 /**
@@ -107,12 +63,15 @@ class Histogram
 
     void observe(u64 v);
 
-    u64 count() const;
-    u64 sum() const;
+    /** Add every observation of @p o (same bounds). */
+    void merge(const Histogram &o);
+
+    u64 count() const { return count_; }
+    u64 sum() const { return sum_; }
     double avg() const;
     const std::vector<u64> &bounds() const { return bounds_; }
     /** bounds().size() + 1 entries; last is the overflow bucket. */
-    std::vector<u64> buckets() const;
+    const std::vector<u64> &buckets() const { return buckets_; }
 
     /**
      * Estimate of quantile @p q (0..1]: finds the bucket holding the
@@ -128,27 +87,10 @@ class Histogram
     void reset();
 
   private:
-    void observeLocked(u64 v);
-
-    /** Sections are a few instructions, so a spinlock beats a mutex
-     * on the per-op path, even where concurrent bench rows share a
-     * histogram. */
-    struct SpinGuard
-    {
-        explicit SpinGuard(std::atomic_flag &f) : f_(f)
-        {
-            while (f_.test_and_set(std::memory_order_acquire))
-                ;
-        }
-        ~SpinGuard() { f_.clear(std::memory_order_release); }
-        std::atomic_flag &f_;
-    };
-
     std::vector<u64> bounds_; //!< ascending upper bounds; immutable
     std::vector<u64> buckets_;
     u64 count_ = 0;
     u64 sum_ = 0;
-    mutable std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
 };
 
 /** Default bucket ladder for cycle-valued histograms (1..64K, x4). */
@@ -157,13 +99,12 @@ std::vector<u64> cycleBuckets();
 /** One registered metric and everything needed to print it. */
 struct MetricEntry
 {
-    enum class Type : u8 { kCounter, kGauge, kHistogram };
+    enum class Type : u8 { kCounter, kHistogram };
 
     Type type;
     std::string name;
     Labels labels;
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
 
     /** "name{k=v,...}" — the canonical identity string. */
@@ -182,20 +123,26 @@ struct SnapshotEntry
     }
 };
 
+/** One owner total handed to Registry::merge. */
+struct Total
+{
+    std::string name;
+    Labels labels;
+    u64 count = 0;                        //!< added to a counter...
+    const Histogram *histogram = nullptr; //!< ...unless this is set
+};
+
 /**
- * The process-wide metric table. Components register on first use and
- * keep the returned pointer; the registry owns the storage for the
- * life of the process (or until clear(), which only tests call — any
- * cached pointer dangles after that).
+ * The process-wide metric table. Metrics are identified by name +
+ * labels (e.g. "dma.map_cycles{mode=strict}"); merging the same
+ * identity twice adds into one metric, so per-owner totals aggregate
+ * naturally.
  */
 class Registry
 {
   public:
-    Counter &counter(const std::string &name, Labels labels = {});
-    Gauge &gauge(const std::string &name, Labels labels = {});
-    /** @p bounds used only on first registration of this identity. */
-    Histogram &histogram(const std::string &name, Labels labels = {},
-                         std::vector<u64> bounds = cycleBuckets());
+    /** Add @p totals, registering each identity on first sight. */
+    void merge(const std::vector<Total> &totals);
 
     /** Metrics in registration order. */
     const std::vector<std::unique_ptr<MetricEntry>> &metrics() const
@@ -203,31 +150,22 @@ class Registry
         return entries_;
     }
 
-    /** Flattened values in registration order (determinism checks). */
+    /** Flattened values sorted by key (determinism checks). */
     std::vector<SnapshotEntry> snapshot() const;
 
     /** Zero every value, keep registrations (between bench runs). */
     void resetValues();
 
-    /** Drop everything — invalidates cached metric pointers; tests
-     * only, between fixtures that re-create their components. */
+    /** Drop every metric (tests). */
     void clear();
 
   private:
-    MetricEntry &findOrCreate(MetricEntry::Type type,
-                              const std::string &name,
-                              Labels labels);
-
-    /** Guards the structural maps (registration), not metric values —
-     * those have their own synchronization. snapshot()/resetValues()
-     * also take it so a concurrent registration cannot reallocate
-     * entries_ under them. */
     mutable std::mutex mu_;
     std::vector<std::unique_ptr<MetricEntry>> entries_;
     std::map<std::string, size_t> index_; //!< key -> entries_ index
 };
 
-/** The global registry every instrumentation point uses. */
+/** The global registry owners publish their totals to. */
 Registry &registry();
 
 } // namespace rio::obs

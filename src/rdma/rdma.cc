@@ -8,7 +8,6 @@
 #include "base/logging.h"
 #include "base/strings.h"
 #include "obs/flight.h"
-#include "obs/registry.h"
 #include "obs/timeline.h"
 #include "obs/trace_ctx.h"
 #include "riommu/structures.h"
@@ -88,7 +87,7 @@ RdmaNic::sendAt(u32 dst_nic, Nanos when, WireMsg msg)
     RIO_ASSERT(send_, "RdmaNic wire not connected");
     msg.src_nic = nic_id_;
     msg.dst_nic = dst_nic;
-    if (obs::kObsCompiled && msg.trace) {
+    if (msg.trace) {
         // Wire-transit child span of the op: [send, arrival] on the
         // sender's track (propagation + serialization; hostile-wire
         // extra delay shows up as ingress queueing at the far end).
@@ -357,25 +356,7 @@ RdmaNic::postWrite(u32 qp, u32 bytes, u64 roffset)
     ++stats_.posts;
     ++stats_.writes_sent;
     stats_.bytes_sent += bytes;
-    if (slo) {
-        auto delta = sloSnapshot();
-        for (size_t c = 0; c < obs::kSloMaxCats; ++c)
-            delta[c] -= cat0[c];
-        slo_post_cats_[(static_cast<u64>(qp) << 32) | w] = delta;
-    }
-    if (obs::kObsCompiled) {
-        obs::Event ev;
-        ev.kind = obs::Ev::kOpPost;
-        ev.t = core_.virtualNow();
-        ev.trace = trace;
-        ev.arg = bytes;
-        ev.arg2 = (static_cast<u64>(qp) << 32) | w;
-        ev.pid = core_.obsPid();
-        ev.tid = core_.obsTid();
-        obs::timeline().emit(ev);
-    }
-    sim_.scheduleAt(core_.virtualNow() + profile_.doorbell_ns,
-                    [this, qp, w] { deviceFetchWqe(qp, w); });
+    ringDoorbell(qp, w, trace, bytes, slo ? &cat0 : nullptr);
     return true;
 }
 
@@ -426,25 +407,7 @@ RdmaNic::postRead(u32 qp, u32 bytes, u64 roffset)
     ++inflight_total_;
     ++stats_.posts;
     ++stats_.reads_sent;
-    if (slo) {
-        auto delta = sloSnapshot();
-        for (size_t c = 0; c < obs::kSloMaxCats; ++c)
-            delta[c] -= cat0[c];
-        slo_post_cats_[(static_cast<u64>(qp) << 32) | w] = delta;
-    }
-    if (obs::kObsCompiled) {
-        obs::Event ev;
-        ev.kind = obs::Ev::kOpPost;
-        ev.t = core_.virtualNow();
-        ev.trace = trace;
-        ev.arg = bytes;
-        ev.arg2 = (static_cast<u64>(qp) << 32) | w;
-        ev.pid = core_.obsPid();
-        ev.tid = core_.obsTid();
-        obs::timeline().emit(ev);
-    }
-    sim_.scheduleAt(core_.virtualNow() + profile_.doorbell_ns,
-                    [this, qp, w] { deviceFetchWqe(qp, w); });
+    ringDoorbell(qp, w, trace, bytes, slo ? &cat0 : nullptr);
     return true;
 }
 
@@ -520,26 +483,31 @@ RdmaNic::postMig(u32 qp, PhysAddr src_pa, u32 bytes, u64 tag,
         ++stats_.mig_pages_sent;
     stats_.mig_bytes_sent += bytes;
     stats_.bytes_sent += bytes;
-    if (slo) {
+    ringDoorbell(qp, w, trace, bytes, slo ? &cat0 : nullptr);
+    return true;
+}
+
+void
+RdmaNic::ringDoorbell(u32 qp, u32 w, u64 trace, u32 bytes,
+                      const std::array<u64, obs::kSloMaxCats> *cat0)
+{
+    if (cat0) {
         auto delta = sloSnapshot();
         for (size_t c = 0; c < obs::kSloMaxCats; ++c)
-            delta[c] -= cat0[c];
+            delta[c] -= (*cat0)[c];
         slo_post_cats_[(static_cast<u64>(qp) << 32) | w] = delta;
     }
-    if (obs::kObsCompiled) {
-        obs::Event ev;
-        ev.kind = obs::Ev::kOpPost;
-        ev.t = core_.virtualNow();
-        ev.trace = trace;
-        ev.arg = bytes;
-        ev.arg2 = (static_cast<u64>(qp) << 32) | w;
-        ev.pid = core_.obsPid();
-        ev.tid = core_.obsTid();
-        obs::timeline().emit(ev);
-    }
+    obs::Event ev;
+    ev.kind = obs::Ev::kOpPost;
+    ev.t = core_.virtualNow();
+    ev.trace = trace;
+    ev.arg = bytes;
+    ev.arg2 = (static_cast<u64>(qp) << 32) | w;
+    ev.pid = core_.obsPid();
+    ev.tid = core_.obsTid();
+    obs::timeline().emit(ev);
     sim_.scheduleAt(core_.virtualNow() + profile_.doorbell_ns,
                     [this, qp, w] { deviceFetchWqe(qp, w); });
-    return true;
 }
 
 void
@@ -662,7 +630,7 @@ RdmaNic::onDataAccess(const WireMsg &msg)
     // translated (or faulted) on THIS machine's track, stitched into
     // the initiator's op by the carried trace id.
     const auto walkEvent = [&](bool ok) {
-        if (!obs::kObsCompiled || !msg.trace)
+        if (!msg.trace)
             return;
         obs::Event ev;
         ev.kind = obs::Ev::kTargetWalk;
@@ -872,7 +840,7 @@ RdmaNic::pollCq()
             }
             slo_recorder_.record(rec);
         }
-        if (obs::kObsCompiled && trace) {
+        if (trace) {
             obs::Event ev;
             ev.kind = obs::Ev::kOpCqe;
             ev.t = core_.virtualNow();
@@ -998,7 +966,7 @@ RdmaNic::retransmit(u32 qp)
         Op &op = q.ops[w];
         ++op.rtx;
         ++stats_.retransmits;
-        if (obs::kObsCompiled && op.trace) {
+        if (op.trace) {
             // Retransmit episode: a child instant of the ORIGINAL
             // trace — the replay must not mint a new identity.
             obs::Event ev;
@@ -1043,7 +1011,6 @@ RdmaNic::enterError(u32 qp, const char *reason, bool notify_peer)
     disarmRto(qp);
     q.state = QpState::kError;
     ++stats_.qp_errors;
-    obs::registry().counter("rdma.qp_errors", {}).inc();
     obs::Event ev;
     ev.kind = obs::Ev::kQpError;
     ev.arg = qp;

@@ -424,6 +424,11 @@ class RdmaNic
     /** Shared body of postMigPage/postMigState. */
     bool postMig(u32 qp, PhysAddr src_pa, u32 bytes, u64 tag,
                  bool state);
+    /** Common tail of every post: SLO attribution (when @p cat0 holds
+     * the pre-post category snapshot), the op-post trace event and
+     * the doorbell that schedules the device's WQE fetch. */
+    void ringDoorbell(u32 qp, u32 w, u64 trace, u32 bytes,
+                      const std::array<u64, obs::kSloMaxCats> *cat0);
     void deviceFetchWqe(u32 qp, u32 wqe);
     void completeOp(u32 qp, u32 wqe, bool ok);
     void pollCq();

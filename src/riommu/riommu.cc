@@ -221,15 +221,17 @@ Riommu::entrySync(u16 sid, RIova iova, RiotlbEntry &entry, Cycles *hw,
         *prefetch_hit = true;
         *hw += cost_.hw_tlb_hit;
         ++riotlb_.stats().prefetch_hits;
+        prefetch(*dev, entry);
     } else {
         auto walked = tableWalk(sid, iova, hw, mem_refs);
         if (!walked.isOk())
             return walked.status();
-        entry = walked.value();
         // tableWalk already prefetched into the fresh entry.
-        return Status::ok();
+        entry = walked.value();
     }
-    prefetch(*dev, entry);
+    // Either way the ring's single entry now holds the new
+    // translation: the previous one is implicitly invalidated (§4).
+    ++riotlb_.stats().implicit_invalidations;
     return Status::ok();
 }
 

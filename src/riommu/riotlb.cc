@@ -1,5 +1,7 @@
 #include "riommu/riotlb.h"
 
+#include "base/logging.h"
+
 namespace rio::riommu {
 
 RiotlbEntry *
@@ -12,14 +14,9 @@ Riotlb::find(u16 bdf, u16 rid)
 void
 Riotlb::insert(const RiotlbEntry &entry)
 {
-    auto [it, fresh] = entries_.emplace(key(entry.bdf, entry.rid), entry);
-    if (!fresh) {
-        // Replacing the ring's single entry implicitly invalidates the
-        // previous translation (§4) — the count the rIOMMU design
-        // trades explicit QI descriptors against.
-        obs_implicit_.inc();
-        it->second = entry;
-    }
+    const bool fresh =
+        entries_.emplace(key(entry.bdf, entry.rid), entry).second;
+    RIO_ASSERT(fresh, "riotlb insert over a live entry");
 }
 
 bool

@@ -14,7 +14,6 @@
 #include <unordered_map>
 
 #include "base/types.h"
-#include "obs/registry.h"
 #include "riommu/structures.h"
 
 namespace rio::riommu {
@@ -39,6 +38,10 @@ struct RiotlbStats
     u64 prefetch_hits = 0; //!< sync satisfied from the next field
     u64 walks = 0;     //!< full rtable_walks (miss or prefetch miss)
     u64 invalidations = 0;
+    /** Syncs that replaced the ring's single entry with the next
+     * translation, implicitly invalidating the previous one (§4) —
+     * the count the design trades explicit QI descriptors against. */
+    u64 implicit_invalidations = 0;
 };
 
 /** The per-ring-single-entry TLB. */
@@ -48,7 +51,8 @@ class Riotlb
     /** riotlb_find: the entry for (bdf, rid), if any. */
     RiotlbEntry *find(u16 bdf, u16 rid);
 
-    /** riotlb_insert: install/replace the ring's single entry. */
+    /** riotlb_insert: install the ring's entry after a miss (a
+     * present entry is replaced in place by Riommu::entrySync). */
     void insert(const RiotlbEntry &entry);
 
     /** riotlb_invalidate: drop the ring's entry; true if present. */
@@ -86,8 +90,6 @@ class Riotlb
 
     std::unordered_map<u32, RiotlbEntry> entries_;
     RiotlbStats stats_;
-    obs::Counter &obs_implicit_ =
-        obs::registry().counter("riotlb.implicit_invalidations");
 };
 
 } // namespace rio::riommu

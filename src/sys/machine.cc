@@ -3,27 +3,9 @@
 #include <algorithm>
 
 #include "base/logging.h"
-#include "obs/registry.h"
 #include "obs/timeline.h"
 
 namespace rio::sys {
-
-const char *
-lifecyclePhaseName(LifecyclePhase phase)
-{
-    switch (phase) {
-      case LifecyclePhase::kSurpriseUnplug: return "surprise_unplug";
-      case LifecyclePhase::kRemoveCleanup: return "remove_cleanup";
-      case LifecyclePhase::kReattach: return "reattach";
-      case LifecyclePhase::kReplug: return "replug";
-      case LifecyclePhase::kStopPosting: return "stop_posting";
-      case LifecyclePhase::kDrain: return "drain";
-      case LifecyclePhase::kUnmapAll: return "unmap_all";
-      case LifecyclePhase::kFlush: return "flush";
-      case LifecyclePhase::kDetach: return "detach";
-    }
-    return "?";
-}
 
 Machine::Machine(des::Simulator &sim, dma::ProtectionMode mode,
                  unsigned ncores, const cycles::CostModel &cost)
@@ -129,10 +111,6 @@ void
 Machine::journalAt(dma::DmaHandle &h, unsigned core_idx,
                    unsigned log_idx, LifecyclePhase phase)
 {
-    obs::registry()
-        .counter("lifecycle.events",
-                 {{"phase", lifecyclePhaseName(phase)}})
-        .inc();
     des::Core &core = *cores_[core_idx];
     obs::Event e;
     e.kind = obs::Ev::kQuiescePhase;

@@ -37,8 +37,6 @@ enum class LifecyclePhase : u8 {
     kDetach              //!< orderly quiesce: handle detached
 };
 
-const char *lifecyclePhaseName(LifecyclePhase phase);
-
 /** One journal record: what happened to which NIC, and when. */
 struct LifecycleLogEntry
 {

@@ -125,7 +125,7 @@ WirePort::enqueue(rdma::WireMsg msg)
     stats_.peak_queue = std::max<u64>(stats_.peak_queue, queued_);
     const Nanos start = std::max(sim_.now(), busy_until_);
     busy_until_ = start + serviceNs(msg);
-    if (obs::kObsCompiled && msg.trace) {
+    if (msg.trace) {
         // Ingress-queueing child span: arrival → drain through the
         // serializing port, on the destination machine's track.
         obs::Event ev;

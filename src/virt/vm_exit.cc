@@ -1,32 +1,9 @@
 #include "virt/vm_exit.h"
 
 #include "base/logging.h"
-#include "obs/registry.h"
 #include "obs/timeline.h"
 
 namespace rio::virt {
-
-const char *
-exitReasonName(ExitReason r)
-{
-    switch (r) {
-      case ExitReason::kVregWrite: return "vreg_write";
-      case ExitReason::kQiDoorbell: return "qi_doorbell";
-      case ExitReason::kQiForward: return "qi_forward";
-      case ExitReason::kPteWriteProtect: return "pte_wp";
-      case ExitReason::kHypercall: return "hypercall";
-      case ExitReason::kNumReasons: break;
-    }
-    RIO_PANIC("bad ExitReason");
-}
-
-VmExitModel::VmExitModel(const cycles::CostModel &cost) : cost_(cost)
-{
-    for (unsigned i = 0; i < kNumExitReasons; ++i)
-        counters_[i] = &obs::registry().counter(
-            "virt.vm_exits",
-            {{"reason", exitReasonName(static_cast<ExitReason>(i))}});
-}
 
 Cycles
 VmExitModel::cost(ExitReason r) const
@@ -61,7 +38,6 @@ VmExitModel::charge(ExitReason r, cycles::CycleAccount *acct,
         acct->charge(cycles::Cat::kVirt, c);
     ++exits_;
     ++by_reason_[static_cast<unsigned>(r)];
-    counters_[static_cast<unsigned>(r)]->inc();
     if (core) {
         obs::Event e;
         e.kind = obs::Ev::kVmExit;

@@ -3,7 +3,7 @@
  * VmExitModel: the hypervisor's cost side. Every trap a guest takes
  * is composed from the calibrated CostModel virtualization constants,
  * charged to the trapping core under Cat::kVirt, counted per reason
- * in the obs registry, and emitted as a "vmexit" span on the core's
+ * (exits(r)), and emitted as a "vmexit" span on the core's
  * timeline track — so a --timeline trace shows exactly where a
  * guest's time went.
  */
@@ -16,10 +16,6 @@
 #include "cycles/cost_model.h"
 #include "cycles/cycle_account.h"
 #include "des/core.h"
-
-namespace rio::obs {
-struct Counter;
-}
 
 namespace rio::virt {
 
@@ -45,14 +41,11 @@ enum class ExitReason : u8 {
 inline constexpr unsigned kNumExitReasons =
     static_cast<unsigned>(ExitReason::kNumReasons);
 
-/** Short stable name ("vreg_write", "qi_doorbell", ...). */
-const char *exitReasonName(ExitReason r);
-
 /** Composes, charges and observes vmexit costs. One per Guest. */
 class VmExitModel
 {
   public:
-    explicit VmExitModel(const cycles::CostModel &cost);
+    explicit VmExitModel(const cycles::CostModel &cost) : cost_(cost) {}
 
     /** World-switch + hypervisor cycles of one @p r exit. */
     Cycles cost(ExitReason r) const;
@@ -75,7 +68,6 @@ class VmExitModel
 
   private:
     const cycles::CostModel &cost_;
-    std::array<obs::Counter *, kNumExitReasons> counters_{};
     std::array<u64, kNumExitReasons> by_reason_{};
     u64 exits_ = 0;
 };

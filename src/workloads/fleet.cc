@@ -363,6 +363,7 @@ runFleet(sys::Cluster &cluster, const FleetParams &params)
             rep.riotlb.prefetch_hits += ts.prefetch_hits;
             rep.riotlb.walks += ts.walks;
             rep.riotlb.invalidations += ts.invalidations;
+            rep.riotlb.implicit_invalidations += ts.implicit_invalidations;
             const auto &cs = r.rdCacheStats();
             rep.rdcache.fetches += cs.fetches;
             rep.rdcache.hot_hits += cs.hot_hits;

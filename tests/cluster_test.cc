@@ -540,8 +540,6 @@ runTracedStorm()
  */
 TEST(Tracing, SpanIdentityUnderHostileWire)
 {
-    if (!obs::kObsCompiled)
-        GTEST_SKIP() << "observability compiled out (RIO_OBS=OFF)";
     obs::timeline().clear();
     obs::timeline().setCapacity(1u << 20); // retain every event
     obs::timeline().setRecording(true);
@@ -635,8 +633,6 @@ timelineFingerprint()
  * counters, never a shared atomic. */
 TEST(Tracing, TimelineByteIdenticalAcrossRuns)
 {
-    if (!obs::kObsCompiled)
-        GTEST_SKIP() << "observability compiled out (RIO_OBS=OFF)";
     const std::string first = timelineFingerprint();
     const std::string second = timelineFingerprint();
     ASSERT_FALSE(first.empty());

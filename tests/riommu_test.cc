@@ -265,6 +265,29 @@ TEST_F(RiommuTest, EveryNewTranslationImplicitlyInvalidatesPrevious)
     const RiotlbEntry *e = riommu.riotlb().peek(bdf.pack(), 0);
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->rentry, b.rentry()) << "entry now describes b, not a";
+    EXPECT_EQ(riommu.riotlb().stats().implicit_invalidations, 1u);
+}
+
+TEST_F(RiommuTest, ImplicitInvalidationsCountEverySuccessfulSync)
+{
+    // A fault-free stream over both replacement paths: ring-order
+    // accesses advance via the prefetched rPTE, skips re-walk.
+    for (int round = 0; round < 3; ++round) {
+        std::vector<RIova> iovas;
+        for (u32 i = 0; i < kRingSize; ++i)
+            iovas.push_back(dev.map(0, buf + i, 1, DmaDir::kBidir).value());
+        for (u32 i : {0u, 1u, 2u, 5u, 6u, 3u, 7u})
+            ASSERT_TRUE(
+                riommu.translate(bdf, iovas[i], Access::kRead, 1).isOk());
+        for (u32 i = 0; i < kRingSize; ++i)
+            ASSERT_TRUE(dev.unmap(iovas[i], i + 1 == kRingSize).isOk());
+    }
+    const RiotlbStats &st = riommu.riotlb().stats();
+    EXPECT_EQ(st.prefetch_hits, 9u) << "1, 2 and 6 of each round";
+    EXPECT_EQ(st.walks, 12u) << "each round's miss plus 5, 3 and 7";
+    EXPECT_GT(st.implicit_invalidations, 0u);
+    EXPECT_EQ(st.implicit_invalidations, st.synced);
+    EXPECT_EQ(st.synced, 18u);
 }
 
 TEST_F(RiommuTest, EndOfBurstInvalidatesRiotlbEntry)

@@ -24,7 +24,6 @@
 #include "dma/dma_context.h"
 #include "dma/riommu_handle.h"
 #include "net/packet.h"
-#include "obs/registry.h"
 #include "obs/timeline.h"
 #include "riommu/structures.h"
 #include "sys/machine.h"
@@ -496,15 +495,12 @@ TEST(VirtObservability, PerLevelWalkCountersCountMissesNotHits)
 {
     des::Simulator sim;
     sys::Machine m(sim, ProtectionMode::kStrict, testProfile());
+    const iommu::IoPageTable &table =
+        static_cast<dma::BaselineDmaHandle &>(m.handle()).pageTable();
 
-    std::array<const obs::Counter *, 4> level{};
     std::array<u64, 4> before{};
-    for (int l = 1; l <= 4; ++l) {
-        level[l - 1] = &obs::registry().counter(
-            "iommu.pt_walk.level_reads",
-            {{"level", std::to_string(l)}});
-        before[l - 1] = level[l - 1]->value;
-    }
+    for (int l = 1; l <= 4; ++l)
+        before[l - 1] = table.levelReads(l);
 
     const PhysAddr buf = m.ctx().memory().allocFrame();
     auto mapping = m.handle().map(0, buf, 1000, DmaDir::kBidir);
@@ -513,35 +509,32 @@ TEST(VirtObservability, PerLevelWalkCountersCountMissesNotHits)
         m.handle().bdf(), mapping.value().device_addr, Access::kRead);
     ASSERT_TRUE(tr.isOk());
     // One table read per level on the miss...
-    for (int l = 0; l < 4; ++l)
-        EXPECT_EQ(level[l]->value, before[l] + 1) << "level " << l + 1;
+    for (int l = 1; l <= 4; ++l)
+        EXPECT_EQ(table.levelReads(l), before[l - 1] + 1) << "level " << l;
     // ...and none on the IOTLB hit.
     auto hit = m.ctx().iommu().translate(
         m.handle().bdf(), mapping.value().device_addr, Access::kRead);
     ASSERT_TRUE(hit.isOk() && hit.value().iotlb_hit);
-    for (int l = 0; l < 4; ++l)
-        EXPECT_EQ(level[l]->value, before[l] + 1) << "level " << l + 1;
+    for (int l = 1; l <= 4; ++l)
+        EXPECT_EQ(table.levelReads(l), before[l - 1] + 1) << "level " << l;
     ASSERT_TRUE(m.handle().unmap(mapping.value(), true).isOk());
 }
 
-TEST(VirtObservability, VmExitRegistryCountersAndTimelineSpans)
+TEST(VirtObservability, VmExitCountersAndTimelineSpans)
 {
     obs::timeline().setRecording(true);
     obs::timeline().clear();
 
-    const obs::Counter &vreg = obs::registry().counter(
-        "virt.vm_exits", {{"reason", "vreg_write"}});
-    const u64 vreg_before = vreg.value;
-
     des::Simulator sim;
     sys::Machine m(sim, ProtectionMode::kStrict, testProfile());
     virt::Guest guest(m, Platform::kEmulated);
+    const u64 vreg_before = guest.exitModel().exits(ExitReason::kVregWrite);
     const PhysAddr buf = m.ctx().memory().allocFrame();
     auto mapping = m.handle().map(0, buf, 1000, DmaDir::kBidir);
     ASSERT_TRUE(mapping.isOk());
     ASSERT_TRUE(m.handle().unmap(mapping.value(), true).isOk());
 
-    EXPECT_EQ(vreg.value, vreg_before + 1);
+    EXPECT_EQ(guest.exitModel().exits(ExitReason::kVregWrite), vreg_before + 1);
 
     // Both exits appear as spans on the core's timeline track, with a
     // duration and the reason in arg.
