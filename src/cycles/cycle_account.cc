@@ -27,15 +27,6 @@ catName(Cat cat)
 }
 
 Cycles
-CycleAccount::total() const
-{
-    Cycles sum = 0;
-    for (auto c : cycles_)
-        sum += c;
-    return sum;
-}
-
-Cycles
 CycleAccount::mapTotal() const
 {
     return get(Cat::kMapIovaAlloc) + get(Cat::kMapPageTable) +
@@ -55,6 +46,7 @@ CycleAccount::reset()
 {
     cycles_.fill(0);
     ops_.fill(0);
+    total_ = 0;
 }
 
 CycleAccount
@@ -65,6 +57,7 @@ CycleAccount::since(const CycleAccount &earlier) const
         delta.cycles_[i] = cycles_[i] - earlier.cycles_[i];
         delta.ops_[i] = ops_[i] - earlier.ops_[i];
     }
+    delta.total_ = total_ - earlier.total_;
     return delta;
 }
 

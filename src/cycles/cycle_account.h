@@ -57,6 +57,7 @@ class CycleAccount
     {
         cycles_[static_cast<unsigned>(cat)] += c;
         ops_[static_cast<unsigned>(cat)] += 1;
+        total_ += c;
     }
 
     /** Charge without bumping the op count (continuation of an op). */
@@ -64,6 +65,7 @@ class CycleAccount
     chargeCont(Cat cat, Cycles c)
     {
         cycles_[static_cast<unsigned>(cat)] += c;
+        total_ += c;
     }
 
     Cycles get(Cat cat) const
@@ -82,8 +84,9 @@ class CycleAccount
                  : 0.0;
     }
 
-    /** Sum over all categories. */
-    Cycles total() const;
+    /** Sum over all categories; a running sum, since `des::Core`
+     * reads it around every work item. */
+    Cycles total() const { return total_; }
 
     /** Sum over the map-side categories. */
     Cycles mapTotal() const;
@@ -107,12 +110,14 @@ class CycleAccount
             cycles_[i] += o.cycles_[i];
             ops_[i] += o.ops_[i];
         }
+        total_ += o.total_;
         return *this;
     }
 
   private:
     std::array<Cycles, kNumCats> cycles_;
     std::array<u64, kNumCats> ops_;
+    Cycles total_ = 0; //!< sum of cycles_, kept by every mutator
 };
 
 } // namespace rio::cycles

@@ -1,10 +1,22 @@
 #include "mem/phys_mem.h"
 
+#include <sanitizer/asan_interface.h>
+
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
 
 #include "base/logging.h"
 
 namespace rio::mem {
+
+namespace {
+
+/** Bytes of one host block: its frames plus one page of slack, room to
+ * align any malloc result up to a page boundary. */
+constexpr u64 kBlockBytes = (PhysicalMemory::kBlockFrames + 1) * kPageSize;
+
+} // namespace
 
 PhysicalMemory::PhysicalMemory(u64 size_bytes)
     : capacity_(pageAlignDown(size_bytes))
@@ -14,25 +26,49 @@ PhysicalMemory::PhysicalMemory(u64 size_bytes)
     leaves_.resize((frames + kLeafFrames - 1) / kLeafFrames);
 }
 
-PhysicalMemory::Frame &
+PhysicalMemory::~PhysicalMemory()
+{
+    for (u8 *block : blocks_) {
+        ASAN_UNPOISON_MEMORY_REGION(block, kBlockBytes);
+        std::free(block);
+    }
+}
+
+u8 *
+PhysicalMemory::carveFrame()
+{
+    if (block_left_ == 0) {
+        // Aligned by hand: aligned_alloc's holes are too small for the
+        // next block once freed, so the heap would grow every machine.
+        // Under ASan the slack and the uncarved frames stay poisoned,
+        // so running off the end of a frame is still caught.
+        u8 *block = static_cast<u8 *>(std::malloc(kBlockBytes));
+        RIO_ASSERT(block, "host out of memory for frames");
+        ASAN_POISON_MEMORY_REGION(block, kBlockBytes);
+        blocks_.push_back(block);
+        block_next_ = reinterpret_cast<u8 *>(
+            pageAlignUp(reinterpret_cast<std::uintptr_t>(block)));
+        block_left_ = kBlockFrames;
+    }
+    u8 *frame = block_next_;
+    block_next_ += kPageSize;
+    --block_left_;
+    ASAN_UNPOISON_MEMORY_REGION(frame, kPageSize);
+    std::memset(frame, 0, kPageSize);
+    return frame;
+}
+
+u8 *
 PhysicalMemory::frameFor(PhysAddr addr)
 {
     const u64 fn = addr >> kPageShift;
     auto &leaf = leaves_[fn / kLeafFrames];
     if (!leaf)
-        leaf = std::make_unique<Leaf>();
-    auto &slot = (*leaf)[fn % kLeafFrames];
+        leaf = std::make_unique<Leaf>(); // value-initialized: all null
+    u8 *&slot = (*leaf)[fn % kLeafFrames];
     if (!slot)
-        slot = std::make_unique<Frame>(); // value-initialized: zeroed
-    return *slot;
-}
-
-PhysicalMemory::Frame *
-PhysicalMemory::frameIfPresent(PhysAddr addr) const
-{
-    const u64 fn = addr >> kPageShift;
-    const Leaf *leaf = leaves_[fn / kLeafFrames].get();
-    return leaf ? (*leaf)[fn % kLeafFrames].get() : nullptr;
+        slot = carveFrame();
+    return slot;
 }
 
 void
@@ -43,9 +79,9 @@ PhysicalMemory::read(PhysAddr addr, void *dst, u64 size) const
     auto *out = static_cast<u8 *>(dst);
     while (size > 0) {
         const u64 in_page = std::min(size, kPageSize - (addr & kPageMask));
-        const Frame *frame = frameIfPresent(addr);
+        const u8 *frame = frameIfPresent(addr);
         if (frame) {
-            std::memcpy(out, frame->data() + (addr & kPageMask), in_page);
+            std::memcpy(out, frame + (addr & kPageMask), in_page);
         } else {
             std::memset(out, 0, in_page);
         }
@@ -65,34 +101,11 @@ PhysicalMemory::write(PhysAddr addr, const void *src, u64 size)
     const auto *in = static_cast<const u8 *>(src);
     while (size > 0) {
         const u64 in_page = std::min(size, kPageSize - (addr & kPageMask));
-        Frame &frame = frameFor(addr);
-        std::memcpy(frame.data() + (addr & kPageMask), in, in_page);
+        std::memcpy(frameFor(addr) + (addr & kPageMask), in, in_page);
         in += in_page;
         addr += in_page;
         size -= in_page;
     }
-}
-
-u64
-PhysicalMemory::read64(PhysAddr addr) const
-{
-    u64 v;
-    read(addr, &v, sizeof(v));
-    return v;
-}
-
-void
-PhysicalMemory::write64(PhysAddr addr, u64 value)
-{
-    write(addr, &value, sizeof(value));
-}
-
-u32
-PhysicalMemory::read32(PhysAddr addr) const
-{
-    u32 v;
-    read(addr, &v, sizeof(v));
-    return v;
 }
 
 void
@@ -124,8 +137,8 @@ PhysicalMemory::fillZero(PhysAddr addr, u64 size)
         observer_(addr, size);
     while (size > 0) {
         const u64 in_page = std::min(size, kPageSize - (addr & kPageMask));
-        if (Frame *frame = frameIfPresent(addr))
-            std::memset(frame->data() + (addr & kPageMask), 0, in_page);
+        if (u8 *frame = frameIfPresent(addr))
+            std::memset(frame + (addr & kPageMask), 0, in_page);
         addr += in_page;
         size -= in_page;
     }

@@ -9,7 +9,11 @@
  * Frames are found through a two-level direct-indexed table — a
  * directory sized from the capacity, leaves of kLeafFrames frame
  * pointers allocated on first write — so an access is two indexed
- * loads, never a hash probe.
+ * loads, never a hash probe. A materialized frame is a page-aligned
+ * 4 KB slice of a kBlockFrames-frame host block, carved in
+ * materialization order, so a word access never straddles host pages.
+ * read64/read32/write64 are inline for the common case: a naturally
+ * aligned word of a materialized frame.
  */
 #ifndef RIO_MEM_PHYS_MEM_H
 #define RIO_MEM_PHYS_MEM_H
@@ -39,6 +43,8 @@ class PhysicalMemory
      */
     explicit PhysicalMemory(u64 size_bytes = u64{8} << 30);
 
+    ~PhysicalMemory();
+
     PhysicalMemory(const PhysicalMemory &) = delete;
     PhysicalMemory &operator=(const PhysicalMemory &) = delete;
 
@@ -46,9 +52,19 @@ class PhysicalMemory
     void read(PhysAddr addr, void *dst, u64 size) const;
     void write(PhysAddr addr, const void *src, u64 size);
 
-    u64 read64(PhysAddr addr) const;
-    void write64(PhysAddr addr, u64 value);
-    u32 read32(PhysAddr addr) const;
+    u64 read64(PhysAddr addr) const { return readWord<u64>(addr); }
+    u32 read32(PhysAddr addr) const { return readWord<u32>(addr); }
+
+    void
+    write64(PhysAddr addr, u64 value)
+    {
+        u8 *word = observer_ ? nullptr : wordIfPresent(addr, sizeof(value));
+        if (word)
+            std::memcpy(word, &value, sizeof(value));
+        else
+            write(addr, &value, sizeof(value));
+    }
+
     void write32(PhysAddr addr, u32 value);
     u8 read8(PhysAddr addr) const;
     void write8(PhysAddr addr, u8 value);
@@ -107,23 +123,78 @@ class PhysicalMemory
 
     u64 capacity() const { return capacity_; }
 
+    /**
+     * Host bytes of the 4 KB frame holding @p addr, or null if that
+     * frame was never written or @p addr is out of range. A frame
+     * never moves, so the pointer is valid for this memory's lifetime.
+     * Read-only: writes go through write() so the observer sees them.
+     */
+    const u8 *
+    frameData(PhysAddr addr) const
+    {
+        return addr < capacity_ ? frameIfPresent(addr) : nullptr;
+    }
+
     /** Frames per leaf of the frame table (one leaf spans 2 MB). */
     static constexpr u64 kLeafFrames = 512;
 
+    /**
+     * Frames per host block. A block is one malloc, page-aligned by
+     * hand; with its alignment slack it stays below glibc's 128 KB
+     * mmap threshold, so blocks come from and go back to the malloc
+     * heap instead of faulting in fresh pages per machine.
+     */
+    static constexpr u64 kBlockFrames = 30;
+
   private:
-    using Frame = std::array<u8, kPageSize>;
-    using Leaf = std::array<std::unique_ptr<Frame>, kLeafFrames>;
+    using Leaf = std::array<u8 *, kLeafFrames>;
 
     /** The frame holding @p addr, materialized zeroed if absent. */
-    Frame &frameFor(PhysAddr addr);
+    u8 *frameFor(PhysAddr addr);
+    /** A zeroed frame carved from the current block. */
+    u8 *carveFrame();
+
     /** The frame holding @p addr, or null if it was never written. */
-    Frame *frameIfPresent(PhysAddr addr) const;
+    u8 *
+    frameIfPresent(PhysAddr addr) const
+    {
+        const u64 fn = addr >> kPageShift;
+        const Leaf *leaf = leaves_[fn / kLeafFrames].get();
+        return leaf ? (*leaf)[fn % kLeafFrames] : nullptr;
+    }
+
+    /** The host bytes of the naturally aligned @p size-byte word at
+     * @p addr, or null unless it is in range and already materialized. */
+    u8 *
+    wordIfPresent(PhysAddr addr, u64 size) const
+    {
+        if ((addr & (size - 1)) != 0 || addr >= capacity_)
+            return nullptr;
+        u8 *frame = frameIfPresent(addr);
+        return frame ? frame + (addr & kPageMask) : nullptr;
+    }
+
+    /** Inline word read; anything but the fast case goes to read(). */
+    template <typename T>
+    T
+    readWord(PhysAddr addr) const
+    {
+        T v;
+        if (const u8 *word = wordIfPresent(addr, sizeof(T)))
+            std::memcpy(&v, word, sizeof(T));
+        else
+            read(addr, &v, sizeof(T));
+        return v;
+    }
 
     u64 capacity_;
     u64 next_free_frame_ = 1; // frame 0 reserved: catches null derefs
     u64 allocated_frames_ = 0;
     std::vector<u64> freelist_;
     std::vector<std::unique_ptr<Leaf>> leaves_; //!< frame-table directory
+    std::vector<u8 *> blocks_; //!< host blocks, freed on destruction
+    u8 *block_next_ = nullptr; //!< next uncarved frame of blocks_.back()
+    u64 block_left_ = 0;       //!< uncarved frames left in it
     WriteObserver observer_;
 };
 

@@ -86,6 +86,31 @@ TEST(CycleAccount, ResetClears)
     EXPECT_EQ(a.ops(Cat::kProcessing), 0u);
 }
 
+TEST(CycleAccount, TotalIsTheSumOfCategoriesAfterEveryMutator)
+{
+    const auto sum = [](const CycleAccount &a) {
+        Cycles s = 0;
+        for (unsigned i = 0; i < kNumCats; ++i)
+            s += a.get(static_cast<Cat>(i));
+        return s;
+    };
+    CycleAccount a;
+    a.charge(Cat::kMapIovaAlloc, 3);
+    a.chargeCont(Cat::kUnmapOther, 11);
+    EXPECT_EQ(a.total(), 14u);
+    CycleAccount b;
+    b.charge(Cat::kVirt, 100);
+    b += a;
+    EXPECT_EQ(b.total(), sum(b));
+    EXPECT_EQ(b.total(), 114u);
+    const CycleAccount delta = b.since(a);
+    EXPECT_EQ(delta.total(), sum(delta));
+    EXPECT_EQ(delta.total(), 100u);
+    b.reset();
+    b.chargeCont(Cat::kLockWait, 9);
+    EXPECT_EQ(b.total(), sum(b));
+}
+
 TEST(CycleAccount, EveryCategoryHasAName)
 {
     for (unsigned i = 0; i < kNumCats; ++i)

@@ -4,6 +4,11 @@
  */
 #include <gtest/gtest.h>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
+#include <cstdint>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -197,12 +202,150 @@ TEST(PhysicalMemory, RecycledFrameReadsZero)
         ASSERT_EQ(b, 0);
 }
 
+// ---- inline word accessors --------------------------------------------
+
+/** Word offsets around the frame and leaf boundaries that the inline
+ * paths must get right, aligned and not. */
+std::vector<PhysAddr>
+wordProbeAddrs()
+{
+    std::vector<PhysAddr> addrs;
+    for (const PhysAddr edge : {2 * kPageSize, 3 * kPageSize, kLeafSpan})
+        for (const PhysAddr a :
+             {edge - 8, edge - 7, edge - 4, edge - 3, edge - 1, edge,
+              edge + 1, edge + 4, edge + 8})
+            addrs.push_back(a);
+    return addrs;
+}
+
+TEST(PhysicalMemory, WordReadsAgreeWithGenericRead)
+{
+    PhysicalMemory pm;
+    std::vector<u8> pattern(4 * kPageSize);
+    for (size_t i = 0; i < pattern.size(); ++i)
+        pattern[i] = static_cast<u8>(i * 29 + 5);
+    pm.write(kPageSize, pattern.data(), pattern.size());
+    pm.write(kLeafSpan - 2 * kPageSize, pattern.data(), pattern.size());
+    for (const PhysAddr a : wordProbeAddrs()) {
+        u64 v64;
+        u32 v32;
+        pm.read(a, &v64, sizeof(v64));
+        pm.read(a, &v32, sizeof(v32));
+        EXPECT_EQ(pm.read64(a), v64) << "addr " << a;
+        EXPECT_EQ(pm.read32(a), v32) << "addr " << a;
+    }
+}
+
+TEST(PhysicalMemory, Write64AgreesWithGenericWrite)
+{
+    PhysicalMemory fast, generic;
+    // Materialize both neighbourhoods first so aligned words take the
+    // inline path, then overlay words at every probe address.
+    const std::vector<u8> ones(4 * kPageSize, 0x11);
+    for (PhysicalMemory *pm : {&fast, &generic}) {
+        pm->write(kPageSize, ones.data(), ones.size());
+        pm->write(kLeafSpan - 2 * kPageSize, ones.data(), ones.size());
+    }
+    u64 value = 0x0123456789abcdefULL;
+    for (const PhysAddr a : wordProbeAddrs()) {
+        value = value * 6364136223846793005ULL + 1;
+        fast.write64(a, value);
+        generic.write(a, &value, sizeof(value));
+    }
+    for (const PhysAddr base : {kPageSize, kLeafSpan - 2 * kPageSize}) {
+        std::vector<u8> f(ones.size()), g(ones.size());
+        fast.read(base, f.data(), f.size());
+        generic.read(base, g.data(), g.size());
+        EXPECT_EQ(f, g) << "base " << base;
+    }
+}
+
+TEST(PhysicalMemory, Write64ReportsToObserver)
+{
+    PhysicalMemory pm;
+    pm.write64(0x4000, 1); // materialized: write64 could take its fast path
+    std::vector<std::pair<PhysAddr, u64>> seen;
+    pm.setWriteObserver(
+        [&seen](PhysAddr a, u64 n) { seen.emplace_back(a, n); });
+    pm.write64(0x4010, 0xfeed);
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_EQ(seen[0], std::make_pair(PhysAddr{0x4010}, u64{8}));
+    EXPECT_EQ(pm.read64(0x4010), 0xfeedu);
+}
+
+TEST(PhysicalMemory, WordReadsOfUnwrittenFrameInPopulatedLeafAreZero)
+{
+    PhysicalMemory pm;
+    pm.write64(3 * kPageSize, ~u64{0}); // leaf 0 now exists
+    ASSERT_NE(pm.frameData(3 * kPageSize), nullptr);
+    ASSERT_EQ(pm.frameData(4 * kPageSize), nullptr);
+    EXPECT_EQ(pm.read64(4 * kPageSize), 0u);
+    EXPECT_EQ(pm.read32(4 * kPageSize + 12), 0u);
+    EXPECT_EQ(pm.frameData(4 * kPageSize), nullptr)
+        << "a read must not materialize a frame";
+}
+
+TEST(PhysicalMemory, FramesAcrossManyBlocksKeepTheirData)
+{
+    PhysicalMemory pm;
+    // Scattered frame numbers, materialized out of address order, over
+    // more than three host blocks.
+    const u64 nframes = 3 * PhysicalMemory::kBlockFrames + 7;
+    std::vector<PhysAddr> frames;
+    for (u64 i = 0; i < nframes; ++i)
+        frames.push_back(((i * 389) % 4099 + 1) * kPageSize);
+    for (u64 i = 0; i < nframes; ++i)
+        for (u64 off = 0; off < kPageSize; off += 8)
+            pm.write64(frames[i] + off, (i << 32) | off);
+    for (u64 i = 0; i < nframes; ++i) {
+        const u8 *host = pm.frameData(frames[i]);
+        ASSERT_NE(host, nullptr);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(host) % kPageSize, 0u)
+            << "frames must be page-aligned in host memory";
+        for (u64 off = 0; off < kPageSize; off += 8)
+            ASSERT_EQ(pm.read64(frames[i] + off), (i << 32) | off)
+                << "frame " << i << " off " << off;
+    }
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(PhysicalMemory, UncarvedNeighbourFrameStaysPoisoned)
+{
+    PhysicalMemory pm;
+    pm.write8(0x5000, 1); // the first frame carved from a fresh block
+    const u8 *frame = pm.frameData(0x5000);
+    ASSERT_NE(frame, nullptr);
+    EXPECT_FALSE(__asan_address_is_poisoned(frame));
+    EXPECT_FALSE(__asan_address_is_poisoned(frame + kPageSize - 1));
+    EXPECT_TRUE(__asan_address_is_poisoned(frame - 1));
+    EXPECT_TRUE(__asan_address_is_poisoned(frame + kPageSize))
+        << "an overrun into the uncarved neighbour must be caught";
+    pm.write8(0x9000, 1); // carved next, from the same block
+    ASSERT_EQ(pm.frameData(0x9000), frame + kPageSize);
+    EXPECT_FALSE(__asan_address_is_poisoned(frame + kPageSize));
+    EXPECT_TRUE(__asan_address_is_poisoned(frame + 2 * kPageSize));
+}
+#endif
+
 TEST(PhysicalMemoryDeathTest, OutOfRangeAccessPanics)
 {
     PhysicalMemory pm(1 << 20); // 1 MB
     EXPECT_DEATH(pm.write64(2 << 20, 1), "out of range");
     u64 v;
     EXPECT_DEATH(pm.read((2 << 20), &v, 8), "out of range");
+    // The inline word paths keep the bound check, even with the last
+    // frame (and its leaf) materialized.
+    pm.write64(pm.capacity() - 8, 0x77);
+    EXPECT_EQ(pm.read64(pm.capacity() - 8), 0x77u);
+    EXPECT_DEATH(pm.read64(pm.capacity()), "out of range");
+    EXPECT_DEATH(pm.read32(pm.capacity()), "out of range");
+    EXPECT_DEATH(pm.write64(pm.capacity(), 1), "out of range");
+    // At a capacity of whole leaves, the first address past the end has
+    // no directory slot at all.
+    PhysicalMemory whole(kLeafSpan);
+    whole.write64(whole.capacity() - 8, 0x77);
+    EXPECT_DEATH(whole.read64(whole.capacity()), "out of range");
+    EXPECT_DEATH(whole.read32(whole.capacity()), "out of range");
 }
 
 TEST(PhysicalMemoryDeathTest, ExhaustionPanics)
