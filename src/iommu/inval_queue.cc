@@ -135,7 +135,6 @@ InvalQueue::hardwareDrain()
         switch (desc.type()) {
           case QiDescriptor::Type::kIotlbEntry:
             iommu_.iotlb().invalidateEntry(desc.sid(), desc.word1);
-            ++stats_.entry_invalidations;
             break;
           case QiDescriptor::Type::kIotlbGlobal:
             iommu_.iotlb().flushAll();
@@ -154,10 +153,25 @@ Status
 InvalQueue::invalidateEntrySync(Bdf bdf, u64 iova_pfn,
                                 cycles::CycleAccount *acct)
 {
+    return syncOp(QiDescriptor::entry(bdf.pack(), iova_pfn), bdf.pack(),
+                  acct, cycles::Cat::kUnmapIotlbInv, /*count_op=*/true);
+}
+
+Status
+InvalQueue::flushAllSync(cycles::CycleAccount *acct, cycles::Cat cat)
+{
+    return syncOp(QiDescriptor::global(), 0, acct, cat, /*count_op=*/false);
+}
+
+Status
+InvalQueue::syncOp(const QiDescriptor &desc, u16 bdf,
+                   cycles::CycleAccount *acct, cycles::Cat cat,
+                   bool count_op)
+{
     des::SpinGuard lock(lock_, lock_core_, acct);
-    const obs::Event issue = qiIssueEvent(lock_core_, bdf.pack());
+    const obs::Event issue = qiIssueEvent(lock_core_, bdf);
     obs::timeline().emit(issue);
-    Cycles c = submit(QiDescriptor::entry(bdf.pack(), iova_pfn));
+    Cycles c = submit(desc);
     c += submit(QiDescriptor::wait(status_addr_));
     c += cost_.qi_doorbell;
     if (traps_)
@@ -182,41 +196,12 @@ InvalQueue::invalidateEntrySync(Bdf bdf, u64 iova_pfn,
     c += 2 * cost_.cached_access;
     stats_.sync_cycles.observe(c);
     obs::timeline().emit(qiEndEvent(issue, c, cost_.core_ghz, true));
-    if (acct)
-        acct->charge(cycles::Cat::kUnmapIotlbInv, c);
-    return Status::ok();
-}
-
-Status
-InvalQueue::flushAllSync(cycles::CycleAccount *acct, cycles::Cat cat)
-{
-    des::SpinGuard lock(lock_, lock_core_, acct);
-    const obs::Event issue = qiIssueEvent(lock_core_, 0);
-    obs::timeline().emit(issue);
-    Cycles c = submit(QiDescriptor::global());
-    c += submit(QiDescriptor::wait(status_addr_));
-    c += cost_.qi_doorbell;
-    if (traps_)
-        traps_->onQiDoorbell(acct);
-    c += hardwareDrain();
-    if (queue_error_ || head_ != tail_) {
-        c += cost_.qi_timeout_spin;
-        ++stats_.timeouts;
-        obs::timeline().emit(qiEndEvent(issue, c, cost_.core_ghz, false));
-        obs::flightDump("qi_timeout");
-        if (acct)
-            acct->charge(cycles::Cat::kLifecycle, c);
-        return Status(ErrorCode::kTimedOut,
-                      "QI wait descriptor timed out (ITE)");
+    if (acct) {
+        if (count_op)
+            acct->charge(cat, c);
+        else
+            acct->chargeCont(cat, c);
     }
-    c += cost_.qi_wait_latency;
-    RIO_ASSERT(pm_.read64(status_addr_) == status_cookie_,
-               "QI wait did not complete");
-    c += 2 * cost_.cached_access;
-    stats_.sync_cycles.observe(c);
-    obs::timeline().emit(qiEndEvent(issue, c, cost_.core_ghz, true));
-    if (acct)
-        acct->chargeCont(cat, c);
     return Status::ok();
 }
 

@@ -56,7 +56,6 @@ struct QiStats
     obs::Histogram sync_cycles{obs::cycleBuckets()};
 
     u64 submitted = 0;
-    u64 entry_invalidations = 0;
     u64 global_flushes = 0;
     u64 waits = 0;
     u64 wraps = 0;
@@ -177,6 +176,18 @@ class InvalQueue
 
     /** Hardware consumes everything up to the tail. */
     Cycles hardwareDrain();
+
+    /**
+     * The synchronous body of invalidateEntrySync / flushAllSync:
+     * submit @p desc plus a wait descriptor under the queue lock,
+     * drain, and spin on the status word (bounded). On success the
+     * cycles go to @p cat on @p acct — counted as one op when
+     * @p count_op, else as continuation cycles of the caller's op.
+     * @p bdf names the requester on the timeline span (0 = global).
+     */
+    Status syncOp(const QiDescriptor &desc, u16 bdf,
+                  cycles::CycleAccount *acct, cycles::Cat cat,
+                  bool count_op);
 
     mem::PhysicalMemory &pm_;
     Iommu &iommu_;

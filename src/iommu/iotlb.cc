@@ -73,13 +73,11 @@ Iotlb::insert(u16 sid, u64 iova_pfn, Pte pte)
     if (victim->valid)
         ++stats_.evictions;
     *victim = Entry{true, sid, iova_pfn, pte, ++tick_};
-    ++stats_.inserts;
 }
 
 bool
 Iotlb::invalidateEntry(u16 sid, u64 iova_pfn)
 {
-    ++stats_.single_invalidations;
     if (Entry *e = findEntry(sid, iova_pfn)) {
         e->valid = false;
         return true;

@@ -29,9 +29,7 @@ struct IotlbStats
 {
     u64 hits = 0;
     u64 misses = 0;
-    u64 inserts = 0;
     u64 evictions = 0;
-    u64 single_invalidations = 0;
     u64 global_flushes = 0;
 };
 

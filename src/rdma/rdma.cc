@@ -8,7 +8,6 @@
 #include "base/logging.h"
 #include "base/strings.h"
 #include "obs/flight.h"
-#include "obs/timeline.h"
 #include "obs/trace_ctx.h"
 #include "riommu/structures.h"
 
@@ -91,23 +90,26 @@ RdmaNic::sendAt(u32 dst_nic, Nanos when, WireMsg msg)
         // Wire-transit child span of the op: [send, arrival] on the
         // sender's track (propagation + serialization; hostile-wire
         // extra delay shows up as ingress queueing at the far end).
-        obs::Event ev;
-        ev.kind = obs::Ev::kWireTx;
-        ev.t = when;
-        ev.dur_ns = profile_.wire_ns +
-                    static_cast<Nanos>(static_cast<double>(
-                                           (msg.payload.size() +
-                                            net::kRdmaHeaderBytes) *
-                                           8) /
-                                       profile_.gbps);
-        ev.trace = msg.trace;
-        ev.arg = msg.len;
-        ev.arg2 = msg.psn;
-        ev.pid = core_.obsPid();
-        ev.tid = core_.obsTid();
-        obs::timeline().emit(ev);
+        emitEvent(obs::Ev::kWireTx, when, msg.trace, msg.len, msg.psn,
+                  wireArrival(0, static_cast<u32>(msg.payload.size())));
     }
     send_(dst_nic, when, std::move(msg));
+}
+
+void
+RdmaNic::emitEvent(obs::Ev kind, Nanos t, u64 trace, u64 arg, u64 arg2,
+                   Nanos dur_ns)
+{
+    obs::Event ev;
+    ev.kind = kind;
+    ev.t = t;
+    ev.dur_ns = dur_ns;
+    ev.trace = trace;
+    ev.arg = arg;
+    ev.arg2 = arg2;
+    ev.pid = core_.obsPid();
+    ev.tid = core_.obsTid();
+    obs::timeline().emit(ev);
 }
 
 void
@@ -242,7 +244,6 @@ RdmaNic::onConnect(const WireMsg &msg)
         WireMsg reply;
         reply.dst_qp = peer_qp;
         if (free_slots_.empty()) {
-            ++stats_.rejects;
             reply.kind = MsgKind::kReject;
             sendAt(peer_nic, wireArrival(core_.virtualNow(), 0),
                    std::move(reply));
@@ -254,7 +255,6 @@ RdmaNic::onConnect(const WireMsg &msg)
         Status reg = registerQp(idx);
         if (!reg) {
             free_slots_.push_back(idx);
-            ++stats_.rejects;
             reply.kind = MsgKind::kReject;
             sendAt(peer_nic, wireArrival(core_.virtualNow(), 0),
                    std::move(reply));
@@ -305,18 +305,43 @@ RdmaNic::onAcceptReject(const WireMsg &msg)
 bool
 RdmaNic::postWrite(u32 qp, u32 bytes, u64 roffset)
 {
+    return post(qp, MsgKind::kWrite, qps_[qp].src_pa, bytes, roffset);
+}
+
+bool
+RdmaNic::postRead(u32 qp, u32 bytes, u64 roffset)
+{
+    return post(qp, MsgKind::kRead, qps_[qp].rd_pa, bytes, roffset);
+}
+
+bool
+RdmaNic::postMigPage(u32 qp, PhysAddr src_pa, u32 bytes, u64 gfn)
+{
+    return post(qp, MsgKind::kMigPage, src_pa, bytes, gfn);
+}
+
+bool
+RdmaNic::postMigState(u32 qp, PhysAddr src_pa, u32 bytes, u64 tag)
+{
+    return post(qp, MsgKind::kMigState, src_pa, bytes, tag);
+}
+
+bool
+RdmaNic::post(u32 qp, MsgKind kind, PhysAddr pa, u32 bytes, u64 roffset)
+{
+    // A migration chunk's source is an arbitrary physical page (guest
+    // RAM or a serialized-state scratch buffer), so its ceiling is a
+    // whole page; the other verbs are bounded by the MR size.
+    const bool mig = kind == MsgKind::kMigPage || kind == MsgKind::kMigState;
+    const u32 ceiling = mig ? kMigChunkBytes : profile_.max_req_bytes;
     Qp &q = qps_[qp];
+    // The SQ is a ring: under loss, acks (and error flushes) can settle
+    // a young WQE before an older retransmitting one, so a freed credit
+    // does not imply the tail slot drained. Posting over a live WQE
+    // would orphan its op — block instead.
     if (q.state != QpState::kEstablished ||
-        q.inflight >= profile_.sq_depth || bytes == 0 ||
-        bytes > profile_.max_req_bytes) {
-        ++stats_.posts_blocked;
-        return false;
-    }
-    if (q.ops[q.sq_tail].active) {
-        // The SQ is a ring: under loss, acks (and error flushes) can
-        // settle a young WQE before an older retransmitting one, so a
-        // freed credit does not imply the tail slot drained. Posting
-        // over a live WQE would orphan its op — block instead.
+        q.inflight >= profile_.sq_depth || bytes == 0 || bytes > ceiling ||
+        q.ops[q.sq_tail].active) {
         ++stats_.posts_blocked;
         return false;
     }
@@ -329,8 +354,9 @@ RdmaNic::postWrite(u32 qp, u32 bytes, u64 roffset)
     const u64 trace = core_.nextTraceId();
     obs::TraceScope tscope(trace);
     charge(profile_.post_cycles);
-    auto m = handle_.map(dataRid(qp), q.src_pa, bytes,
-                         iommu::DmaDir::kToDevice);
+    auto m = handle_.map(dataRid(qp), pa, bytes,
+                         kind == MsgKind::kRead ? iommu::DmaDir::kFromDevice
+                                                : iommu::DmaDir::kToDevice);
     if (!m.isOk()) {
         ++stats_.posts_blocked;
         return false;
@@ -339,6 +365,7 @@ RdmaNic::postWrite(u32 qp, u32 bytes, u64 roffset)
     q.sq_tail = (q.sq_tail + 1) % profile_.sq_depth;
     Op op;
     op.active = true;
+    op.kind = kind;
     op.bytes = bytes;
     op.psn = q.next_psn++;
     op.roffset = roffset;
@@ -346,168 +373,30 @@ RdmaNic::postWrite(u32 qp, u32 bytes, u64 roffset)
     op.trace = trace;
     op.map = m.value();
     q.ops[w] = op;
-    // The WQE the device will fetch: opcode/len in word 0, the DMA
-    // address of the source in word 1.
+    // The WQE the device will fetch: opcode (1 write, 2 read, 3 mig
+    // page, 4 mig state) and length in word 0, the data-ring device
+    // address of the buffer in word 1.
+    const u64 opcode = kind == MsgKind::kWrite     ? 1
+                       : kind == MsgKind::kRead    ? 2
+                       : kind == MsgKind::kMigPage ? 3
+                                                   : 4;
     const PhysAddr wqe = q.sq_pa + static_cast<u64>(w) * kWqeBytes;
-    pm_.write64(wqe, (u64{1} << 32) | bytes);
+    pm_.write64(wqe, (opcode << 32) | bytes);
     pm_.write64(wqe + 8, m.value().device_addr);
     ++q.inflight;
     ++inflight_total_;
     ++stats_.posts;
-    ++stats_.writes_sent;
-    stats_.bytes_sent += bytes;
-    ringDoorbell(qp, w, trace, bytes, slo ? &cat0 : nullptr);
-    return true;
-}
-
-bool
-RdmaNic::postRead(u32 qp, u32 bytes, u64 roffset)
-{
-    Qp &q = qps_[qp];
-    if (q.state != QpState::kEstablished ||
-        q.inflight >= profile_.sq_depth || bytes == 0 ||
-        bytes > profile_.max_req_bytes) {
-        ++stats_.posts_blocked;
-        return false;
-    }
-    if (q.ops[q.sq_tail].active) {
-        // Same ring-occupancy guard as postWrite.
-        ++stats_.posts_blocked;
-        return false;
-    }
-    const bool slo = obs::sloRecording();
-    std::array<u64, obs::kSloMaxCats> cat0{};
-    if (slo)
-        cat0 = sloSnapshot();
-    const u64 trace = core_.nextTraceId();
-    obs::TraceScope tscope(trace);
-    charge(profile_.post_cycles);
-    auto m = handle_.map(dataRid(qp), q.rd_pa, bytes,
-                         iommu::DmaDir::kFromDevice);
-    if (!m.isOk()) {
-        ++stats_.posts_blocked;
-        return false;
-    }
-    const u32 w = q.sq_tail;
-    q.sq_tail = (q.sq_tail + 1) % profile_.sq_depth;
-    Op op;
-    op.active = true;
-    op.is_read = true;
-    op.bytes = bytes;
-    op.psn = q.next_psn++;
-    op.roffset = roffset;
-    op.post_ns = core_.virtualNow();
-    op.trace = trace;
-    op.map = m.value();
-    q.ops[w] = op;
-    const PhysAddr wqe = q.sq_pa + static_cast<u64>(w) * kWqeBytes;
-    pm_.write64(wqe, (u64{2} << 32) | bytes);
-    pm_.write64(wqe + 8, m.value().device_addr);
-    ++q.inflight;
-    ++inflight_total_;
-    ++stats_.posts;
-    ++stats_.reads_sent;
-    ringDoorbell(qp, w, trace, bytes, slo ? &cat0 : nullptr);
-    return true;
-}
-
-bool
-RdmaNic::postMigPage(u32 qp, PhysAddr src_pa, u32 bytes, u64 gfn)
-{
-    return postMig(qp, src_pa, bytes, gfn, /*state=*/false);
-}
-
-bool
-RdmaNic::postMigState(u32 qp, PhysAddr src_pa, u32 bytes, u64 tag)
-{
-    return postMig(qp, src_pa, bytes, tag, /*state=*/true);
-}
-
-bool
-RdmaNic::postMig(u32 qp, PhysAddr src_pa, u32 bytes, u64 tag,
-                 bool state)
-{
-    // postWrite's twin for the hypervisor's migration stream: the
-    // payload source is an arbitrary physical page (guest RAM or a
-    // serialized-state scratch buffer), mapped per-op into the data
-    // ring so the device fetch translates through the source IOMMU
-    // and the unmap rides the end-of-burst amortization. The chunk
-    // ceiling is a whole page, not max_req_bytes.
-    Qp &q = qps_[qp];
-    if (q.state != QpState::kEstablished ||
-        q.inflight >= profile_.sq_depth || bytes == 0 ||
-        bytes > kMigChunkBytes) {
-        ++stats_.posts_blocked;
-        return false;
-    }
-    if (q.ops[q.sq_tail].active) {
-        // Same ring-occupancy guard as postWrite.
-        ++stats_.posts_blocked;
-        return false;
-    }
-    const bool slo = obs::sloRecording();
-    std::array<u64, obs::kSloMaxCats> cat0{};
-    if (slo)
-        cat0 = sloSnapshot();
-    const u64 trace = core_.nextTraceId();
-    obs::TraceScope tscope(trace);
-    charge(profile_.post_cycles);
-    auto m = handle_.map(dataRid(qp), src_pa, bytes,
-                         iommu::DmaDir::kToDevice);
-    if (!m.isOk()) {
-        ++stats_.posts_blocked;
-        return false;
-    }
-    const u32 w = q.sq_tail;
-    q.sq_tail = (q.sq_tail + 1) % profile_.sq_depth;
-    Op op;
-    op.active = true;
-    op.is_mig = true;
-    op.is_state = state;
-    op.bytes = bytes;
-    op.psn = q.next_psn++;
-    op.roffset = tag;
-    op.post_ns = core_.virtualNow();
-    op.trace = trace;
-    op.map = m.value();
-    q.ops[w] = op;
-    const PhysAddr wqe = q.sq_pa + static_cast<u64>(w) * kWqeBytes;
-    pm_.write64(wqe, (static_cast<u64>(state ? 4 : 3) << 32) | bytes);
-    pm_.write64(wqe + 8, m.value().device_addr);
-    ++q.inflight;
-    ++inflight_total_;
-    ++stats_.posts;
-    if (state)
-        ++stats_.mig_state_sent;
-    else
-        ++stats_.mig_pages_sent;
-    stats_.mig_bytes_sent += bytes;
-    stats_.bytes_sent += bytes;
-    ringDoorbell(qp, w, trace, bytes, slo ? &cat0 : nullptr);
-    return true;
-}
-
-void
-RdmaNic::ringDoorbell(u32 qp, u32 w, u64 trace, u32 bytes,
-                      const std::array<u64, obs::kSloMaxCats> *cat0)
-{
-    if (cat0) {
+    const u64 key = (static_cast<u64>(qp) << 32) | w;
+    if (slo) {
         auto delta = sloSnapshot();
         for (size_t c = 0; c < obs::kSloMaxCats; ++c)
-            delta[c] -= (*cat0)[c];
-        slo_post_cats_[(static_cast<u64>(qp) << 32) | w] = delta;
+            delta[c] -= cat0[c];
+        slo_post_cats_[key] = delta;
     }
-    obs::Event ev;
-    ev.kind = obs::Ev::kOpPost;
-    ev.t = core_.virtualNow();
-    ev.trace = trace;
-    ev.arg = bytes;
-    ev.arg2 = (static_cast<u64>(qp) << 32) | w;
-    ev.pid = core_.obsPid();
-    ev.tid = core_.obsTid();
-    obs::timeline().emit(ev);
+    emitEvent(obs::Ev::kOpPost, core_.virtualNow(), trace, bytes, key);
     sim_.scheduleAt(core_.virtualNow() + profile_.doorbell_ns,
                     [this, qp, w] { deviceFetchWqe(qp, w); });
+    return true;
 }
 
 void
@@ -524,17 +413,14 @@ RdmaNic::deviceFetchWqe(u32 qp, u32 w)
     // the ORIGINAL trace instead of minting a new one.
     obs::TraceScope tscope(op.trace);
     // Device side: fetch the WQE through our own translation (the
-    // control-ring mapping), then the payload for writes (data ring).
+    // control-ring mapping), then the payload of every verb but a
+    // read (data ring).
     u8 wqe_buf[kWqeBytes];
     Status s = handle_.deviceRead(
         q.wqe_map.device_addr + static_cast<u64>(w) * kWqeBytes, wqe_buf,
         kWqeBytes);
-    if (!s) {
-        ++stats_.local_fault_drops;
-        completeOp(qp, w, false);
-        return;
-    }
     WireMsg msg;
+    msg.kind = op.kind;
     msg.src_qp = qp;
     msg.dst_qp = q.peer_qp;
     msg.wqe = w;
@@ -543,38 +429,31 @@ RdmaNic::deviceFetchWqe(u32 qp, u32 w)
     msg.offset = op.roffset;
     msg.len = op.bytes;
     msg.trace = op.trace;
-    if (op.is_read) {
-        msg.kind = MsgKind::kRead;
-        op.sent = true;
-        op.last_tx = sim_.now();
-        sendAt(q.peer_nic, wireArrival(sim_.now(), 0), std::move(msg));
-        armRto(qp);
-        return;
+    if (s && op.kind != MsgKind::kRead) {
+        msg.payload.resize(op.bytes);
+        s = handle_.deviceRead(op.map.device_addr, msg.payload.data(),
+                               op.bytes);
     }
-    msg.payload.resize(op.bytes);
-    s = handle_.deviceRead(op.map.device_addr, msg.payload.data(),
-                           op.bytes);
     if (!s) {
         ++stats_.local_fault_drops;
         completeOp(qp, w, false);
         return;
     }
-    msg.kind = op.is_mig ? (op.is_state ? MsgKind::kMigState
-                                        : MsgKind::kMigPage)
-                         : MsgKind::kWrite;
     op.sent = true;
     op.last_tx = sim_.now();
-    sendAt(q.peer_nic, wireArrival(sim_.now(), op.bytes),
-           std::move(msg));
+    const Nanos arrival =
+        wireArrival(sim_.now(), static_cast<u32>(msg.payload.size()));
+    sendAt(q.peer_nic, arrival, std::move(msg));
     armRto(qp);
 }
 
 void
 RdmaNic::onDataAccess(const WireMsg &msg)
 {
-    // Target side of an RDMA write/read: pure device work — the
-    // access translates through OUR handle, costing zero local driver
-    // cycles. This is the VA-RDMA property under test.
+    // Target side of every verb: pure device work — the access
+    // translates through OUR handle (a migration chunk through the
+    // sink's own mapping), costing zero local driver cycles. This is
+    // the VA-RDMA property under test, whichever verb posted the op.
     WireMsg reply;
     reply.dst_qp = msg.src_qp;
     reply.wqe = msg.wqe;
@@ -609,7 +488,6 @@ RdmaNic::onDataAccess(const WireMsg &msg)
             // episode with the expected PSN.
             if (!rq->nak_armed) {
                 rq->nak_armed = true;
-                ++stats_.nak_seq_sent;
                 WireMsg nak;
                 nak.kind = MsgKind::kNakSeq;
                 nak.dst_qp = msg.src_qp;
@@ -619,72 +497,28 @@ RdmaNic::onDataAccess(const WireMsg &msg)
                        std::move(nak));
             }
             return;
-        } else {
-            // Duplicate (retransmit overlap or wire dup). Writes and
-            // reads are idempotent, so hardware replays the DMA and
-            // re-acknowledges under the duplicate's own PSN.
-            ++stats_.dup_requests;
         }
+        // A PSN below epsn is a duplicate (retransmit overlap or wire
+        // dup). Every verb is idempotent, so hardware replays the DMA
+        // and re-acknowledges under the duplicate's own PSN.
     }
-    // Target-IOMMU walk instant: the moment the remote access
-    // translated (or faulted) on THIS machine's track, stitched into
-    // the initiator's op by the carried trace id.
-    const auto walkEvent = [&](bool ok) {
-        if (!msg.trace)
-            return;
-        obs::Event ev;
-        ev.kind = obs::Ev::kTargetWalk;
-        ev.t = sim_.now();
-        ev.trace = msg.trace;
-        ev.arg = msg.len;
-        ev.arg2 = (static_cast<u64>(late) << 1) | (ok ? 1 : 0);
-        ev.pid = core_.obsPid();
-        ev.tid = core_.obsTid();
-        obs::timeline().emit(ev);
-    };
-    if (msg.kind != MsgKind::kRead) {
-        Status s;
-        if (msg.kind == MsgKind::kWrite) {
-            ++stats_.remote_writes;
-            s = handle_.deviceWrite(msg.rkey + msg.offset,
-                                    msg.payload.data(), msg.len);
-        } else {
-            // Migration chunk: the hypervisor sink applies it (a page
-            // into guest RAM through THIS machine's IOMMU, or a state
-            // blob). A chunk that outlived its stream — or arrived
-            // where no migration is in progress — NAKs.
-            s = mig_sink_ ? mig_sink_(msg)
-                          : Status(ErrorCode::kInvalidArgument,
-                                   "no migration sink");
-            if (s.isOk())
-                ++stats_.mig_applied;
-            else
-                ++stats_.mig_apply_faults;
-        }
-        if (late) {
-            if (s.isOk()) {
-                ++stats_.late_landed;
-                if (migrated_away_)
-                    ++stats_.migrated_away_landed;
-            } else {
-                ++stats_.late_faulted;
-                if (migrated_away_)
-                    ++stats_.migrated_away_faulted;
-            }
-        }
-        walkEvent(s.isOk());
-        reply.ok = s.isOk();
-        if (!reply.ok)
-            ++stats_.remote_faults;
-        reply.kind = reply.ok ? MsgKind::kAck : MsgKind::kNak;
-        sendAt(msg.src_nic, wireArrival(sim_.now(), 0),
-               std::move(reply));
-        return;
+    Status s;
+    if (msg.kind == MsgKind::kRead) {
+        reply.payload.resize(msg.len);
+        s = handle_.deviceRead(msg.rkey + msg.offset, reply.payload.data(),
+                               msg.len);
+    } else if (msg.kind == MsgKind::kWrite) {
+        s = handle_.deviceWrite(msg.rkey + msg.offset, msg.payload.data(),
+                                msg.len);
+    } else {
+        // Migration chunk: the hypervisor sink applies it (a page
+        // into guest RAM through THIS machine's IOMMU, or a state
+        // blob). A chunk that outlived its stream — or arrived
+        // where no migration is in progress — NAKs.
+        s = mig_sink_ ? mig_sink_(msg)
+                      : Status(ErrorCode::kInvalidArgument,
+                               "no migration sink");
     }
-    ++stats_.remote_reads;
-    reply.payload.resize(msg.len);
-    Status s = handle_.deviceRead(msg.rkey + msg.offset,
-                                  reply.payload.data(), msg.len);
     if (late) {
         if (s.isOk()) {
             ++stats_.late_landed;
@@ -696,16 +530,26 @@ RdmaNic::onDataAccess(const WireMsg &msg)
                 ++stats_.migrated_away_faulted;
         }
     }
-    walkEvent(s.isOk());
+    // Target-IOMMU walk instant: the moment the remote access
+    // translated (or faulted) on THIS machine's track, stitched into
+    // the initiator's op by the carried trace id.
+    if (msg.trace)
+        emitEvent(obs::Ev::kTargetWalk, sim_.now(), msg.trace, msg.len,
+                  (static_cast<u64>(late) << 1) | (s.isOk() ? 1 : 0));
     reply.ok = s.isOk();
     if (!reply.ok) {
         ++stats_.remote_faults;
         reply.payload.clear();
     }
-    reply.kind = MsgKind::kReadResp;
-    reply.len = msg.len;
-    sendAt(msg.src_nic, wireArrival(sim_.now(), reply.ok ? msg.len : 0),
-           std::move(reply));
+    if (msg.kind == MsgKind::kRead) {
+        reply.kind = MsgKind::kReadResp;
+        reply.len = msg.len;
+    } else {
+        reply.kind = reply.ok ? MsgKind::kAck : MsgKind::kNak;
+    }
+    const Nanos arrival =
+        wireArrival(sim_.now(), static_cast<u32>(reply.payload.size()));
+    sendAt(msg.src_nic, arrival, std::move(reply));
 }
 
 void
@@ -722,7 +566,6 @@ RdmaNic::onCompletionMsg(const WireMsg &msg)
             // Duplicate ack, or an ack for a previous occupant of
             // this WQE slot — the PSN check makes slot reuse safe
             // under arbitrary wire delays.
-            ++stats_.stale_acks;
             return;
         }
         // Forward progress: reset the go-back-N budget and backoff.
@@ -775,7 +618,6 @@ RdmaNic::pollCq()
     pending_cqes_.clear();
     if (batch.empty())
         return;
-    ++stats_.cq_irqs;
     // end_of_burst goes to the LAST completion of each QP in the
     // batch: under rIOMMU that is the one explicit per-ring
     // invalidation the whole burst pays. At low connection counts a
@@ -785,12 +627,8 @@ RdmaNic::pollCq()
     std::vector<bool> last(batch.size(), false);
     {
         std::unordered_set<u32> seen;
-        for (size_t i = batch.size(); i > 0; --i) {
-            if (seen.insert(batch[i - 1].qp).second) {
-                last[i - 1] = true;
-                ++stats_.cq_batch_rings;
-            }
-        }
+        for (size_t i = batch.size(); i > 0; --i)
+            last[i - 1] = seen.insert(batch[i - 1].qp).second;
     }
     std::vector<u32> drained;
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -818,7 +656,6 @@ RdmaNic::pollCq()
         --q.inflight;
         --inflight_total_;
         ++stats_.completions;
-        ++stats_.cq_polled;
         if (!c.ok)
             ++stats_.comp_errors;
         if (slo) {
@@ -840,17 +677,9 @@ RdmaNic::pollCq()
             }
             slo_recorder_.record(rec);
         }
-        if (trace) {
-            obs::Event ev;
-            ev.kind = obs::Ev::kOpCqe;
-            ev.t = core_.virtualNow();
-            ev.trace = trace;
-            ev.arg = latency;
-            ev.arg2 = (static_cast<u64>(rtx) << 1) | (c.ok ? 1 : 0);
-            ev.pid = core_.obsPid();
-            ev.tid = core_.obsTid();
-            obs::timeline().emit(ev);
-        }
+        if (trace)
+            emitEvent(obs::Ev::kOpCqe, core_.virtualNow(), trace, latency,
+                      (static_cast<u64>(rtx) << 1) | (c.ok ? 1 : 0));
         if (on_completion_)
             on_completion_(c.qp, c.wqe, c.ok);
         if ((q.state == QpState::kClosing ||
@@ -966,19 +795,11 @@ RdmaNic::retransmit(u32 qp)
         Op &op = q.ops[w];
         ++op.rtx;
         ++stats_.retransmits;
-        if (op.trace) {
-            // Retransmit episode: a child instant of the ORIGINAL
-            // trace — the replay must not mint a new identity.
-            obs::Event ev;
-            ev.kind = obs::Ev::kRetransmit;
-            ev.t = sim_.now();
-            ev.trace = op.trace;
-            ev.arg = psn;
-            ev.arg2 = op.rtx;
-            ev.pid = core_.obsPid();
-            ev.tid = core_.obsTid();
-            obs::timeline().emit(ev);
-        }
+        // Retransmit episode: a child instant of the ORIGINAL trace —
+        // the replay must not mint a new identity.
+        if (op.trace)
+            emitEvent(obs::Ev::kRetransmit, sim_.now(), op.trace, psn,
+                      op.rtx);
         deviceFetchWqe(qp, w);
     }
 }
@@ -1011,12 +832,7 @@ RdmaNic::enterError(u32 qp, const char *reason, bool notify_peer)
     disarmRto(qp);
     q.state = QpState::kError;
     ++stats_.qp_errors;
-    obs::Event ev;
-    ev.kind = obs::Ev::kQpError;
-    ev.arg = qp;
-    ev.pid = core_.obsPid();
-    ev.tid = core_.obsTid();
-    obs::timeline().emit(ev);
+    emitEvent(obs::Ev::kQpError, /*t=*/0, /*trace=*/0, qp, 0);
     // Journal the last 256 events around the transition — the
     // wire-storm debugging trigger (free when rate-limited away).
     obs::flightDump(strprintf("rdma_qp_error nic=%u qp=%u peer=%u: %s",
@@ -1038,7 +854,6 @@ RdmaNic::enterError(u32 qp, const char *reason, bool notify_peer)
         Op &op = q.ops[w];
         if (!op.active || op.acked)
             continue;
-        ++stats_.qp_error_flushed;
         // Flush CQEs attribute to the flushed ops' own traces.
         obs::TraceScope tscope(op.trace);
         completeOp(qp, w, false);

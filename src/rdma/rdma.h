@@ -17,6 +17,13 @@
  * A fabric of Q QPs therefore owns 1 + 2Q rDEVICE entries; this is
  * the structure whose erosion bench_cluster_rdma measures.
  *
+ * Every verb (write, read, migration page, migration state) takes the
+ * same driver path, the paper's ring shape (§2.3): map the buffer into
+ * the QP's data ring, write the WQE, ring the doorbell; the device
+ * fetches the WQE and payload through our IOMMU, and the poll unmaps
+ * at the end of the burst. The verb only picks the size ceiling, the
+ * map direction (device-to-memory for reads) and the WQE opcode.
+ *
  * Determinism: the model draws no random numbers and all latencies
  * are profile constants; cross-machine delivery order is fixed by the
  * ParallelEngine's (when, src lane, seq) mail sort, and a cluster's
@@ -38,6 +45,7 @@
 #include "mem/phys_mem.h"
 #include "net/packet.h"
 #include "obs/slo.h"
+#include "obs/timeline.h"
 
 namespace rio::rdma {
 
@@ -148,37 +156,28 @@ struct ReliabilityConfig
     Cycles recovery_cycles = 4000;
 };
 
-/** Counters for the bench and the fuzz oracles. */
+/**
+ * Counters the fleet report, the benches and the fuzz oracles read.
+ * Only fields something outside the NIC reads live here; every verb
+ * counts in the same `posts` / `completions` whatever its kind.
+ */
 struct RdmaStats
 {
     u64 connects = 0;  //!< QPs established, either side
-    u64 rejects = 0;
     u64 teardowns = 0; //!< QPs fully closed, either side
     u64 posts = 0;
     u64 posts_blocked = 0; //!< window full / ring overflow / closing
-    u64 writes_sent = 0;
-    u64 reads_sent = 0;
     u64 completions = 0;
     u64 comp_errors = 0;
-    u64 remote_writes = 0;
-    u64 remote_reads = 0;
     u64 remote_faults = 0; //!< target-side translation faults (NAKs)
     u64 local_fault_drops = 0; //!< initiator-side WQE/payload faults
-    u64 bytes_sent = 0;
-    u64 cq_irqs = 0;
-    u64 cq_polled = 0;      //!< CQEs consumed
-    u64 cq_batch_rings = 0; //!< distinct QPs summed over poll batches
     u64 eob_unmaps = 0;     //!< unmaps that closed a per-ring burst
 
     // Reliability layer (all zero while ReliabilityConfig is off).
     u64 retransmits = 0;  //!< data packets re-sent (go-back-N)
     u64 rto_fires = 0;    //!< RTO expirations that retransmitted
-    u64 nak_seq_sent = 0; //!< out-of-sequence NAKs (responder side)
     u64 nak_seq_recv = 0; //!< sequence NAKs acted on (requester side)
-    u64 dup_requests = 0; //!< duplicate data packets replayed
-    u64 stale_acks = 0;   //!< acks ignored (PSN mismatch / dead op)
     u64 qp_errors = 0;    //!< QPs that entered the error state
-    u64 qp_error_flushed = 0;   //!< WQEs flushed as error CQEs
     u64 qp_error_recovered = 0; //!< error QPs drained + freed
     /** Data packets that addressed a dead QP (freed, or its MR
      * already unmapped) — the late-arrival window the headline
@@ -189,12 +188,6 @@ struct RdmaStats
     u64 late_faulted = 0;
     u64 late_landed = 0;
 
-    // Migration stream (zero unless a Migrator drives this NIC).
-    u64 mig_pages_sent = 0;  //!< kMigPage ops posted (requester)
-    u64 mig_state_sent = 0;  //!< kMigState ops posted (requester)
-    u64 mig_bytes_sent = 0;  //!< payload bytes across both kinds
-    u64 mig_applied = 0;     //!< sink applies that succeeded (target)
-    u64 mig_apply_faults = 0; //!< sink applies the target IOMMU refused
     /** The "migrated-away" tier of the late-arrival ledger: data
      * packets that reached this NIC after its guest was migrated
      * off the machine. Like late_*, faulted means the source IOMMU
@@ -363,9 +356,7 @@ class RdmaNic
     struct Op
     {
         bool active = false;
-        bool is_read = false;
-        bool is_mig = false;   //!< kMigPage/kMigState op
-        bool is_state = false; //!< kMigState (valid when is_mig)
+        MsgKind kind = MsgKind::kWrite; //!< kWrite/kRead/kMigPage/kMigState
         bool sent = false;  //!< device fetched + transmitted at least once
         bool acked = false; //!< CQE generated; awaiting poll, not retx
         u32 bytes = 0;
@@ -421,14 +412,17 @@ class RdmaNic
     Status registerQp(u32 idx);
     void unregisterQp(u32 idx);
     void freeQp(u32 idx);
-    /** Shared body of postMigPage/postMigState. */
-    bool postMig(u32 qp, PhysAddr src_pa, u32 bytes, u64 tag,
-                 bool state);
-    /** Common tail of every post: SLO attribution (when @p cat0 holds
-     * the pre-post category snapshot), the op-post trace event and
-     * the doorbell that schedules the device's WQE fetch. */
-    void ringDoorbell(u32 qp, u32 w, u64 trace, u32 bytes,
-                      const std::array<u64, obs::kSloMaxCats> *cat0);
+    /**
+     * The one post path behind every verb: validate, map @p bytes at
+     * @p pa into the QP's data ring, fill the WQE, count, bank the SLO
+     * post delta, emit the op-post event and ring the doorbell.
+     * @p roffset is the target MR offset (writes/reads) or the chunk
+     * tag (migration).
+     */
+    bool post(u32 qp, MsgKind kind, PhysAddr pa, u32 bytes, u64 roffset);
+    /** Emit one timeline event on this NIC's core track. */
+    void emitEvent(obs::Ev kind, Nanos t, u64 trace, u64 arg, u64 arg2,
+                   Nanos dur_ns = 0);
     void deviceFetchWqe(u32 qp, u32 wqe);
     void completeOp(u32 qp, u32 wqe, bool ok);
     void pollCq();

@@ -80,7 +80,6 @@ WirePort::deliver(rdma::WireMsg msg)
         sink(msg).fromWire(msg);
         return;
     }
-    ++stats_.data_seen;
     // Every knob gated on rate > 0: the inert config draws nothing.
     if (cfg_.drop_rate > 0.0 && rng_.chance(cfg_.drop_rate)) {
         ++stats_.drops;

@@ -76,7 +76,6 @@ struct WireFaultConfig
 /** Per-destination-port counters (summed by the bench). */
 struct WireStats
 {
-    u64 data_seen = 0;   //!< data-plane messages entering the port
     u64 delivered = 0;   //!< handed to the NIC (incl. duplicates)
     u64 drops = 0;       //!< Bernoulli losses
     u64 dups = 0;        //!< duplicates injected

@@ -182,9 +182,9 @@ struct MachineDriver
     }
 
     /** Driver half of QP error recovery: the NIC has already flushed
-     * the slot's ops as error CQEs and freed the QP; decide whether
-     * to dial the peer again. Responder-side slots (not in my_qps)
-     * are left to the initiating machine's policy. */
+     * the slot's ops as error CQEs and freed the QP; dial the peer
+     * again unless the run is done. Responder-side slots (not in
+     * my_qps) are left to the initiating machine. */
     void
     onQpError(u32 qp, u32 peer)
     {
@@ -197,8 +197,7 @@ struct MachineDriver
         my_qps.erase(it);
         p0_qps.erase(std::remove(p0_qps.begin(), p0_qps.end(), qp),
                      p0_qps.end());
-        if (p->qp_error_policy == FleetParams::QpErrorPolicy::kReconnect &&
-            !done)
+        if (!done)
             initiateConnect(peer);
     }
 

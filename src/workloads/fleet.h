@@ -66,11 +66,6 @@ struct FleetParams
      * late arrivals at a dead QP. Needs the reliability layer. */
     double churn_abort_fraction = 0.0;
 
-    /** Driver policy when a QP blows its retry budget (hostile wire
-     * only; errors cannot happen on the lossless wire). */
-    enum class QpErrorPolicy { kAbort, kReconnect };
-    QpErrorPolicy qp_error_policy = QpErrorPolicy::kReconnect;
-
     u64 seed = 1;
 };
 

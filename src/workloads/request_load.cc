@@ -7,6 +7,7 @@
 #include "base/logging.h"
 #include "net/packet.h"
 #include "sys/machine.h"
+#include "workloads/flow.h"
 
 namespace rio::workloads {
 
@@ -19,14 +20,6 @@ constexpr u32 kRespData = 3; // response segment
 constexpr u32 kRespLast = 4; // final response packet
 constexpr u32 kAck = 5;      // client ack during response streaming
 constexpr u32 kSmallPayload = 4;
-
-struct Snapshot
-{
-    Nanos t = 0;
-    Cycles busy = 0;
-    cycles::CycleAccount acct;
-    nic::NicStats nic;
-};
 
 } // namespace
 
@@ -90,11 +83,7 @@ runRequestLoad(dma::ProtectionMode mode, const nic::NicProfile &profile,
     auto &core = m.core();
     Rng rng(params.seed);
 
-    auto snap = [&] {
-        return Snapshot{sim.now(), core.busyCycles(), core.acct(),
-                        nic.stats()};
-    };
-    Snapshot start, end;
+    FlowSnapshot start, end;
     bool started = false;
     bool stopped = false;
     u64 transactions = 0;
@@ -194,11 +183,11 @@ runRequestLoad(dma::ProtectionMode mode, const nic::NicProfile &profile,
         ++transactions;
         if (!started && transactions >= params.warmup_requests) {
             started = true;
-            start = snap();
+            start = snapFlow(m, 0);
         }
         if (started && !stopped && transactions >= total_target) {
             stopped = true;
-            end = snap();
+            end = snapFlow(m, 0);
             return;
         }
         if (!stopped) {
@@ -214,10 +203,8 @@ runRequestLoad(dma::ProtectionMode mode, const nic::NicProfile &profile,
     RIO_ASSERT(stopped, "request load ended early at ", transactions,
                " transactions");
 
-    RunResult r;
-    r.duration_s = static_cast<double>(end.t - start.t) * 1e-9;
+    RunResult r = windowResult(start, end, cost.core_ghz);
     r.nic = statsDelta(end.nic, start.nic);
-    r.acct = end.acct.since(start.acct);
     r.tx_packets = r.nic.tx_packets;
     r.rx_packets = r.nic.rx_packets;
     r.tx_payload_bytes = r.nic.tx_payload_bytes;
@@ -226,9 +213,8 @@ runRequestLoad(dma::ProtectionMode mode, const nic::NicProfile &profile,
         static_cast<double>(r.transactions) / r.duration_s;
     r.throughput_gbps = static_cast<double>(r.tx_payload_bytes) * 8 /
                         r.duration_s / 1e9;
-    r.cpu = std::min(
-        1.0, static_cast<double>(end.busy - start.busy) / cost.core_ghz /
-                 static_cast<double>(end.t - start.t));
+    // Per-packet cost over both directions (the flow drivers'
+    // finishWindow divides by tx only).
     r.cycles_per_packet = static_cast<double>(r.acct.total()) /
                           static_cast<double>(std::max<u64>(
                               r.tx_packets + r.rx_packets, 1));

@@ -4,6 +4,8 @@
  * fabric's correctness contract:
  *   - remote writes/reads land exactly the bytes a local DMA oracle
  *     produces, translated through the *target* machine's IOMMU;
+ *   - every verb (write, read, migration page / state) writes its own
+ *     WQE opcode and arrives at the target as its own wire kind;
  *   - QP lifecycle (connect / traffic / teardown, plus slot
  *     exhaustion and force-quiesce) leaves no mapping, IOTLB or
  *     rIOTLB residue, audited with checkHandleLeaks in all 7 modes;
@@ -162,6 +164,146 @@ TEST(Cluster, RemoteReadMatchesPeerMemory)
     cluster.quiesce();
     EXPECT_TRUE(cluster.checkLeaks(0).clean());
     EXPECT_TRUE(cluster.checkLeaks(1).clean());
+}
+
+/** Device address of @p h's one live mapping of @p size bytes in
+ * ring @p rid (the mode's own record of what map() handed out). */
+u64
+liveDeviceAddr(const dma::DmaHandle &h, u16 rid, u32 size)
+{
+    u64 addr = 0;
+    unsigned found = 0;
+    for (const dma::LiveMappingInfo &m : h.liveMappingList()) {
+        if (m.rid == rid && m.size == size) {
+            addr = m.device_addr;
+            ++found;
+        }
+    }
+    EXPECT_EQ(found, 1u) << "rid " << rid << " size " << size;
+    return addr;
+}
+
+/** Every verb writes its own WQE opcode (1 write, 2 read, 3 mig page,
+ * 4 mig state) with the length in word 0 and the op's data-ring
+ * device address in word 1, and the target sees the matching access:
+ * write bytes in the MR, read bytes in the read buffer, each
+ * migration chunk at the sink under its tag. The kind-specific size
+ * ceilings hold too: a page-sized migration chunk posts, a page-sized
+ * write does not. (None keeps no per-mapping records to find the WQE
+ * ring by, so the translated modes carry the check.) */
+TEST(Cluster, EachVerbWritesItsWqeAndWireKind)
+{
+    for (ProtectionMode mode :
+         {ProtectionMode::kRiommu, ProtectionMode::kStrict}) {
+        SCOPED_TRACE(dma::modeName(mode));
+        auto cfg = smallConfig(mode);
+        cfg.migration = true;
+        sys::Cluster cluster(cfg);
+        cluster.bringUp();
+        rdma::RdmaNic &nic = cluster.nic(0);
+        rdma::RdmaNic &mnic = cluster.migNic(0);
+        auto res = nic.connect(1, nullptr);
+        ASSERT_TRUE(res.isOk());
+        auto mres = mnic.connect(cluster.size() + 1, nullptr);
+        ASSERT_TRUE(mres.isOk());
+        const u32 qp = res.value();
+        const u32 mqp = mres.value();
+        cluster.run();
+        const u32 peer = nic.peerQp(qp);
+
+        std::vector<rdma::WireMsg> sunk;
+        cluster.migNic(1).setMigSink([&](const rdma::WireMsg &msg) {
+            sunk.push_back(msg);
+            return Status::ok();
+        });
+        unsigned completions = 0;
+        bool all_ok = true;
+        const auto onDone = [&](u32, u32, bool ok) {
+            ++completions;
+            all_ok &= ok;
+        };
+        nic.setCompletionCallback(onDone);
+        mnic.setCompletionCallback(onDone);
+
+        // Post through @p post, then read back the WQE the device is
+        // about to fetch, through the control-ring mapping, while the
+        // op's data-ring mapping is still live; then run the op.
+        const u32 sq_bytes = rdma::rnicProfile().sq_depth * rdma::kWqeBytes;
+        const auto checkWqe = [&](rdma::RdmaNic &n, dma::DmaHandle &h,
+                                  u32 q, u64 opcode, u32 bytes,
+                                  const auto &post) {
+            const u32 w = n.sqTail(q);
+            ASSERT_TRUE(post());
+            const u64 sq_dev = liveDeviceAddr(h, rdma::ctrlRid(q), sq_bytes);
+            u64 words[2] = {};
+            ASSERT_TRUE(h.deviceRead(sq_dev + u64{w} * rdma::kWqeBytes,
+                                     words, sizeof(words))
+                            .isOk());
+            EXPECT_EQ(words[0] >> 32, opcode);
+            EXPECT_EQ(words[0] & 0xffffffffu, bytes);
+            EXPECT_EQ(words[1], liveDeviceAddr(h, rdma::dataRid(q), bytes));
+            cluster.run();
+        };
+        const auto pattern = [](u32 len, u8 seed) {
+            std::vector<u8> v(len);
+            for (u32 i = 0; i < len; ++i)
+                v[i] = static_cast<u8>(seed ^ (i * 11));
+            return v;
+        };
+        mem::PhysicalMemory &src_mem = cluster.machine(0).ctx().memory();
+        mem::PhysicalMemory &dst_mem = cluster.machine(1).ctx().memory();
+
+        // Write: source buffer -> peer MR at the offset.
+        const auto wbytes = pattern(700, 0x3C);
+        src_mem.write(nic.srcBuffer(qp), wbytes.data(), wbytes.size());
+        checkWqe(nic, cluster.handle(0), qp, 1, 700,
+                 [&] { return nic.postWrite(qp, 700, 64); });
+        std::vector<u8> got(700);
+        dst_mem.read(cluster.nic(1).mrBuffer(peer) + 64, got.data(), 700);
+        EXPECT_EQ(got, wbytes);
+
+        // Read: peer MR at the offset -> our read buffer.
+        const auto rbytes = pattern(300, 0xC3);
+        dst_mem.write(cluster.nic(1).mrBuffer(peer) + 128, rbytes.data(),
+                      rbytes.size());
+        checkWqe(nic, cluster.handle(0), qp, 2, 300,
+                 [&] { return nic.postRead(qp, 300, 128); });
+        got.assign(300, 0);
+        src_mem.read(nic.readBuffer(qp), got.data(), 300);
+        EXPECT_EQ(got, rbytes);
+
+        // Migration chunks: an arbitrary source page -> the sink.
+        const PhysAddr page = src_mem.allocContiguous(kPageSize);
+        const auto pbytes = pattern(rdma::kMigChunkBytes, 0x5A);
+        src_mem.write(page, pbytes.data(), pbytes.size());
+        EXPECT_FALSE(nic.postWrite(qp, rdma::kMigChunkBytes));
+        EXPECT_FALSE(mnic.postMigPage(mqp, page, rdma::kMigChunkBytes + 1,
+                                      7));
+        checkWqe(mnic, cluster.migHandle(0), mqp, 3, rdma::kMigChunkBytes,
+                 [&] {
+                     return mnic.postMigPage(mqp, page,
+                                             rdma::kMigChunkBytes, 41);
+                 });
+        checkWqe(mnic, cluster.migHandle(0), mqp, 4, 96, [&] {
+            return mnic.postMigState(mqp, page, 96, 0xABC);
+        });
+        ASSERT_EQ(sunk.size(), 2u);
+        EXPECT_EQ(sunk[0].kind, rdma::MsgKind::kMigPage);
+        EXPECT_EQ(sunk[0].offset, 41u);
+        EXPECT_EQ(sunk[0].payload, pbytes);
+        EXPECT_EQ(sunk[1].kind, rdma::MsgKind::kMigState);
+        EXPECT_EQ(sunk[1].offset, 0xABCu);
+        EXPECT_EQ(sunk[1].payload,
+                  std::vector<u8>(pbytes.begin(), pbytes.begin() + 96));
+
+        EXPECT_EQ(completions, 4u);
+        EXPECT_TRUE(all_ok);
+        cluster.quiesce();
+        for (unsigned m = 0; m < 2; ++m) {
+            EXPECT_TRUE(cluster.checkLeaks(m).clean());
+            EXPECT_TRUE(cluster.checkMigLeaks(m).clean());
+        }
+    }
 }
 
 /** Orderly teardown releases both ends' slots and mappings. */
