@@ -15,7 +15,7 @@
 #   sanitize   asan     every ctest; FaultFuzz, LifecycleFuzz and
 #                       VirtFuzz soaks (recovery and teardown paths)
 #   tsan       tsan     everything that runs parallelFor threads:
-#                       engine, obs, lock and cluster suites,
+#                       engine, obs, lock, memory-pool and cluster suites,
 #                       ClusterFuzz, threaded fig7 / scaling sweeps and
 #                       concurrent cluster / tail / migration rows
 #   obs        release  zero-cost goldens, fault-storm and wire-storm
@@ -48,7 +48,7 @@ declare -A FLAVOUR=([sanitize]=asan [tsan]=tsan [obs]=release
                     [migrate]=asan [fuzz]=default [lifecycle]=default)
 declare -A TARGETS=(
     [sanitize]=all
-    [tsan]="parallel_test obs_test des_test spinlock_test
+    [tsan]="parallel_test obs_test des_test spinlock_test mem_test
             magazine_churn_test cluster_test fuzz_test
             bench_fig7_cycles_per_packet bench_scaling_cores
             bench_cluster_rdma bench_tail_latency bench_migration"
@@ -62,7 +62,7 @@ declare -A TARGETS=(
 )
 declare -A TESTS=(
     [sanitize]='.*'
-    [tsan]='parallel_test|obs_test|des_test|spinlock_test|magazine_churn_test|cluster_test'
+    [tsan]='parallel_test|obs_test|des_test|spinlock_test|mem_test|magazine_churn_test|cluster_test'
     [obs]='obs_test|golden_obs|golden_fig7.*|golden_virt_threads|golden_scaling.*|golden_lifecycle'
     [virt]='virt_test|magazine_churn_test|golden_virt'
     [cluster]='cluster_test|golden_cluster.*'

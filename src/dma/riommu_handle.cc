@@ -173,13 +173,12 @@ RiommuDmaHandle::liveMappingList() const
     // ring and reconstructs the rIOVA the driver handed out.
     std::vector<LiveMappingInfo> out;
     for (u16 rid = 0; rid < rdevice_.nrings(); ++rid) {
-        for (u32 rentry = 0; rentry < rdevice_.ringSize(rid); ++rentry) {
-            const riommu::RPte pte = rdevice_.readPte(rid, rentry);
-            if (!pte.valid)
-                continue;
-            out.push_back(LiveMappingInfo{
-                riommu::RIova::pack(0, rentry, rid).raw, pte.size, rid});
-        }
+        rdevice_.forEachValidPte(
+            rid, [&out, rid](u32 rentry, const riommu::RPte &pte) {
+                out.push_back(LiveMappingInfo{
+                    riommu::RIova::pack(0, rentry, rid).raw, pte.size,
+                    rid});
+            });
     }
     return out;
 }

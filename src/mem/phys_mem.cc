@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <mutex>
 
 #include "base/logging.h"
 
@@ -15,6 +16,28 @@ namespace {
 /** Bytes of one host block: its frames plus one page of slack, room to
  * align any malloc result up to a page boundary. */
 constexpr u64 kBlockBytes = (PhysicalMemory::kBlockFrames + 1) * kPageSize;
+
+/**
+ * Host blocks of destroyed memories, shared by every memory in the
+ * process (cluster rows build and destroy machines on parallelFor
+ * threads, hence the mutex; it is taken once per block, not per
+ * frame). Blocks wait here poisoned under ASan, so a stale frame
+ * pointer into a dead machine is still caught. Never destroyed: a
+ * memory may die after static destructors have run, and the list
+ * keeps the pooled blocks reachable for LeakSanitizer.
+ */
+struct BlockPool
+{
+    std::mutex mu;
+    std::vector<u8 *> blocks;
+};
+
+BlockPool &
+blockPool()
+{
+    static BlockPool *pool = new BlockPool;
+    return *pool;
+}
 
 } // namespace
 
@@ -28,23 +51,35 @@ PhysicalMemory::PhysicalMemory(u64 size_bytes)
 
 PhysicalMemory::~PhysicalMemory()
 {
-    for (u8 *block : blocks_) {
-        ASAN_UNPOISON_MEMORY_REGION(block, kBlockBytes);
-        std::free(block);
-    }
+    for (u8 *block : blocks_)
+        ASAN_POISON_MEMORY_REGION(block, kBlockBytes);
+    BlockPool &pool = blockPool();
+    std::lock_guard<std::mutex> lock(pool.mu);
+    pool.blocks.insert(pool.blocks.end(), blocks_.begin(), blocks_.end());
 }
 
 u8 *
 PhysicalMemory::carveFrame()
 {
     if (block_left_ == 0) {
-        // Aligned by hand: aligned_alloc's holes are too small for the
-        // next block once freed, so the heap would grow every machine.
+        // A pooled block first: its pages are already faulted in.
+        // Otherwise malloc, page-aligned by hand within its slack.
         // Under ASan the slack and the uncarved frames stay poisoned,
         // so running off the end of a frame is still caught.
-        u8 *block = static_cast<u8 *>(std::malloc(kBlockBytes));
-        RIO_ASSERT(block, "host out of memory for frames");
-        ASAN_POISON_MEMORY_REGION(block, kBlockBytes);
+        u8 *block = nullptr;
+        {
+            BlockPool &pool = blockPool();
+            std::lock_guard<std::mutex> lock(pool.mu);
+            if (!pool.blocks.empty()) {
+                block = pool.blocks.back();
+                pool.blocks.pop_back();
+            }
+        }
+        if (!block) {
+            block = static_cast<u8 *>(std::malloc(kBlockBytes));
+            RIO_ASSERT(block, "host out of memory for frames");
+            ASAN_POISON_MEMORY_REGION(block, kBlockBytes);
+        }
         blocks_.push_back(block);
         block_next_ = reinterpret_cast<u8 *>(
             pageAlignUp(reinterpret_cast<std::uintptr_t>(block)));

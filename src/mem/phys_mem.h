@@ -12,8 +12,11 @@
  * loads, never a hash probe. A materialized frame is a page-aligned
  * 4 KB slice of a kBlockFrames-frame host block, carved in
  * materialization order, so a word access never straddles host pages.
- * read64/read32/write64 are inline for the common case: a naturally
- * aligned word of a materialized frame.
+ * A destroyed memory hands its blocks to a process-wide pool that the
+ * next memory carves from, so host pages are faulted in once per
+ * process, not once per machine. read64/read32 are inline for any
+ * naturally aligned in-range word (a never-written frame reads 0),
+ * write64 for one of a materialized frame.
  */
 #ifndef RIO_MEM_PHYS_MEM_H
 #define RIO_MEM_PHYS_MEM_H
@@ -141,8 +144,9 @@ class PhysicalMemory
     /**
      * Frames per host block. A block is one malloc, page-aligned by
      * hand; with its alignment slack it stays below glibc's 128 KB
-     * mmap threshold, so blocks come from and go back to the malloc
-     * heap instead of faulting in fresh pages per machine.
+     * mmap threshold. A destroyed memory's blocks go to a process-wide
+     * pool, not back to malloc: glibc trims the heap top, and the next
+     * machine would fault those pages in again.
      */
     static constexpr u64 kBlockFrames = 30;
 
@@ -174,16 +178,19 @@ class PhysicalMemory
         return frame ? frame + (addr & kPageMask) : nullptr;
     }
 
-    /** Inline word read; anything but the fast case goes to read(). */
+    /** Inline word read: a never-written frame reads 0. A misaligned
+     * or out-of-range word goes to read(), which checks the range. */
     template <typename T>
     T
     readWord(PhysAddr addr) const
     {
-        T v;
-        if (const u8 *word = wordIfPresent(addr, sizeof(T)))
-            std::memcpy(&v, word, sizeof(T));
-        else
+        T v = 0;
+        if ((addr & (sizeof(T) - 1)) == 0 && addr < capacity_) {
+            if (const u8 *frame = frameIfPresent(addr))
+                std::memcpy(&v, frame + (addr & kPageMask), sizeof(T));
+        } else {
             read(addr, &v, sizeof(T));
+        }
         return v;
     }
 
@@ -192,7 +199,7 @@ class PhysicalMemory
     u64 allocated_frames_ = 0;
     std::vector<u64> freelist_;
     std::vector<std::unique_ptr<Leaf>> leaves_; //!< frame-table directory
-    std::vector<u8 *> blocks_; //!< host blocks, freed on destruction
+    std::vector<u8 *> blocks_; //!< host blocks, pooled on destruction
     u8 *block_next_ = nullptr; //!< next uncarved frame of blocks_.back()
     u64 block_left_ = 0;       //!< uncarved frames left in it
     WriteObserver observer_;

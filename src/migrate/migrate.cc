@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 
 #include "base/logging.h"
 #include "obs/timeline.h"
@@ -636,16 +637,26 @@ Migrator::arenaHash(bool target) const
     const mem::PhysicalMemory &pm =
         cl_.machine(target ? cfg_.dst : cfg_.src).ctx().memory();
     const PhysAddr base = target ? dst_arena_ : src_arena_;
+    RIO_ASSERT(isPageAligned(base), "arena not page-aligned");
+    // Pages are hashed where they lie; a never-written one hashes as
+    // this zero page, which is what reading it would return.
+    static constexpr std::array<u8, kPageSize> kZeroPage{};
+    const auto word = [](const u8 *p) {
+        u64 w;
+        std::memcpy(&w, p, sizeof(w));
+        return w;
+    };
     u64 h0 = kBasis, h1 = kBasis, h2 = kBasis, h3 = kBasis;
-    std::array<u64, kPageSize / sizeof(u64)> buf{};
-    static_assert(buf.size() % 4 == 0);
+    static_assert(kPageSize % (4 * sizeof(u64)) == 0);
     for (u64 g = 0; g < cfg_.guest_pages; ++g) {
-        pm.read(base + g * kPageSize, buf.data(), kPageSize);
-        for (size_t i = 0; i < buf.size(); i += 4) {
-            h0 = mix(h0, buf[i]);
-            h1 = mix(h1, buf[i + 1]);
-            h2 = mix(h2, buf[i + 2]);
-            h3 = mix(h3, buf[i + 3]);
+        const u8 *page = pm.frameData(base + g * kPageSize);
+        if (!page)
+            page = kZeroPage.data();
+        for (u64 i = 0; i < kPageSize; i += 4 * sizeof(u64)) {
+            h0 = mix(h0, word(page + i));
+            h1 = mix(h1, word(page + i + 8));
+            h2 = mix(h2, word(page + i + 16));
+            h3 = mix(h3, word(page + i + 24));
         }
     }
     return mix(mix(mix(mix(kBasis, h0), h1), h2), h3);

@@ -832,7 +832,7 @@ RdmaNic::enterError(u32 qp, const char *reason, bool notify_peer)
     disarmRto(qp);
     q.state = QpState::kError;
     ++stats_.qp_errors;
-    emitEvent(obs::Ev::kQpError, /*t=*/0, /*trace=*/0, qp, 0);
+    emitEvent(obs::Ev::kQpError, sim_.now(), /*trace=*/0, qp, 0);
     // Journal the last 256 events around the transition — the
     // wire-storm debugging trigger (free when rate-limited away).
     obs::flightDump(strprintf("rdma_qp_error nic=%u qp=%u peer=%u: %s",

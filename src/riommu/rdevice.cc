@@ -1,5 +1,8 @@
 #include "riommu/rdevice.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "base/logging.h"
 #include "iommu/virt_hooks.h"
 
@@ -196,6 +199,30 @@ RDevice::readPte(u16 rid, u32 rentry) const
     const PhysAddr slot =
         r.table + static_cast<u64>(rentry) * RPte::kBytes;
     return RPte::fromWords(pm_.read64(slot), pm_.read64(slot + 8));
+}
+
+void
+RDevice::forEachValidPte(
+    u16 rid, const std::function<void(u32, const RPte &)> &fn) const
+{
+    constexpr u32 kPerFrame = kPageSize / RPte::kBytes;
+    const RingState &r = rings_.at(rid);
+    RIO_ASSERT(isPageAligned(r.table), "rPTE table not page-aligned");
+    for (u32 first = 0; first < r.size; first += kPerFrame) {
+        const u8 *frame =
+            pm_.frameData(r.table + static_cast<u64>(first) * RPte::kBytes);
+        if (!frame)
+            continue;
+        const u32 n = std::min(kPerFrame, r.size - first);
+        for (u32 i = 0; i < n; ++i) {
+            u64 w0, w1;
+            std::memcpy(&w0, frame + i * RPte::kBytes, sizeof(w0));
+            std::memcpy(&w1, frame + i * RPte::kBytes + 8, sizeof(w1));
+            const RPte pte = RPte::fromWords(w0, w1);
+            if (pte.valid)
+                fn(first + i, pte);
+        }
+    }
 }
 
 } // namespace rio::riommu

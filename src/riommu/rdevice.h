@@ -13,6 +13,7 @@
 #ifndef RIO_RIOMMU_RDEVICE_H
 #define RIO_RIOMMU_RDEVICE_H
 
+#include <functional>
 #include <vector>
 
 #include "base/status.h"
@@ -80,8 +81,19 @@ class RDevice
     u32 tail(u16 rid) const { return rings_.at(rid).tail; }
     u32 nmapped(u16 rid) const { return rings_.at(rid).nmapped; }
 
-    /** Read an rPTE back from memory (tests). */
+    /** Read an rPTE back from memory (map's tail check, tests). */
     RPte readPte(u16 rid, u32 rentry) const;
+
+    /**
+     * Call @p fn(rentry, pte) for each valid rPTE of ring @p rid, in
+     * entry order. Reads the table a frame at a time through
+     * PhysicalMemory::frameData and skips a never-written frame whole
+     * (all its rPTEs read as invalid); the bytes read are those
+     * readPte would read, so an rPTE written behind the driver's back
+     * still shows.
+     */
+    void forEachValidPte(
+        u16 rid, const std::function<void(u32, const RPte &)> &fn) const;
 
     PhysAddr rdeviceBase() const { return rdevice_base_; }
 

@@ -18,6 +18,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <vector>
@@ -737,6 +738,37 @@ TEST(Tracing, SpanIdentityUnderHostileWire)
     EXPECT_EQ(orphan_children, 0u)
         << "wire/ingress spans must all belong to a posted op";
     obs::timeline().clear();
+}
+
+/** A QP's error transition is stamped with the virtual time it
+ * happens at: after the traffic that broke it, within the run. */
+TEST(Tracing, QpErrorEventCarriesTransitionTime)
+{
+    obs::timeline().clear();
+    obs::timeline().setCapacity(1u << 20);
+    obs::timeline().setRecording(true);
+    const auto rep = runTracedStorm();
+    obs::timeline().setRecording(false);
+    ASSERT_GT(rep.qp_errors, 0u) << "storm must break some QPs";
+
+    Nanos first_post = ~Nanos{0}, last = 0;
+    std::vector<Nanos> errors;
+    for (const auto &[key, events] : obs::timeline().tracks()) {
+        (void)key;
+        for (const obs::Event &e : events) {
+            last = std::max(last, e.t);
+            if (e.kind == obs::Ev::kOpPost)
+                first_post = std::min(first_post, e.t);
+            else if (e.kind == obs::Ev::kQpError)
+                errors.push_back(e.t);
+        }
+    }
+    obs::timeline().clear();
+    EXPECT_EQ(errors.size(), rep.qp_errors);
+    for (const Nanos t : errors) {
+        EXPECT_GT(t, first_post) << "a QP errors after its first post";
+        EXPECT_LE(t, last);
+    }
 }
 
 std::string

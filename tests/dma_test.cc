@@ -16,6 +16,7 @@
 #include "cycles/cycle_account.h"
 #include "dma/baseline_handle.h"
 #include "dma/dma_context.h"
+#include "dma/riommu_handle.h"
 
 namespace rio::dma {
 namespace {
@@ -315,6 +316,55 @@ TEST_F(ProtectionSemanticsTest, MultiPageBufferMapsAllPages)
                      ->deviceRead(m.value().device_addr + 2 * kPageSize,
                                   back.data(), 8)
                      .isOk());
+}
+
+/** The leak check scans the rPTE tables themselves: an rPTE written
+ * behind the driver, into a table frame the driver never touched,
+ * shows up as a leak record although nmapped never counted it. */
+TEST(RiommuLeakScan, RPtePlantedBehindTheDriverIsReported)
+{
+    DmaContext ctx;
+    CycleAccount acct;
+    auto handle =
+        ctx.makeHandle(ProtectionMode::kRiommu, Bdf{0, 6, 0}, &acct, {512});
+    const PhysAddr buf = ctx.memory().allocContiguous(kPageSize);
+    std::vector<DmaMapping> maps;
+    for (u32 i = 0; i < 3; ++i) {
+        auto m = handle->map(0, buf + i * 64, 64, DmaDir::kBidir);
+        ASSERT_TRUE(m.isOk());
+        maps.push_back(m.value());
+    }
+
+    constexpr u32 kPlanted = 300; // in the table's second frame
+    const PhysAddr table =
+        static_cast<RiommuDmaHandle &>(*handle).rdevice().tableAddr(0);
+    ASSERT_EQ(ctx.memory().frameData(table + kPageSize), nullptr);
+    riommu::RPte pte;
+    pte.phys_addr = buf;
+    pte.size = 128;
+    pte.dir = DmaDir::kToDevice;
+    pte.valid = true;
+    const PhysAddr slot = table + kPlanted * riommu::RPte::kBytes;
+    ctx.memory().write64(slot, pte.word0());
+    ctx.memory().write64(slot + 8, pte.word1());
+
+    LeakReport rep = ctx.checkHandleLeaks(*handle);
+    EXPECT_EQ(rep.leaked, 3u);
+    ASSERT_EQ(rep.records.size(), 4u);
+    for (u32 i = 0; i < 3; ++i)
+        EXPECT_EQ(rep.records[i].device_addr, maps[i].device_addr);
+    EXPECT_EQ(rep.records[3].device_addr,
+              riommu::RIova::pack(0, kPlanted, 0).raw);
+    EXPECT_EQ(rep.records[3].size, 128u);
+
+    for (const DmaMapping &m : maps)
+        ASSERT_TRUE(handle->unmap(m, /*end_of_burst=*/true).isOk());
+    rep = ctx.checkHandleLeaks(*handle);
+    EXPECT_EQ(rep.leaked, 0u) << "nmapped is back to zero";
+    ASSERT_EQ(rep.records.size(), 1u) << "the planted rPTE still shows";
+    EXPECT_EQ(rep.records[0].rid, 0u);
+    EXPECT_EQ(rep.records[0].device_addr,
+              riommu::RIova::pack(0, kPlanted, 0).raw);
 }
 
 } // namespace

@@ -10,9 +10,11 @@
 
 #include <cstdint>
 #include <cstring>
+#include <set>
 #include <utility>
 #include <vector>
 
+#include "des/parallel.h"
 #include "mem/phys_mem.h"
 
 namespace rio::mem {
@@ -273,17 +275,6 @@ TEST(PhysicalMemory, Write64ReportsToObserver)
     EXPECT_EQ(pm.read64(0x4010), 0xfeedu);
 }
 
-TEST(PhysicalMemory, WordReadsOfUnwrittenFrameInPopulatedLeafAreZero)
-{
-    PhysicalMemory pm;
-    pm.write64(3 * kPageSize, ~u64{0}); // leaf 0 now exists
-    ASSERT_NE(pm.frameData(3 * kPageSize), nullptr);
-    ASSERT_EQ(pm.frameData(4 * kPageSize), nullptr);
-    EXPECT_EQ(pm.read64(4 * kPageSize), 0u);
-    EXPECT_EQ(pm.read32(4 * kPageSize + 12), 0u);
-    EXPECT_EQ(pm.frameData(4 * kPageSize), nullptr)
-        << "a read must not materialize a frame";
-}
 
 TEST(PhysicalMemory, FramesAcrossManyBlocksKeepTheirData)
 {
@@ -327,6 +318,163 @@ TEST(PhysicalMemory, UncarvedNeighbourFrameStaysPoisoned)
 }
 #endif
 
+// ---- recycled host blocks -----------------------------------------------
+
+/** Fill @p nframes frames (more than one host block) with 0xa5 and
+ * return their host addresses; the memory's blocks then go to the
+ * process-wide pool when @p pm dies. */
+std::set<const u8 *>
+dirtyFrames(PhysicalMemory &pm, u64 nframes)
+{
+    const std::vector<u8> junk(kPageSize, 0xa5);
+    std::set<const u8 *> hosts;
+    for (u64 i = 0; i < nframes; ++i) {
+        const PhysAddr a = (i + 1) * kPageSize;
+        pm.write(a, junk.data(), junk.size());
+        hosts.insert(pm.frameData(a));
+    }
+    return hosts;
+}
+
+constexpr u64 kDirtyFrames = 2 * PhysicalMemory::kBlockFrames + 3;
+
+TEST(PhysicalMemory, PartialFirstWriteToRecycledBlockReadsZerosAround)
+{
+    std::set<const u8 *> old_hosts;
+    {
+        PhysicalMemory dead;
+        old_hosts = dirtyFrames(dead, kDirtyFrames);
+    }
+    PhysicalMemory pm;
+    const PhysAddr a = 7 * kPageSize;
+    const u64 v = 0x1122334455667788ULL;
+    pm.write(a + 100, &v, sizeof(v)); // 8 bytes mid-frame
+    ASSERT_TRUE(old_hosts.count(pm.frameData(a)))
+        << "the first frame must come from the dead machine's block";
+    std::vector<u8> got(kPageSize);
+    pm.read(a, got.data(), got.size());
+    std::vector<u8> want(kPageSize, 0);
+    std::memcpy(want.data() + 100, &v, sizeof(v));
+    EXPECT_EQ(got, want);
+
+    // A write straddling two absent frames covers neither whole.
+    const std::vector<u8> ones(kPageSize, 0x11);
+    const PhysAddr b = 20 * kPageSize + kPageSize / 2;
+    pm.write(b, ones.data(), ones.size());
+    std::vector<u8> span(2 * kPageSize);
+    pm.read(20 * kPageSize, span.data(), span.size());
+    for (u64 i = 0; i < span.size(); ++i) {
+        const bool inside = i >= kPageSize / 2 && i < 3 * kPageSize / 2;
+        ASSERT_EQ(span[i], inside ? 0x11 : 0) << "byte " << i;
+    }
+}
+
+TEST(PhysicalMemory, WholeFrameFirstWriteToRecycledBlockReadsBack)
+{
+    {
+        PhysicalMemory dead;
+        dirtyFrames(dead, kDirtyFrames);
+    }
+    PhysicalMemory pm;
+    // Two whole frames in one write, then a whole frame alone.
+    std::vector<u8> pattern(2 * kPageSize);
+    for (size_t i = 0; i < pattern.size(); ++i)
+        pattern[i] = static_cast<u8>(i * 31 + 7);
+    pm.write(3 * kPageSize, pattern.data(), pattern.size());
+    pm.write(9 * kPageSize, pattern.data(), kPageSize);
+    std::vector<u8> got(pattern.size());
+    pm.read(3 * kPageSize, got.data(), got.size());
+    EXPECT_EQ(got, pattern);
+    got.resize(kPageSize);
+    pm.read(9 * kPageSize, got.data(), got.size());
+    EXPECT_EQ(got, std::vector<u8>(pattern.begin(),
+                                   pattern.begin() + kPageSize));
+    EXPECT_EQ(pm.read64(5 * kPageSize), 0u);
+    EXPECT_EQ(pm.read64(10 * kPageSize), 0u);
+}
+
+TEST(PhysicalMemory, WordReadsOfUnwrittenFrameInPopulatedLeafAreZero)
+{
+    {
+        PhysicalMemory dead; // its dirty blocks go to the pool
+        dirtyFrames(dead, kDirtyFrames);
+    }
+    PhysicalMemory pm;
+    // Materialize frames on both sides of each probed frame so their
+    // leaves exist, then read the absent frames' edge words.
+    const std::vector<u8> ones(kPageSize, 0xff);
+    for (const PhysAddr a : {kPageSize, 4 * kPageSize,
+                             kLeafSpan - 3 * kPageSize,
+                             kLeafSpan + 2 * kPageSize})
+        pm.write(a, ones.data(), ones.size());
+    for (const PhysAddr absent :
+         {2 * kPageSize, 3 * kPageSize, kLeafSpan - 2 * kPageSize,
+          kLeafSpan - kPageSize, kLeafSpan, kLeafSpan + kPageSize}) {
+        ASSERT_EQ(pm.frameData(absent), nullptr);
+        for (const PhysAddr a : {absent, absent + kPageSize - 8}) {
+            EXPECT_EQ(pm.read64(a), 0u) << "addr " << a;
+            EXPECT_EQ(pm.read32(a), 0u) << "addr " << a;
+            EXPECT_EQ(pm.read32(a + 4), 0u) << "addr " << a;
+        }
+        EXPECT_EQ(pm.frameData(absent), nullptr)
+            << "a read must not materialize a frame";
+    }
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(PhysicalMemory, PooledBlockIsPoisoned)
+{
+    const u8 *first = nullptr;
+    {
+        PhysicalMemory dead;
+        dead.write8(0x5000, 1);
+        first = dead.frameData(0x5000);
+        ASSERT_FALSE(__asan_address_is_poisoned(first));
+    }
+    EXPECT_TRUE(__asan_address_is_poisoned(first))
+        << "a dead machine's frame must be poisoned while pooled";
+    EXPECT_TRUE(__asan_address_is_poisoned(first + kPageSize - 1));
+    PhysicalMemory pm;
+    pm.write8(0x7000, 2);
+    ASSERT_EQ(pm.frameData(0x7000), first) << "the pool hands it back";
+    EXPECT_FALSE(__asan_address_is_poisoned(first));
+    EXPECT_TRUE(__asan_address_is_poisoned(first + kPageSize))
+        << "the block's uncarved frames stay poisoned";
+}
+#endif
+
+/** Memories built and destroyed on parallelFor threads share the
+ * block pool; each must see only its own bytes (the tsan lane runs
+ * this against the pool's lock). */
+TEST(PhysicalMemory, ConcurrentMemoriesShareTheBlockPool)
+{
+    constexpr size_t kRows = 8;
+    std::vector<int> ok(kRows, 0);
+    des::parallelFor(kRows, 4, [&ok](size_t row) {
+        bool good = true;
+        for (u64 round = 0; round < 3; ++round) {
+            PhysicalMemory pm;
+            const u8 tag = static_cast<u8>(row * 16 + round + 1);
+            const std::vector<u8> page(kPageSize, tag);
+            const u64 nframes = PhysicalMemory::kBlockFrames + 5;
+            for (u64 i = 0; i < nframes; ++i)
+                pm.write((2 * i + 1) * kPageSize, page.data(), page.size());
+            pm.write64(2 * kPageSize + 64, tag);
+            std::vector<u8> got(kPageSize);
+            for (u64 i = 0; i < nframes; ++i) {
+                pm.read((2 * i + 1) * kPageSize, got.data(), got.size());
+                good = good && got == page;
+            }
+            pm.read(2 * kPageSize, got.data(), got.size());
+            for (u64 b = 0; b < kPageSize; ++b)
+                good = good && got[b] == (b == 64 ? tag : 0);
+        }
+        ok[row] = good;
+    });
+    for (size_t row = 0; row < kRows; ++row)
+        EXPECT_TRUE(ok[row]) << "row " << row;
+}
+
 TEST(PhysicalMemoryDeathTest, OutOfRangeAccessPanics)
 {
     PhysicalMemory pm(1 << 20); // 1 MB
@@ -346,6 +494,14 @@ TEST(PhysicalMemoryDeathTest, OutOfRangeAccessPanics)
     whole.write64(whole.capacity() - 8, 0x77);
     EXPECT_DEATH(whole.read64(whole.capacity()), "out of range");
     EXPECT_DEATH(whole.read32(whole.capacity()), "out of range");
+    // Word reads of a never-written memory: the inline zero path must
+    // not cover words past the end, aligned, misaligned or wrapping.
+    PhysicalMemory blank(1 << 20);
+    EXPECT_EQ(blank.read64(blank.capacity() - 8), 0u);
+    EXPECT_DEATH(blank.read64(blank.capacity()), "out of range");
+    EXPECT_DEATH(blank.read64(blank.capacity() - 4), "out of range");
+    EXPECT_DEATH(blank.read32(blank.capacity() - 2), "out of range");
+    EXPECT_DEATH(blank.read64(~PhysAddr{7}), "out of range");
 }
 
 TEST(PhysicalMemoryDeathTest, ExhaustionPanics)

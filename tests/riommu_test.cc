@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "cycles/cycle_account.h"
@@ -381,6 +382,88 @@ TEST_F(RiommuTest, DeviceTeardownReleasesMemory)
         EXPECT_GT(pm.allocatedFrames(), before);
     }
     EXPECT_EQ(pm.allocatedFrames(), before);
+}
+
+/** One valid rPTE as a scan reports it. */
+struct ScannedPte
+{
+    u32 rentry;
+    u64 word0;
+    u64 word1;
+    bool operator==(const ScannedPte &) const = default;
+};
+
+/**
+ * forEachValidPte reports exactly what a per-entry readPte scan finds,
+ * on tables that end one entry past a frame, fill one frame exactly,
+ * span four frames with the last two never written, or hold one
+ * entry — including an rPTE written into an absent frame behind the
+ * driver.
+ */
+TEST(RDeviceScan, ForEachValidPteMatchesPerEntryScan)
+{
+    mem::PhysicalMemory pm;
+    cycles::CostModel cost;
+    Riommu riommu(pm, cost);
+    constexpr u32 kPerFrame = kPageSize / RPte::kBytes;
+    const std::vector<u32> sizes{kPerFrame + 1, 4 * kPerFrame - 24,
+                                 kPerFrame, 1, 3};
+    RDevice dev(riommu, pm, Bdf{0, 5, 0}, sizes, /*coherent=*/true, cost,
+                nullptr);
+    const PhysAddr buf = pm.allocContiguous(kPageSize);
+
+    const auto mapN = [&](u16 rid, u32 n) {
+        std::vector<RIova> out;
+        for (u32 i = 0; i < n; ++i)
+            out.push_back(
+                dev.map(rid, buf + (i % 64) * 64, 64 + rid, DmaDir::kBidir)
+                    .value());
+        return out;
+    };
+    // Ring 0: every entry, the last alone in the second frame; drop
+    // a few on both sides of the frame boundary.
+    const auto r0 = mapN(0, kPerFrame + 1);
+    for (const u32 e : {0u, 7u, kPerFrame - 1, kPerFrame})
+        ASSERT_TRUE(dev.unmap(r0[e], false).isOk());
+    // Ring 1: the first 300 entries, then unmap the first 200, so its
+    // first frame is written but all-invalid, and frames 2 and 3 are
+    // never written.
+    const auto r1 = mapN(1, 300);
+    for (u32 e = 0; e < 200; ++e)
+        ASSERT_TRUE(dev.unmap(r1[e], false).isOk());
+    ASSERT_EQ(pm.frameData(dev.tableAddr(1) + 2 * kPageSize), nullptr);
+    ASSERT_EQ(pm.frameData(dev.tableAddr(1) + 3 * kPageSize), nullptr);
+    // Ring 2 stays untouched; ring 3 holds its one entry.
+    mapN(3, 1);
+    // Planted behind the driver in ring 1's last, absent frame, and
+    // in ring 4, whose table the driver never wrote.
+    RPte planted;
+    planted.phys_addr = buf;
+    planted.size = 4096;
+    planted.dir = DmaDir::kFromDevice;
+    planted.valid = true;
+    for (const auto &[rid, e] :
+         {std::pair<u16, u32>{1, 3 * kPerFrame + 5}, {4, 2}}) {
+        const PhysAddr slot = dev.tableAddr(rid) + e * RPte::kBytes;
+        pm.write64(slot, planted.word0());
+        pm.write64(slot + 8, planted.word1());
+    }
+
+    u64 total = 0;
+    for (u16 rid = 0; rid < dev.nrings(); ++rid) {
+        std::vector<ScannedPte> per_entry, by_frame;
+        for (u32 e = 0; e < dev.ringSize(rid); ++e) {
+            const RPte pte = dev.readPte(rid, e);
+            if (pte.valid)
+                per_entry.push_back({e, pte.word0(), pte.word1()});
+        }
+        dev.forEachValidPte(rid, [&](u32 e, const RPte &pte) {
+            by_frame.push_back({e, pte.word0(), pte.word1()});
+        });
+        EXPECT_EQ(by_frame, per_entry) << "ring " << rid;
+        total += by_frame.size();
+    }
+    EXPECT_EQ(total, (kPerFrame + 1 - 4) + 100 + 1 + 2);
 }
 
 } // namespace
