@@ -7,6 +7,10 @@
  */
 #include <gtest/gtest.h>
 
+#include "des/simulator.h"
+#include "dma/baseline_handle.h"
+#include "iova/linux_allocator.h"
+#include "sys/machine.h"
 #include "workloads/netperf_rr.h"
 #include "workloads/storage.h"
 #include "workloads/request_load.h"
@@ -127,6 +131,42 @@ TEST(StreamTest, NoDmaFaultsInHealthyRuns)
                                  quickStream(nic::mlxProfile()));
         EXPECT_EQ(r.nic.dma_faults, 0u) << dma::modeName(mode);
         EXPECT_EQ(r.nic.rx_dropped, 0u) << dma::modeName(mode);
+    }
+}
+
+/**
+ * The exact IOVA-allocation charge of the quick mlx stream. The fig7
+ * golden rounds the iova column, so a one-visit drift in the Linux
+ * allocator's scan accounting could slip past it; these totals cannot.
+ */
+TEST(StreamTest, LinuxIovaScanChargesArePinned)
+{
+    struct Pin
+    {
+        ProtectionMode mode;
+        Cycles window_alloc_cycles;
+        u64 total_visits;
+        u64 alloc_calls;
+    };
+    for (const Pin &pin :
+         {Pin{ProtectionMode::kStrict, 45025640, 2900564, 21486},
+          Pin{ProtectionMode::kDefer, 9128650, 613829, 21486}}) {
+        des::Simulator sim;
+        StreamRun run(sim, pin.mode, nic::mlxProfile(),
+                      quickStream(nic::mlxProfile()));
+        sim.run();
+        const RunResult r = run.collect();
+        auto &handle =
+            dynamic_cast<dma::BaselineDmaHandle &>(run.machine().handle());
+        const auto &alloc = dynamic_cast<const iova::LinuxIovaAllocator &>(
+            handle.allocator());
+        EXPECT_EQ(r.acct.get(cycles::Cat::kMapIovaAlloc),
+                  pin.window_alloc_cycles)
+            << dma::modeName(pin.mode);
+        EXPECT_EQ(alloc.totalAllocVisits(), pin.total_visits)
+            << dma::modeName(pin.mode);
+        EXPECT_EQ(alloc.allocCalls(), pin.alloc_calls)
+            << dma::modeName(pin.mode);
     }
 }
 
