@@ -12,8 +12,9 @@
 # check runs twice on one tree with the same environment.
 #
 #   lane       flavour  what it adds
-#   sanitize   asan     every ctest; FaultFuzz, LifecycleFuzz and
-#                       VirtFuzz soaks (recovery and teardown paths)
+#   sanitize   asan     every ctest; FaultFuzz, LifecycleFuzz,
+#                       VirtFuzz and IovaScanFuzz soaks (recovery and
+#                       teardown paths, the IOVA tree's augmentation)
 #   tsan       tsan     everything that runs parallelFor threads:
 #                       engine, obs, lock, memory-pool and cluster suites,
 #                       ClusterFuzz, threaded fig7 / scaling sweeps and
@@ -25,7 +26,8 @@
 #   cluster    asan     ClusterFuzz soak, 1K-QP/machine erosion sweep
 #   wire       asan     WireFuzz soak, full hostile-wire storm sweep
 #   migrate    asan     MigrateFuzz soak
-#   fuzz       default  every fuzz campaign on extra seeds
+#   fuzz       default  every fuzz campaign on extra seeds (IovaScanFuzz
+#                       included)
 #   lifecycle  default  LifecycleFuzz soak, churn sweeps per seed
 set -euo pipefail
 
@@ -90,6 +92,10 @@ extras_sanitize() {
         "$1/tests/fuzz_test" --gtest_filter='*LifecycleFuzz*'
     RIO_VIRT_EXTRA_SEEDS="6007,28657" \
         "$1/tests/fuzz_test" --gtest_filter='*VirtFuzz*'
+    # The allocator's rank-counted scan against the 3.4 linear loop,
+    # with every tree rotation and augmented-field update under ASan.
+    RIO_IOVA_EXTRA_SEEDS="4099,65521,1000003" \
+        "$1/tests/fuzz_test" --gtest_filter='*IovaScanFuzz*'
 }
 
 extras_tsan() {
@@ -248,7 +254,8 @@ extras_migrate() {
 
 extras_fuzz() {
     RIO_FUZZ_EXTRA_SEEDS="11213,19937,2203,86243,216091" \
-        RIO_CLUSTER_EXTRA_SEEDS="104651,611953" "$1/tests/fuzz_test"
+        RIO_CLUSTER_EXTRA_SEEDS="104651,611953" \
+        RIO_IOVA_EXTRA_SEEDS="3571,52711,7368787" "$1/tests/fuzz_test"
 }
 
 extras_lifecycle() {

@@ -458,9 +458,9 @@ BaselineDmaHandle::acknowledgeFaults()
     iommu_.faultLog().clearOverflow();
 }
 
+template <typename Access>
 Status
-BaselineDmaHandle::deviceAccess(u64 device_addr,
-                                const std::function<Status()> &access)
+BaselineDmaHandle::deviceAccess(u64 device_addr, const Access &access)
 {
     if (!fault_.armed())
         return access();

@@ -126,10 +126,11 @@ class BaselineDmaHandle : public DmaHandle
      * Device access with the fault engine in the loop: optionally
      * injects a translation fault (zeroed leaf PTE + IOTLB shootdown,
      * undone during recovery), and routes any faulted access through
-     * the recovery policy.
+     * the recovery policy. @p access is called directly, so an
+     * unarmed, fault-free access allocates nothing.
      */
-    Status deviceAccess(u64 device_addr,
-                        const std::function<Status()> &access);
+    template <typename Access>
+    Status deviceAccess(u64 device_addr, const Access &access);
 
     /** Driver fault-interrupt work: drain the hardware fault log. */
     void acknowledgeFaults();

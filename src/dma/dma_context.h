@@ -36,7 +36,10 @@ struct LeakRecord
 /** Result of the stale-mapping leak detector. */
 struct LeakReport
 {
-    u64 leaked = 0; //!< live mappings surviving the teardown
+    u64 leaked = 0; //!< live mappings the driver still counts
+    /** Surviving mappings found by scanning the mode's own state
+     * (rPTE tables, IOVA shadow); can name one the driver lost count
+     * of, so any record makes the report unclean. */
     std::vector<LeakRecord> records;
     u64 stale_iotlb = 0;  //!< IOTLB entries still naming the sid
     u64 stale_riotlb = 0; //!< rIOTLB entries still naming the sid
@@ -44,7 +47,8 @@ struct LeakReport
     bool
     clean() const
     {
-        return leaked == 0 && stale_iotlb == 0 && stale_riotlb == 0;
+        return leaked == 0 && records.empty() && stale_iotlb == 0 &&
+               stale_riotlb == 0;
     }
 
     /** Human-readable summary, one line per leaked mapping. */

@@ -11,8 +11,9 @@ namespace {
  * damage: an injected fault is a synthesized bus abort — the access
  * never ran — and recovery decides whether it is replayed.
  */
+template <typename Access>
 Status
-injectedAccess(FaultEngine &fault, const std::function<Status()> &access)
+injectedAccess(FaultEngine &fault, const Access &access)
 {
     if (!fault.armed())
         return access();

@@ -41,9 +41,9 @@ RiommuDmaHandle::unmapImpl(const DmaMapping &mapping, bool end_of_burst)
                           end_of_burst);
 }
 
+template <typename Access>
 Status
-RiommuDmaHandle::deviceAccess(u64 device_addr,
-                              const std::function<Status()> &access)
+RiommuDmaHandle::deviceAccess(u64 device_addr, const Access &access)
 {
     if (!fault_.armed())
         return access();

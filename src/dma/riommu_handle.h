@@ -63,10 +63,12 @@ class RiommuDmaHandle : public DmaHandle
     /**
      * Device access with the fault engine in the loop: optionally
      * clears the target rPTE's valid bit (undone during recovery) and
-     * routes faulted accesses through the recovery policy.
+     * routes faulted accesses through the recovery policy. @p access
+     * is called directly, so an unarmed, fault-free access allocates
+     * nothing.
      */
-    Status deviceAccess(u64 device_addr,
-                        const std::function<Status()> &access);
+    template <typename Access>
+    Status deviceAccess(u64 device_addr, const Access &access);
 
     riommu::Riommu &riommu_;
     mem::PhysicalMemory &pm_;

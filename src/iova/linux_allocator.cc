@@ -9,6 +9,14 @@ namespace {
 /** Lowest allocatable pfn (Linux's IOVA_START_PFN). */
 constexpr u64 kStartPfn = 1;
 
+/**
+ * Nodes the 3.4 loop examines one by one before alloc() jumps to the
+ * first fitting hole. Most allocations stop within a few nodes of the
+ * cached node; the long rescans after a cache reset are the ones the
+ * jump shortens.
+ */
+constexpr u64 kLinearScan = 16;
+
 } // namespace
 
 LinuxIovaAllocator::LinuxIovaAllocator(u64 limit_pfn,
@@ -32,6 +40,7 @@ LinuxIovaAllocator::alloc(u64 npages)
     // start from the rightmost node after a cache reset — the path
     // that makes some allocations linear in the live-IOVA count.
     RbTree::Node *curr;
+    RbTree::Node *above = cached_node_; // the last node examined
     if (cached_node_) {
         limit_pfn = cached_node_->pfn_lo - 1;
         curr = tree_.prev(cached_node_);
@@ -42,7 +51,11 @@ LinuxIovaAllocator::alloc(u64 npages)
             ++visits;
     }
 
-    while (curr) {
+    for (u64 steps = 0; curr; ++steps) {
+        if (steps >= kLinearScan && limit_pfn + 1 == above->pfn_lo) {
+            curr = skipToFit(curr, above, npages, &limit_pfn, &visits);
+            break;
+        }
         ++visits;
         if (limit_pfn < curr->pfn_lo) {
             // Entirely above the remaining window; move left.
@@ -55,6 +68,7 @@ LinuxIovaAllocator::alloc(u64 npages)
                 break; // found a free, size-aligned slot
             limit_pfn = curr->pfn_lo - 1;
         }
+        above = curr;
         curr = tree_.prev(curr);
     }
 
@@ -115,6 +129,35 @@ LinuxIovaAllocator::free(u64 pfn_lo)
                rebalances * cost_.rb_rebalance_step + cost_.iova_op_base +
                cost_.linux_free_extra);
     return Status::ok();
+}
+
+RbTree::Node *
+LinuxIovaAllocator::skipToFit(RbTree::Node *curr, RbTree::Node *above,
+                              u64 npages, u64 *limit_pfn, u64 *visits)
+{
+    // From here on the loop examines curr, prev(curr), ... and each
+    // node's window is the gap below its successor. A node whose gap
+    // is under npages cannot fit and only moves the window down, so
+    // the loop stops at the first node, going left, whose gap holds
+    // npages AND the size-aligned slot with its pad. Each jump lands
+    // on such a candidate; the visits it charges are the nodes the
+    // loop would have stepped through, counted by rank.
+    const u64 top = tree_.rank(curr);
+    u64 bound = above->pfn_lo;
+    while (RbTree::Node *succ = tree_.lastGapAtLeast(bound, npages)) {
+        RbTree::Node *cand = tree_.prev(succ);
+        const u64 limit = succ->pfn_lo - 1;
+        if (cand->pfn_hi + npages + padSize(npages, limit) <= limit) {
+            *visits += top - tree_.rank(cand) + 1;
+            *limit_pfn = limit;
+            return cand;
+        }
+        bound = succ->pfn_lo - 1;
+    }
+    // No hole fits: the loop walks off the leftmost node.
+    *visits += top + 1;
+    *limit_pfn = tree_.first()->pfn_lo - 1;
+    return nullptr;
 }
 
 void

@@ -58,6 +58,17 @@ class LinuxIovaAllocator : public IovaAllocator
   private:
     static u64 padSize(u64 size, u64 limit_pfn) { return (limit_pfn + 1) % size; }
 
+    /**
+     * Finish the 3.4 scan from @p curr, whose successor @p above set
+     * the window top (*@p limit_pfn == above->pfn_lo - 1), in
+     * O(log n) per candidate hole. Returns the node the loop would
+     * stop at (nullptr: it walks off the left end), sets *@p limit_pfn
+     * to the loop's final window top and adds the nodes it would
+     * examine to *@p visits.
+     */
+    RbTree::Node *skipToFit(RbTree::Node *curr, RbTree::Node *above,
+                            u64 npages, u64 *limit_pfn, u64 *visits);
+
     void cachedInsertUpdate(RbTree::Node *node) { cached_node_ = node; }
     void cachedDeleteUpdate(RbTree::Node *freed, u64 *visits);
 

@@ -1,5 +1,8 @@
 #include "iova/rbtree.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "base/logging.h"
 
 namespace rio::iova {
@@ -50,6 +53,8 @@ RbTree::rotateLeft(Node *x)
         x->parent->right = y;
     y->left = x;
     x->parent = y;
+    pull(x);
+    pull(y);
 }
 
 void
@@ -68,6 +73,8 @@ RbTree::rotateRight(Node *x)
         x->parent->left = y;
     y->right = x;
     x->parent = y;
+    pull(x);
+    pull(y);
 }
 
 RbTree::Node *
@@ -82,6 +89,8 @@ RbTree::insert(u64 pfn_lo, u64 pfn_hi, u64 *visits, u64 *rebalances)
 
     Node *y = &nil_;
     Node *x = root_;
+    Node *pred = nullptr; // the last node the descent went right from
+    Node *succ = nullptr; // ... and left from
     while (!isNil(x)) {
         if (visits)
             ++*visits;
@@ -89,7 +98,14 @@ RbTree::insert(u64 pfn_lo, u64 pfn_hi, u64 *visits, u64 *rebalances)
         RIO_ASSERT(pfn_hi < x->pfn_lo || pfn_lo > x->pfn_hi,
                    "inserting overlapping IOVA range [", pfn_lo, ",",
                    pfn_hi, "] vs [", x->pfn_lo, ",", x->pfn_hi, "]");
-        x = (pfn_lo < x->pfn_lo) ? x->left : x->right;
+        ++x->count; // z lands below every node on the path
+        if (pfn_lo < x->pfn_lo) {
+            succ = x;
+            x = x->left;
+        } else {
+            pred = x;
+            x = x->right;
+        }
     }
     z->parent = y;
     if (isNil(y))
@@ -99,6 +115,15 @@ RbTree::insert(u64 pfn_lo, u64 pfn_hi, u64 *visits, u64 *rebalances)
     else
         y->right = z;
 
+    // z splits its successor's gap; the max gaps above both change
+    // only as far as they differ.
+    z->count = 1;
+    z->gap = z->max_gap = gapBelow(z, pred);
+    if (succ)
+        succ->gap = gapBelow(succ, z);
+    fixMaxGap(z->parent);
+    if (succ)
+        fixMaxGap(succ);
     insertFixup(z, rebalances);
     ++size_;
     return z;
@@ -148,6 +173,45 @@ RbTree::insertFixup(Node *z, u64 *rebalances)
     root_->red = false;
 }
 
+u32
+RbTree::gapBelow(const Node *n, const Node *pred)
+{
+    const u64 gap = pred ? n->pfn_lo - pred->pfn_hi - 1 : 0;
+    return static_cast<u32>(
+        std::min<u64>(gap, std::numeric_limits<u32>::max()));
+}
+
+u32
+RbTree::subtreeMaxGap(const Node *n)
+{
+    return std::max({n->gap, n->left->max_gap, n->right->max_gap});
+}
+
+void
+RbTree::pull(Node *n)
+{
+    n->count = n->left->count + n->right->count + 1;
+    n->max_gap = subtreeMaxGap(n);
+}
+
+void
+RbTree::pullToRoot(Node *n)
+{
+    for (; !isNil(n); n = n->parent)
+        pull(n);
+}
+
+void
+RbTree::fixMaxGap(Node *n)
+{
+    for (; !isNil(n); n = n->parent) {
+        const u32 m = subtreeMaxGap(n);
+        if (m == n->max_gap)
+            return; // the ancestors' max gaps cannot change either
+        n->max_gap = m;
+    }
+}
+
 void
 RbTree::transplant(Node *u, Node *v)
 {
@@ -175,6 +239,8 @@ void
 RbTree::erase(Node *z, u64 *visits, u64 *rebalances)
 {
     RIO_ASSERT(z != nullptr && !isNil(z), "erasing null node");
+    Node *pred = prev(z);
+    Node *succ = next(z);
     Node *y = z;
     Node *x;
     bool y_was_red = y->red;
@@ -200,6 +266,14 @@ RbTree::erase(Node *z, u64 *visits, u64 *rebalances)
         y->left->parent = y;
         y->red = z->red;
     }
+    // Every node whose subtree lost z lies on x's path to the root
+    // (x->parent is set even when x is nil); z's successor also
+    // inherits z's gap.
+    if (succ)
+        succ->gap = gapBelow(succ, pred);
+    pullToRoot(x->parent);
+    if (succ)
+        fixMaxGap(succ);
     if (!y_was_red)
         eraseFixup(x, rebalances);
     delete z;
@@ -282,6 +356,49 @@ RbTree::findContaining(u64 pfn, u64 *visits) const
     return nullptr;
 }
 
+u64
+RbTree::rank(const Node *node) const
+{
+    RIO_ASSERT(node && !isNil(node), "rank(null)");
+    u64 r = node->left->count;
+    for (; !isNil(node->parent); node = node->parent)
+        if (node == node->parent->right)
+            r += node->parent->left->count + 1;
+    return r;
+}
+
+RbTree::Node *
+RbTree::lastGapAtLeast(u64 pfn_lo_max, u64 need) const
+{
+    const u32 want = static_cast<u32>(std::min<u64>(
+        std::max<u64>(need, 1), std::numeric_limits<u32>::max()));
+    // Descend toward pfn_lo_max. Every in-range node on the path is a
+    // fallback: itself, then its whole (in-range) left subtree. A
+    // deeper fallback lies to the right of a shallower one, so the
+    // deepest one that qualifies holds the answer.
+    Node *best = nullptr;
+    for (Node *n = root_; !isNil(n);) {
+        if (n->pfn_lo > pfn_lo_max) {
+            n = n->left;
+            continue;
+        }
+        if (n->gap >= want || n->left->max_gap >= want)
+            best = n;
+        n = n->right;
+    }
+    if (!best || best->gap >= want)
+        return best;
+    Node *n = best->left;
+    for (;;) {
+        if (n->right->max_gap >= want)
+            n = n->right;
+        else if (n->gap >= want)
+            return n;
+        else
+            n = n->left;
+    }
+}
+
 RbTree::Node *
 RbTree::first() const
 {
@@ -355,6 +472,9 @@ RbTree::validateNode(const Node *n, int black_depth, int &expected,
         return false;
     if (n->red && (n->left->red || n->right->red))
         return false;
+    if (n->count != n->left->count + n->right->count + 1 ||
+        n->max_gap != subtreeMaxGap(n))
+        return false;
     const int depth = black_depth + (n->red ? 0 : 1);
     const u64 left_hi = n->pfn_lo == 0 ? 0 : n->pfn_lo - 1;
     if (!isNil(n->left) && n->pfn_lo == 0)
@@ -371,7 +491,14 @@ RbTree::validate() const
     if (root_->red)
         return false;
     int expected = -1;
-    return validateNode(root_, 0, expected, 0, ~u64{0});
+    if (!validateNode(root_, 0, expected, 0, ~u64{0}) ||
+        root_->count != size_ || nil_.count != 0 || nil_.max_gap != 0)
+        return false;
+    const Node *pred = nullptr;
+    for (Node *n = first(); n; pred = n, n = next(n))
+        if (n->gap != gapBelow(n, pred))
+            return false;
+    return true;
 }
 
 } // namespace rio::iova

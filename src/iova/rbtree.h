@@ -16,6 +16,11 @@ namespace rio::iova {
 /**
  * A red-black tree whose nodes are disjoint [pfn_lo, pfn_hi] IOVA
  * ranges, ordered by pfn_lo. Nodes are owned by the tree.
+ *
+ * Each node is augmented with its subtree's node count and the
+ * largest free gap below any of its subtree's nodes, so rank() and
+ * lastGapAtLeast() run in O(log n). The augmentation is host-side
+ * bookkeeping: maintaining it never counts a visit or a rebalance.
  */
 class RbTree
 {
@@ -24,6 +29,14 @@ class RbTree
     {
         u64 pfn_lo = 0;
         u64 pfn_hi = 0;
+
+      private:
+        friend class RbTree;
+        Node *parent = nullptr;
+        Node *left = nullptr;
+        Node *right = nullptr;
+
+      public:
         /**
          * True while the range is handed out to a caller; false when
          * it is parked in a magazine (strict+ keeps freed ranges in
@@ -32,11 +45,12 @@ class RbTree
         bool live = true;
 
       private:
-        friend class RbTree;
-        Node *parent = nullptr;
-        Node *left = nullptr;
-        Node *right = nullptr;
         bool red = false;
+        u32 count = 0; //!< nodes in this subtree
+        /** Free pfns below: pfn_lo - pred.pfn_hi - 1, saturated at the
+         * u32 maximum; 0 for the leftmost node. */
+        u32 gap = 0;
+        u32 max_gap = 0; //!< largest gap in this subtree
     };
 
     RbTree();
@@ -65,6 +79,16 @@ class RbTree
     Node *next(Node *node) const;
     Node *prev(Node *node) const;
 
+    /** In-order index of @p node: the number of nodes below it. */
+    u64 rank(const Node *node) const;
+
+    /**
+     * The rightmost node with pfn_lo <= @p pfn_lo_max whose gap to its
+     * predecessor holds at least @p need free pfns, or nullptr. The
+     * leftmost node never qualifies: its predecessor is not a range.
+     */
+    Node *lastGapAtLeast(u64 pfn_lo_max, u64 need) const;
+
     u64 size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
@@ -73,7 +97,8 @@ class RbTree
 
     /**
      * Check the red-black invariants (root black, no red-red edges,
-     * equal black heights, ordered disjoint ranges). For tests.
+     * equal black heights, ordered disjoint ranges) and the
+     * augmentation (counts, gaps, max gaps). For tests.
      */
     bool validate() const;
 
@@ -86,6 +111,19 @@ class RbTree
     void insertFixup(Node *z, u64 *rebalances);
     void eraseFixup(Node *x, u64 *rebalances);
     void transplant(Node *u, Node *v);
+    /** Recompute @p n's count and max_gap from its children. */
+    void pull(Node *n);
+    /** pull() every node from @p n up to the root. */
+    void pullToRoot(Node *n);
+    /**
+     * Recompute max_gap from @p n upward, stopping at the first node
+     * whose value does not change; every child below must be current.
+     */
+    void fixMaxGap(Node *n);
+    /** @p n's gap field for predecessor @p pred (nullptr: leftmost). */
+    static u32 gapBelow(const Node *n, const Node *pred);
+    /** max_gap as @p n's own gap and its children's fields give it. */
+    static u32 subtreeMaxGap(const Node *n);
     Node *minimum(Node *n, u64 *visits) const;
     void destroySubtree(Node *n);
     bool validateNode(const Node *n, int black_depth, int &expected,
@@ -96,6 +134,9 @@ class RbTree
     Node *root_;
     u64 size_ = 0;
 };
+
+static_assert(sizeof(RbTree::Node) == 56,
+              "the augmentation must fit the node's 64-byte malloc chunk");
 
 } // namespace rio::iova
 

@@ -107,7 +107,7 @@ PhysicalMemory::frameFor(PhysAddr addr)
 }
 
 void
-PhysicalMemory::read(PhysAddr addr, void *dst, u64 size) const
+PhysicalMemory::readSpan(PhysAddr addr, void *dst, u64 size) const
 {
     RIO_ASSERT(addr + size <= capacity_ && addr + size >= addr,
                "phys read out of range: addr=", addr, " size=", size);
@@ -127,7 +127,7 @@ PhysicalMemory::read(PhysAddr addr, void *dst, u64 size) const
 }
 
 void
-PhysicalMemory::write(PhysAddr addr, const void *src, u64 size)
+PhysicalMemory::writeSpan(PhysAddr addr, const void *src, u64 size)
 {
     RIO_ASSERT(addr + size <= capacity_ && addr + size >= addr,
                "phys write out of range: addr=", addr, " size=", size);

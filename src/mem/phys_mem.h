@@ -16,7 +16,9 @@
  * next memory carves from, so host pages are faulted in once per
  * process, not once per machine. read64/read32 are inline for any
  * naturally aligned in-range word (a never-written frame reads 0),
- * write64 for one of a materialized frame.
+ * write64 for one of a materialized frame; read/write are inline for
+ * an in-range access within one frame (write: a materialized frame,
+ * no observer) and loop frame by frame out of line otherwise.
  */
 #ifndef RIO_MEM_PHYS_MEM_H
 #define RIO_MEM_PHYS_MEM_H
@@ -52,8 +54,29 @@ class PhysicalMemory
     PhysicalMemory &operator=(const PhysicalMemory &) = delete;
 
     // ---- raw access ---------------------------------------------------
-    void read(PhysAddr addr, void *dst, u64 size) const;
-    void write(PhysAddr addr, const void *src, u64 size);
+    void
+    read(PhysAddr addr, void *dst, u64 size) const
+    {
+        if (!withinOneFrame(addr, size)) {
+            readSpan(addr, dst, size);
+        } else if (const u8 *frame = frameIfPresent(addr)) {
+            std::memcpy(dst, frame + (addr & kPageMask), size);
+        } else {
+            std::memset(dst, 0, size);
+        }
+    }
+
+    void
+    write(PhysAddr addr, const void *src, u64 size)
+    {
+        u8 *frame = !observer_ && withinOneFrame(addr, size)
+                        ? frameIfPresent(addr)
+                        : nullptr;
+        if (frame)
+            std::memcpy(frame + (addr & kPageMask), src, size);
+        else
+            writeSpan(addr, src, size);
+    }
 
     u64 read64(PhysAddr addr) const { return readWord<u64>(addr); }
     u32 read32(PhysAddr addr) const { return readWord<u32>(addr); }
@@ -65,7 +88,7 @@ class PhysicalMemory
         if (word)
             std::memcpy(word, &value, sizeof(value));
         else
-            write(addr, &value, sizeof(value));
+            writeSpan(addr, &value, sizeof(value));
     }
 
     void write32(PhysAddr addr, u32 value);
@@ -153,6 +176,21 @@ class PhysicalMemory
   private:
     using Leaf = std::array<u8 *, kLeafFrames>;
 
+    /** Out-of-line read()/write(): range-checked, frame by frame; the
+     * write notifies the observer and materializes absent frames. */
+    void readSpan(PhysAddr addr, void *dst, u64 size) const;
+    void writeSpan(PhysAddr addr, const void *src, u64 size);
+
+    /** True if [addr, addr+size) is non-empty, in range and inside one
+     * frame (capacity_ is page-aligned, so addr < capacity_ suffices
+     * for the frame's end). */
+    bool
+    withinOneFrame(PhysAddr addr, u64 size) const
+    {
+        return addr < capacity_ &&
+               size - 1 < kPageSize - (addr & kPageMask);
+    }
+
     /** The frame holding @p addr, materialized zeroed if absent. */
     u8 *frameFor(PhysAddr addr);
     /** A zeroed frame carved from the current block. */
@@ -179,7 +217,7 @@ class PhysicalMemory
     }
 
     /** Inline word read: a never-written frame reads 0. A misaligned
-     * or out-of-range word goes to read(), which checks the range. */
+     * or out-of-range word goes to readSpan(), which checks the range. */
     template <typename T>
     T
     readWord(PhysAddr addr) const
@@ -189,7 +227,7 @@ class PhysicalMemory
             if (const u8 *frame = frameIfPresent(addr))
                 std::memcpy(&v, frame + (addr & kPageMask), sizeof(T));
         } else {
-            read(addr, &v, sizeof(T));
+            readSpan(addr, &v, sizeof(T));
         }
         return v;
     }

@@ -8,8 +8,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -17,6 +20,36 @@
 #include "dma/baseline_handle.h"
 #include "dma/dma_context.h"
 #include "dma/riommu_handle.h"
+
+/** Global operator new calls in this binary (the no-allocation guard
+ * reads it around a loop of device accesses). */
+static std::atomic<unsigned long> g_operator_news{0};
+
+void *
+operator new(std::size_t size)
+{
+    g_operator_news.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+// The replaced operator new is malloc, so free() is its match; GCC
+// cannot tell once the delete is inlined into a new-expression's user.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+#pragma GCC diagnostic pop
 
 namespace rio::dma {
 namespace {
@@ -318,6 +351,35 @@ TEST_F(ProtectionSemanticsTest, MultiPageBufferMapsAllPages)
                      .isOk());
 }
 
+/** An unarmed, fault-free device access runs on the per-packet path:
+ * it must not touch the heap in any mode. */
+TEST(DeviceAccess, UnarmedAccessesAllocateNothing)
+{
+    for (ProtectionMode mode : {ProtectionMode::kStrict,
+                                ProtectionMode::kRiommu,
+                                ProtectionMode::kNone}) {
+        DmaContext ctx;
+        CycleAccount acct;
+        auto handle = ctx.makeHandle(mode, Bdf{0, 7, 0}, &acct, {64});
+        const PhysAddr buf = ctx.memory().allocContiguous(kPageSize);
+        auto m = handle->map(0, buf, 1500, DmaDir::kBidir);
+        ASSERT_TRUE(m.isOk()) << modeName(mode);
+        const u64 addr = m.value().device_addr;
+        std::vector<u8> data(1500, 0x5a);
+        // Warm up: the first write materializes the frame, the first
+        // translation fills the (r)IOTLB.
+        ASSERT_TRUE(handle->deviceWrite(addr, data.data(), 1500).isOk());
+
+        const unsigned long before = g_operator_news.load();
+        for (int i = 0; i < 500; ++i) {
+            ASSERT_TRUE(handle->deviceWrite(addr, data.data(), 1500).isOk());
+            ASSERT_TRUE(handle->deviceRead(addr, data.data(), 1500).isOk());
+        }
+        EXPECT_EQ(g_operator_news.load() - before, 0u) << modeName(mode);
+        ASSERT_TRUE(handle->unmap(m.value(), /*end_of_burst=*/true).isOk());
+    }
+}
+
 /** The leak check scans the rPTE tables themselves: an rPTE written
  * behind the driver, into a table frame the driver never touched,
  * shows up as a leak record although nmapped never counted it. */
@@ -361,6 +423,7 @@ TEST(RiommuLeakScan, RPtePlantedBehindTheDriverIsReported)
         ASSERT_TRUE(handle->unmap(m, /*end_of_burst=*/true).isOk());
     rep = ctx.checkHandleLeaks(*handle);
     EXPECT_EQ(rep.leaked, 0u) << "nmapped is back to zero";
+    EXPECT_FALSE(rep.clean()) << "a record alone is a leak";
     ASSERT_EQ(rep.records.size(), 1u) << "the planted rPTE still shows";
     EXPECT_EQ(rep.records[0].rid, 0u);
     EXPECT_EQ(rep.records[0].device_addr,

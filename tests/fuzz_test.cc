@@ -7,9 +7,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <deque>
+#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -19,6 +21,7 @@
 #include "des/parallel.h"
 #include "dma/baseline_handle.h"
 #include "dma/dma_context.h"
+#include "iova/linux_allocator.h"
 #include "migrate/migrate.h"
 #include "riommu/rdevice.h"
 #include "sys/cluster.h"
@@ -1175,6 +1178,195 @@ INSTANTIATE_TEST_SUITE_P(
             if (c == '-' || c == '+')
                 c = '_';
         return name + "_s" + std::to_string(info.param.seed);
+    });
+
+// ---- IOVA scan vs the 3.4 linear loop ------------------------------------------
+
+/**
+ * The Linux 3.4 allocation loop of iova.c, stepped node by node: the
+ * oracle that LinuxIovaAllocator's rank-counted scan must match slot
+ * for slot and visit for visit. It keeps its own tree, fed the same
+ * inserts and erases, so insert descents and rebalances match too.
+ */
+class LinearIovaOracle
+{
+  public:
+    explicit LinearIovaOracle(u64 limit_pfn) : limit_pfn_(limit_pfn) {}
+
+    struct Alloc
+    {
+        bool ok = false;
+        u64 pfn_lo = 0;
+        u64 visits = 0;
+        u64 rebalances = 0;
+    };
+
+    Alloc
+    alloc(u64 npages)
+    {
+        Alloc out;
+        u64 limit = limit_pfn_;
+        iova::RbTree::Node *curr;
+        if (cached_) {
+            limit = cached_->pfn_lo - 1;
+            curr = tree_.prev(cached_);
+            ++out.visits;
+        } else {
+            curr = tree_.last();
+            if (curr)
+                ++out.visits;
+        }
+        while (curr) {
+            ++out.visits;
+            if (limit < curr->pfn_lo) {
+            } else if (limit <= curr->pfn_hi) {
+                limit = curr->pfn_lo - 1;
+            } else {
+                if (curr->pfn_hi + npages + pad(npages, limit) <= limit)
+                    break;
+                limit = curr->pfn_lo - 1;
+            }
+            curr = tree_.prev(curr);
+        }
+        const u64 p = pad(npages, limit);
+        if (!curr && kStartPfn + npages + p > limit)
+            return out;
+        out.ok = true;
+        out.pfn_lo = limit - (npages + p) + 1;
+        cached_ = tree_.insert(out.pfn_lo, out.pfn_lo + npages - 1,
+                               &out.visits, &out.rebalances);
+        return out;
+    }
+
+    void
+    free(u64 pfn_lo)
+    {
+        iova::RbTree::Node *node = tree_.findContaining(pfn_lo, nullptr);
+        if (cached_ && node->pfn_lo >= cached_->pfn_lo) {
+            iova::RbTree::Node *succ = tree_.next(node);
+            cached_ = succ && succ->pfn_lo < limit_pfn_ ? succ : nullptr;
+        }
+        tree_.erase(node, nullptr, nullptr);
+    }
+
+  private:
+    static constexpr u64 kStartPfn = 1;
+    static u64 pad(u64 size, u64 limit) { return (limit + 1) % size; }
+
+    u64 limit_pfn_;
+    iova::RbTree tree_;
+    iova::RbTree::Node *cached_ = nullptr;
+};
+
+/**
+ * Random alloc/free churn: sizes of 1-8 pages (the pad of a
+ * non-power-of-two size exercises misaligned candidate holes), frees
+ * of the topmost range (cache reset), of the newest range and of any
+ * range (cache moves). A wide space grows a large tree and long
+ * rescans; a tight one runs into exhaustion near the start pfn.
+ * RIO_IOVA_EXTRA_SEEDS appends seeds (sanitize and fuzz CI).
+ */
+struct IovaScanFuzzParam
+{
+    u64 seed;
+    u64 limit_pfn;
+    size_t target_live;
+    int ops;
+};
+
+std::vector<IovaScanFuzzParam>
+iovaScanFuzzParams()
+{
+    std::vector<u64> seeds = {1, 2, 3, 5, 8, 13, 21, 34};
+    appendExtraSeeds(seeds, "RIO_IOVA_EXTRA_SEEDS");
+    std::vector<IovaScanFuzzParam> params;
+    for (u64 seed : seeds) {
+        params.push_back({seed, u64{1} << 16, 1500, 8000});
+        params.push_back({seed, 400, 400, 3000});
+    }
+    return params;
+}
+
+class IovaScanFuzz : public ::testing::TestWithParam<IovaScanFuzzParam>
+{
+};
+
+TEST_P(IovaScanFuzz, ScanAgreesWithLinearLoop)
+{
+    const auto [seed, limit_pfn, target_live, ops] = GetParam();
+    Rng rng(seed);
+    cycles::CostModel cost;
+    cycles::CycleAccount acct;
+    iova::LinuxIovaAllocator alloc(limit_pfn, &acct, cost);
+    LinearIovaOracle oracle(limit_pfn);
+    std::map<u64, u64> live; // pfn_lo -> alloc order
+    u64 order = 0;
+    u64 long_scans = 0;
+    u64 exhausted = 0;
+
+    const auto free_range = [&](u64 pfn_lo) {
+        ASSERT_TRUE(alloc.free(pfn_lo).isOk());
+        oracle.free(pfn_lo);
+        live.erase(pfn_lo);
+    };
+
+    for (int i = 0; i < ops; ++i) {
+        const u64 r = rng.below(100);
+        const bool grow = live.size() < target_live ? r < 60 : r < 40;
+        if (live.empty() || grow) {
+            const u64 npages = 1 + rng.below(8);
+            const Cycles before = acct.get(cycles::Cat::kMapIovaAlloc);
+            const auto got = alloc.alloc(npages);
+            const LinearIovaOracle::Alloc want = oracle.alloc(npages);
+            ASSERT_EQ(got.isOk(), want.ok) << "op " << i;
+            ASSERT_EQ(acct.get(cycles::Cat::kMapIovaAlloc) - before,
+                      want.visits * cost.rb_node_visit +
+                          want.rebalances * cost.rb_rebalance_step +
+                          cost.iova_op_base)
+                << "op " << i;
+            if (!want.ok) {
+                EXPECT_EQ(got.status().code(),
+                          ErrorCode::kResourceExhausted);
+                ++exhausted;
+                continue;
+            }
+            ASSERT_EQ(got.value().pfn_lo, want.pfn_lo) << "op " << i;
+            ASSERT_EQ(got.value().npages(), npages);
+            ASSERT_EQ(alloc.lastAllocVisits(), want.visits) << "op " << i;
+            if (want.visits >= 64)
+                ++long_scans;
+            live[want.pfn_lo] = order++;
+        } else if (r < 65) {
+            free_range(live.rbegin()->first);
+        } else if (r < 80) {
+            const auto newest = std::max_element(
+                live.begin(), live.end(), [](const auto &a, const auto &b) {
+                    return a.second < b.second;
+                });
+            free_range(newest->first);
+        } else {
+            auto it = live.begin();
+            std::advance(it, static_cast<long>(rng.below(live.size())));
+            free_range(it->first);
+        }
+        if (i % 64 == 0) {
+            ASSERT_TRUE(alloc.validate()) << "op " << i;
+        }
+    }
+    EXPECT_TRUE(alloc.validate());
+    EXPECT_EQ(alloc.live(), live.size());
+    if (limit_pfn > target_live * 16) {
+        EXPECT_GT(long_scans, 0u) << "no rescan long enough to jump";
+    } else {
+        EXPECT_GT(exhausted, 0u) << "the tight space never filled";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, IovaScanFuzz, ::testing::ValuesIn(iovaScanFuzzParams()),
+    [](const ::testing::TestParamInfo<IovaScanFuzzParam> &info) {
+        return "limit" + std::to_string(info.param.limit_pfn) + "_s" +
+               std::to_string(info.param.seed);
     });
 
 // ---- overflow under pressure ---------------------------------------------------

@@ -146,6 +146,27 @@ TEST_P(RbTreeSweep, MatchesModelAndKeepsInvariants)
         RbTree::Node *n = t.findContaining(slot * 10 + 5, nullptr);
         EXPECT_EQ(n != nullptr, model.count(slot) == 1);
     }
+
+    // rank() is the in-order index; lastGapAtLeast() is the rightmost
+    // node at or below a bound whose gap to its predecessor is wide
+    // enough (never the leftmost node), found by brute force here.
+    std::vector<RbTree::Node *> order;
+    for (RbTree::Node *n = t.first(); n; n = t.next(n)) {
+        EXPECT_EQ(t.rank(n), order.size());
+        order.push_back(n);
+    }
+    for (int q = 0; q < 200; ++q) {
+        const u64 bound = rng.below(p.universe * 10 + 10);
+        const u64 need = 1 + rng.below(60);
+        RbTree::Node *want = nullptr;
+        for (size_t i = 1; i < order.size(); ++i) {
+            if (order[i]->pfn_lo <= bound &&
+                order[i]->pfn_lo - order[i - 1]->pfn_hi - 1 >= need)
+                want = order[i];
+        }
+        EXPECT_EQ(t.lastGapAtLeast(bound, need), want)
+            << "bound " << bound << " need " << need;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
