@@ -12,9 +12,12 @@
 # check runs twice on one tree with the same environment.
 #
 #   lane       flavour  what it adds
-#   sanitize   asan     every ctest; FaultFuzz, LifecycleFuzz,
-#                       VirtFuzz and IovaScanFuzz soaks (recovery and
-#                       teardown paths, the IOVA tree's augmentation)
+#   sanitize   asan     every ctest (StreamTest.SteadyStatePackets-
+#                       AllocateNothing; the recycled-node RbTree and
+#                       IovaScanFuzz checks, RbTree.SpareNodeIsPoisoned
+#                       only here); FaultFuzz, LifecycleFuzz, VirtFuzz
+#                       and IovaScanFuzz soaks (recovery and teardown
+#                       paths, the IOVA tree's augmentation and spares)
 #   tsan       tsan     everything that runs parallelFor threads:
 #                       engine, obs, lock, memory-pool and cluster suites,
 #                       ClusterFuzz, threaded fig7 / scaling sweeps and
@@ -93,7 +96,8 @@ extras_sanitize() {
     RIO_VIRT_EXTRA_SEEDS="6007,28657" \
         "$1/tests/fuzz_test" --gtest_filter='*VirtFuzz*'
     # The allocator's rank-counted scan against the 3.4 linear loop,
-    # with every tree rotation and augmented-field update under ASan.
+    # with every tree rotation, augmented-field update and recycled
+    # node under ASan.
     RIO_IOVA_EXTRA_SEEDS="4099,65521,1000003" \
         "$1/tests/fuzz_test" --gtest_filter='*IovaScanFuzz*'
 }

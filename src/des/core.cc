@@ -10,7 +10,7 @@ void
 Core::post(EventFn fn)
 {
     RIO_ASSERT(fn, "posting null work");
-    queue_.push_back(std::move(fn));
+    queue_.push(std::move(fn));
     if (!scheduled_)
         scheduleNext();
 }
@@ -29,8 +29,7 @@ void
 Core::runOne()
 {
     RIO_ASSERT(!queue_.empty(), "core woke with no work");
-    auto fn = std::move(queue_.front());
-    queue_.pop_front();
+    EventFn fn = queue_.pop();
 
     in_item_ = true;
     item_start_time_ = sim_.now();

@@ -9,8 +9,7 @@
 #ifndef RIO_DES_CORE_H
 #define RIO_DES_CORE_H
 
-#include <deque>
-
+#include "base/fifo.h"
 #include "base/types.h"
 #include "cycles/cost_model.h"
 #include "cycles/cycle_account.h"
@@ -138,7 +137,7 @@ class Core
     Simulator &sim_;
     const cycles::CostModel &cost_;
     cycles::CycleAccount acct_;
-    std::deque<EventFn> queue_;
+    Fifo<EventFn> queue_;
     bool scheduled_ = false;
     bool in_item_ = false;
     Nanos item_start_time_ = 0;

@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "base/node_pool.h"
 #include "cycles/cost_model.h"
 #include "cycles/cycle_account.h"
 #include "dma/dma_handle.h"
@@ -177,8 +178,10 @@ class BaselineDmaHandle : public DmaHandle
     u64 live_ = 0;
     // Host-side shadow of the live mappings, keyed by the range's
     // pfn_lo, so the leak detector can name ring + IOVA of anything
-    // that survives a quiesce. Pure bookkeeping — never charged.
-    std::unordered_map<u64, LiveMappingInfo> live_map_;
+    // that survives a quiesce. Pure bookkeeping — never charged. Its
+    // nodes are recycled: a map/unmap pair touches no heap.
+    NodePool live_nodes_;
+    std::pmr::unordered_map<u64, LiveMappingInfo> live_map_{&live_nodes_};
 
     // ---- stage-1 superpage state (off unless setStage1Superpages) ---
     bool superpages_ = false;

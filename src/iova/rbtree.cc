@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <new>
 
 #include "base/logging.h"
 
@@ -34,7 +35,14 @@ RbTree::destroySubtree(Node *n)
         return;
     destroySubtree(n->left);
     destroySubtree(n->right);
-    delete n;
+    release(n);
+}
+
+void
+RbTree::release(Node *n)
+{
+    n->~Node();
+    nodes_.deallocate(n, sizeof(Node), alignof(Node));
 }
 
 void
@@ -81,7 +89,7 @@ RbTree::Node *
 RbTree::insert(u64 pfn_lo, u64 pfn_hi, u64 *visits, u64 *rebalances)
 {
     RIO_ASSERT(pfn_lo <= pfn_hi, "inverted range");
-    Node *z = new Node();
+    Node *z = ::new (nodes_.allocate(sizeof(Node), alignof(Node))) Node();
     z->pfn_lo = pfn_lo;
     z->pfn_hi = pfn_hi;
     z->left = z->right = z->parent = &nil_;
@@ -276,7 +284,7 @@ RbTree::erase(Node *z, u64 *visits, u64 *rebalances)
         fixMaxGap(succ);
     if (!y_was_red)
         eraseFixup(x, rebalances);
-    delete z;
+    release(z);
     --size_;
 }
 

@@ -9,13 +9,16 @@
 #ifndef RIO_IOVA_RBTREE_H
 #define RIO_IOVA_RBTREE_H
 
+#include "base/node_pool.h"
 #include "base/types.h"
 
 namespace rio::iova {
 
 /**
  * A red-black tree whose nodes are disjoint [pfn_lo, pfn_hi] IOVA
- * ranges, ordered by pfn_lo. Nodes are owned by the tree.
+ * ranges, ordered by pfn_lo. Nodes are owned by the tree; an erased
+ * node's memory waits in the tree's NodePool (ASan-poisoned) and is
+ * reset in full when an insert reuses it.
  *
  * Each node is augmented with its subtree's node count and the
  * largest free gap below any of its subtree's nodes, so rank() and
@@ -65,7 +68,7 @@ class RbTree
      */
     Node *insert(u64 pfn_lo, u64 pfn_hi, u64 *visits, u64 *rebalances);
 
-    /** Remove and destroy @p node. */
+    /** Remove @p node and return its memory to the spare pool. */
     void erase(Node *node, u64 *visits, u64 *rebalances);
 
     /** Find the range containing @p pfn, or nullptr. */
@@ -92,7 +95,7 @@ class RbTree
     u64 size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
-    /** Destroy all nodes. */
+    /** Remove all nodes (their memory stays spare). */
     void clear();
 
     /**
@@ -125,10 +128,12 @@ class RbTree
     /** max_gap as @p n's own gap and its children's fields give it. */
     static u32 subtreeMaxGap(const Node *n);
     Node *minimum(Node *n, u64 *visits) const;
+    void release(Node *n);
     void destroySubtree(Node *n);
     bool validateNode(const Node *n, int black_depth, int &expected,
                       u64 lo_bound, u64 hi_bound) const;
 
+    NodePool nodes_; //!< erased nodes, reused by insert
     // Sentinel nil node (CLRS-style): simplifies erase fixup.
     mutable Node nil_;
     Node *root_;
@@ -136,7 +141,7 @@ class RbTree
 };
 
 static_assert(sizeof(RbTree::Node) == 56,
-              "the augmentation must fit the node's 64-byte malloc chunk");
+              "the augmentation must fit the node pool's 64-byte class");
 
 } // namespace rio::iova
 

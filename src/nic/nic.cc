@@ -319,77 +319,89 @@ Nic::deviceTxPump()
     }
 
     // Gather the descriptors of the next packet (through the ring's
-    // own translation, like real hardware fetching its ring).
-    std::vector<u32> idxs;
-    bool fault = false;
-    u32 idx = tx_ring_->head();
+    // own translation, like real hardware fetching its ring). They
+    // are consecutive from the head: the packet in flight is
+    // [tx_first_, tx_first_ + tx_ndesc_) in ring order.
+    tx_fault_ = false;
+    tx_first_ = tx_ring_->head();
+    tx_ndesc_ = 0;
+    u32 idx = tx_first_;
     for (;;) {
         const Descriptor desc =
-            deviceReadDesc(tx_ring_mapping_, *tx_ring_, idx, &fault);
-        if (!desc.ownedByDevice() && !fault)
+            deviceReadDesc(tx_ring_mapping_, *tx_ring_, idx, &tx_fault_);
+        if (!desc.ownedByDevice() && !tx_fault_)
             return; // spurious kick; nothing posted yet
-        idxs.push_back(idx);
-        if (desc.endOfPacket() || fault ||
-            idxs.size() >= profile_.tx_buffers_per_packet)
+        ++tx_ndesc_;
+        if (desc.endOfPacket() || tx_fault_ ||
+            tx_ndesc_ >= profile_.tx_buffers_per_packet)
             break;
         idx = tx_ring_->next(idx);
     }
+    const u32 last = idx;
 
     // Fetch the target buffers through translation.
-    for (u32 i : idxs) {
-        const TxMeta &meta = tx_meta_[i];
+    idx = tx_first_;
+    for (u32 n = 0; n < tx_ndesc_; ++n, idx = tx_ring_->next(idx)) {
+        const TxMeta &meta = tx_meta_[idx];
         if (!meta.mapped)
             continue;
         Status s = handle_.deviceRead(meta.mapping.device_addr,
                                       scratch_.data(), meta.mapping.size);
         if (!s) {
             ++stats_.dma_faults;
-            fault = true;
+            tx_fault_ = true;
         }
     }
 
-    const net::Packet pkt = tx_meta_[idxs.back()].pkt;
+    tx_pkt_ = tx_meta_[last].pkt;
     tx_busy_ = true;
     const Nanos tx_ns = static_cast<Nanos>(
-        net::wireTimeNs(pkt.payload_bytes, profile_.line_rate_gbps));
+        net::wireTimeNs(tx_pkt_.payload_bytes, profile_.line_rate_gbps));
     const u64 e = epoch_;
-    sim_.scheduleAfter(std::max<Nanos>(tx_ns, 1), [this, idxs, pkt,
-                                                   fault, e] {
+    sim_.scheduleAfter(std::max<Nanos>(tx_ns, 1), [this, e] {
         if (e != epoch_)
             return; // NIC unplugged while the packet was in flight
-        // Completion: write back status through translation, retire
-        // the descriptors, maybe coalesce an interrupt.
-        for (u32 i : idxs) {
-            Descriptor desc = tx_ring_->read(i);
-            desc.flags = (desc.flags & ~Descriptor::kOwnedByDevice) |
-                         Descriptor::kCompleted;
-            deviceWriteDesc(tx_ring_mapping_, *tx_ring_, i, desc);
-            tx_ring_->pop();
-        }
-        tx_completed_since_irq_ += static_cast<u32>(idxs.size());
-        tx_completed_unclean_ += static_cast<u32>(idxs.size());
-        ++stats_.tx_packets;
-        stats_.tx_payload_bytes += pkt.payload_bytes;
-        if (!fault && wire_tx_cb_)
-            wire_tx_cb_(pkt);
-        tx_busy_ = false;
-        if (tx_completed_since_irq_ >= profile_.tx_completion_batch) {
-            raiseTxIrq();
-        } else if (!tx_irq_timer_pending_) {
-            // Interrupt moderation: signal a partial batch only after
-            // the moderation delay.
-            tx_irq_timer_pending_ = true;
-            const u64 te = epoch_;
-            sim_.scheduleAfter(profile_.tx_irq_delay_ns, [this, te] {
-                if (te != epoch_)
-                    return;
-                tx_irq_timer_pending_ = false;
-                if (tx_completed_since_irq_ > 0)
-                    raiseTxIrq();
-            });
-        }
-        deviceTxPump();
+        completeTx();
     });
+}
+
+void
+Nic::completeTx()
+{
+    // Write back status through translation, retire the descriptors,
+    // maybe coalesce an interrupt.
+    u32 idx = tx_first_;
+    for (u32 n = 0; n < tx_ndesc_; ++n, idx = tx_ring_->next(idx)) {
+        Descriptor desc = tx_ring_->read(idx);
+        desc.flags = (desc.flags & ~Descriptor::kOwnedByDevice) |
+                     Descriptor::kCompleted;
+        deviceWriteDesc(tx_ring_mapping_, *tx_ring_, idx, desc);
+        tx_ring_->pop();
+    }
+    tx_completed_since_irq_ += tx_ndesc_;
+    tx_completed_unclean_ += tx_ndesc_;
+    const net::Packet pkt = tx_pkt_;
+    ++stats_.tx_packets;
+    stats_.tx_payload_bytes += pkt.payload_bytes;
+    if (!tx_fault_ && wire_tx_cb_)
+        wire_tx_cb_(pkt);
+    tx_busy_ = false;
+    if (tx_completed_since_irq_ >= profile_.tx_completion_batch) {
+        raiseTxIrq();
+    } else if (!tx_irq_timer_pending_) {
+        // Interrupt moderation: signal a partial batch only after the
+        // moderation delay.
+        tx_irq_timer_pending_ = true;
+        const u64 te = epoch_;
+        sim_.scheduleAfter(profile_.tx_irq_delay_ns, [this, te] {
+            if (te != epoch_)
+                return;
+            tx_irq_timer_pending_ = false;
+            if (tx_completed_since_irq_ > 0)
+                raiseTxIrq();
+        });
+    }
+    deviceTxPump();
 }
 
 void
@@ -414,31 +426,32 @@ Nic::txIrqHandler()
     tx_irq_pending_ = false;
     if (!up_)
         return;
-    // Collect the completion burst, then unmap it back-to-front-aware:
-    // only the last unmap of the burst carries end_of_burst (§4).
-    std::vector<u32> done;
-    while (tx_completed_unclean_ > 0) {
+    // The completion burst is the next tx_completed_unclean_ slots
+    // from tx_clean_idx_. Clear them, then unmap them back-to-front-
+    // aware: only the last unmap of the burst carries end_of_burst (§4).
+    const u32 burst = tx_completed_unclean_;
+    if (burst == 0)
+        return;
+    const u32 first = tx_clean_idx_;
+    u32 mapped_left = 0;
+    for (u32 n = 0; n < burst; ++n) {
         // Head-write-back style cleanup: descriptors retire strictly
         // in ring order and the IRQ accounting counts exactly the
         // retired ones, so the counter identifies the burst even when
         // a faulted DMA write dropped a descriptor's in-memory
         // completion bit.
-        done.push_back(tx_clean_idx_);
+        mapped_left += tx_meta_[tx_clean_idx_].mapped ? 1 : 0;
         tx_ring_->write(tx_clean_idx_, Descriptor{});
         tx_clean_idx_ = tx_ring_->next(tx_clean_idx_);
-        --tx_completed_unclean_;
     }
-    if (done.empty())
-        return;
+    tx_completed_unclean_ = 0;
 
-    u32 mapped_left = 0;
-    for (u32 i : done)
-        mapped_left += tx_meta_[i].mapped ? 1 : 0;
     if (mapped_left > 0) {
         ++stats_.unmap_bursts;
         stats_.unmap_burst_len_sum += mapped_left;
     }
-    for (u32 i : done) {
+    u32 i = first;
+    for (u32 n = 0; n < burst; ++n, i = tx_ring_->next(i)) {
         TxMeta &meta = tx_meta_[i];
         if (!meta.mapped)
             continue;
@@ -499,7 +512,7 @@ Nic::packetFromWire(const net::Packet &pkt)
     deviceWriteDesc(rr->ring_mapping, *rr->ring, idx, desc);
     rr->ring->pop();
     ++rr->completed;
-    rr->inflight.push_back(pkt);
+    rr->inflight.push(pkt);
     ++stats_.rx_packets;
     stats_.rx_payload_bytes += pkt.payload_bytes;
     scheduleRxIrq();
@@ -559,8 +572,7 @@ Nic::rxIrqHandler()
             rr.clean_idx = rr.ring->next(rr.clean_idx);
 
             RIO_ASSERT(!rr.inflight.empty(), "rx bookkeeping mismatch");
-            const net::Packet pkt = rr.inflight.front();
-            rr.inflight.pop_front();
+            const net::Packet pkt = rr.inflight.pop();
             if (rx_cb_)
                 rx_cb_(pkt);
         }

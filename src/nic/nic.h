@@ -15,11 +15,11 @@
 #ifndef RIO_NIC_NIC_H
 #define RIO_NIC_NIC_H
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
 
+#include "base/fifo.h"
 #include "base/status.h"
 #include "des/core.h"
 #include "des/simulator.h"
@@ -175,7 +175,7 @@ class Nic
         std::vector<PhysAddr> buf_pa;      // per-entry buffer
         u32 clean_idx = 0;                 // driver's next to recycle
         u32 completed = 0;                 // device-completed, unhandled
-        std::deque<net::Packet> inflight;  // payload metadata FIFO
+        Fifo<net::Packet> inflight;        // payload metadata FIFO
     };
 
     /** Simple LIFO pool of equally-sized buffers. */
@@ -196,6 +196,8 @@ class Nic
 
     void kickTx();
     void deviceTxPump();
+    /** The in-flight packet has left the wire (device event). */
+    void completeTx();
     void raiseTxIrq();
     void txIrqHandler();
     void scheduleRxIrq();
@@ -229,6 +231,13 @@ class Nic
     u32 tx_completed_since_irq_ = 0;
     bool tx_kick_scheduled_ = false;
     bool tx_busy_ = false;
+    // The one packet in flight while tx_busy_: its descriptors are
+    // the tx_ndesc_ ring slots from tx_first_. Kept here rather than
+    // in the completion event, whose capture stays [this, epoch].
+    u32 tx_first_ = 0;
+    u32 tx_ndesc_ = 0;
+    net::Packet tx_pkt_;
+    bool tx_fault_ = false;
     bool tx_irq_pending_ = false;
     bool tx_irq_timer_pending_ = false;
     BufferPool header_pool_;

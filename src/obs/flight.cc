@@ -4,6 +4,7 @@
 #include <mutex>
 
 #include "base/strings.h"
+#include "obs/timeline.h"
 
 namespace rio::obs {
 
@@ -116,21 +117,6 @@ FlightRecorder::clear()
     ring_.clear();
     dump_seq_ = 0;
     dumps_.clear();
-}
-
-FlightRecorder &
-flightRecorder()
-{
-    // Thread-local: every event lands in the *emitting thread's* ring
-    // with zero synchronization, keeping Timeline::emit lock-free on
-    // the recording-off default path. A worker thread that trips a
-    // dump renders its own last moments — which is exactly the context
-    // that matters — and the dump is both printed to stderr and
-    // published to the process-wide archive (flightDumpArchive()), so
-    // it stays inspectable from the main thread after the worker (with
-    // its thread-local recorder) is joined and gone.
-    static thread_local FlightRecorder fr;
-    return fr;
 }
 
 u64

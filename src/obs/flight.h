@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/timeline.h"
+#include "obs/event.h"
 
 namespace rio::obs {
 
@@ -39,8 +39,8 @@ class FlightRecorder
 
     FlightRecorder() : ring_(kDefaultCapacity) {}
 
-    /** Called by Timeline::emit for every event, always. */
-    void record(const Event &e) { ring_.push(e); }
+    /** The ring slot Timeline::emit fills, for every event, always. */
+    Event &claim() { return ring_.claim(); }
 
     /**
      * Fire a dump: snapshot the ring as text, keep it (up to the dump
@@ -77,12 +77,18 @@ class FlightRecorder
 /** The calling thread's flight recorder (fed by the global
  * timeline). Thread-local so lanes record without locking; in a
  * single-threaded run it behaves exactly like the old process-wide
- * singleton. Only the hot record() path is thread-confined: every
+ * singleton. Only the hot claim() path is thread-confined: every
  * retained dump is also published to the process-wide archive below,
  * so a dump fired on a des::parallelFor worker survives that thread
  * and is visible to main-thread post-mortem inspection and trace
  * export. */
-FlightRecorder &flightRecorder();
+inline FlightRecorder &
+flightRecorder()
+{
+    // Inline, so Timeline::emit reaches the ring without a call.
+    static thread_local FlightRecorder fr;
+    return fr;
+}
 
 /**
  * Process-wide dump archive: a copy of every retained FlightDump, in

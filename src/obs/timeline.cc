@@ -5,7 +5,6 @@
 #include "base/logging.h"
 #include "base/strings.h"
 #include "obs/flight.h"
-#include "obs/trace_ctx.h"
 
 namespace rio::obs {
 
@@ -55,18 +54,8 @@ Timeline::setCapacity(size_t per_track)
 }
 
 void
-Timeline::emit(const Event &e)
+Timeline::recordTrack(const Event &rec)
 {
-    // Auto-attach the thread's current trace context: any event
-    // emitted while a TraceScope is live (a mail delivery, a wire
-    // handler, a replay) becomes a child span of that op without the
-    // emitter knowing about tracing at all.
-    Event rec = e;
-    if (rec.trace == 0)
-        rec.trace = currentTrace();
-    flightRecorder().record(rec);
-    if (!recording_.load(std::memory_order_relaxed))
-        return;
     const u32 key = (static_cast<u32>(rec.pid) << 16) | rec.tid;
     std::lock_guard<std::mutex> g(mu_);
     auto it = rings_.find(key);
@@ -292,13 +281,6 @@ Timeline::writeChromeTrace(const std::string &path) const
     std::fclose(f);
     std::printf("wrote %s\n", path.c_str());
     return true;
-}
-
-Timeline &
-timeline()
-{
-    static Timeline t;
-    return t;
 }
 
 } // namespace rio::obs

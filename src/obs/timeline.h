@@ -26,96 +26,11 @@
 #include <vector>
 
 #include "base/types.h"
+#include "obs/event.h"
+#include "obs/flight.h"
+#include "obs/trace_ctx.h"
 
 namespace rio::obs {
-
-/** What happened. Keep in sync with evName()/evPhase(). */
-enum class Ev : u8 {
-    kMap = 0,      //!< DMA map completed (span; dur = driver cycles)
-    kUnmap,        //!< DMA unmap completed (span)
-    kQiIssue,      //!< invalidation submitted (async span begin)
-    kQiComplete,   //!< invalidation wait landed (async span end)
-    kQiTimeout,    //!< invalidation wait never landed (instant)
-    kFault,        //!< device access faulted (instant)
-    kQuiescePhase, //!< lifecycle phase journaled (instant; arg=phase)
-    kLockAcquire,  //!< contended lock granted (span; dur = spin wait)
-    kLockRelease,  //!< lock released (instant)
-    kFlightDump,   //!< flight recorder fired (instant; arg=dump #)
-    kVmExit,       //!< guest trapped to the hypervisor (span; arg=reason)
-    kQpError,      //!< RDMA QP entered error state (instant; arg=qp)
-    kOpPost,       //!< traced op injected (async-nestable begin; arg=bytes)
-    kOpCqe,        //!< terminal CQE closed the op (async end; arg=latency)
-    kWireTx,       //!< wire transit (async span; dur = transit+serialize)
-    kIngressQ,     //!< ingress port queueing (async span; dur = wait)
-    kRetransmit,   //!< go-back-N replay episode (instant; arg=psn)
-    kTargetWalk,   //!< remote access walked the target IOMMU (instant)
-    kMigPhase,     //!< live-migration phase edge (instant; arg=phase)
-    kNumEvents
-};
-
-/** Short stable name ("map", "qi_issue", ...). */
-const char *evName(Ev ev);
-
-/** One timeline event (compact POD; rings hold millions). */
-struct Event
-{
-    Nanos t = 0;   //!< virtual end time of the event
-    u64 arg = 0;   //!< pfn / phase / wait cycles / reason-specific
-    u64 dur_ns = 0; //!< span length; 0 for instants
-    u64 trace = 0; //!< owning distributed trace id; 0 = none (emit()
-                   //!< fills it from the thread's current TraceScope)
-    u64 arg2 = 0;  //!< second event-specific payload (psn, status, ...)
-    u32 id = 0;    //!< async span id pairing kQiIssue/kQiComplete
-    u16 pid = 0;   //!< track group: machine ordinal
-    u16 tid = 0;   //!< track: core ordinal within the machine
-    u16 bdf = 0;   //!< packed requester id, 0 if n/a
-    u16 rid = 0;   //!< ring id, 0 if n/a
-    Ev kind = Ev::kMap;
-};
-
-/** Bounded ring: keeps the newest @p capacity events, counts drops. */
-class EventRing
-{
-  public:
-    explicit EventRing(size_t capacity) : capacity_(capacity) {}
-
-    void
-    push(const Event &e)
-    {
-        if (buf_.size() < capacity_) {
-            buf_.push_back(e);
-        } else {
-            buf_[next_] = e;
-            next_ = (next_ + 1) % capacity_;
-            ++dropped_;
-        }
-        ++pushed_;
-    }
-
-    /** Events oldest-first. */
-    std::vector<Event> inOrder() const;
-
-    /** The most recently pushed event, or null when empty. */
-    const Event *
-    newest() const
-    {
-        if (buf_.empty())
-            return nullptr;
-        return &buf_[(next_ + buf_.size() - 1) % buf_.size()];
-    }
-
-    u64 pushed() const { return pushed_; }
-    u64 dropped() const { return dropped_; }
-    size_t size() const { return buf_.size(); }
-    void clear() { buf_.clear(); next_ = 0; pushed_ = dropped_ = 0; }
-
-  private:
-    size_t capacity_;
-    size_t next_ = 0; //!< overwrite cursor once full
-    u64 pushed_ = 0;
-    u64 dropped_ = 0;
-    std::vector<Event> buf_;
-};
 
 /**
  * The process-wide timeline: one bounded ring per (machine, core)
@@ -164,9 +79,26 @@ class Timeline
         return next_span_.fetch_add(1, std::memory_order_relaxed) + 1;
     }
 
-    /** Record @p e (flight ring always; per-core ring if recording).
-     * Defined in flight.cc to avoid a header cycle. */
-    void emit(const Event &e);
+    /**
+     * Record @p e: into the calling thread's flight ring always, and
+     * into its track's ring while recording. The event is written
+     * straight into its flight-ring slot; with recording off that
+     * is all emit() does.
+     */
+    void
+    emit(const Event &e)
+    {
+        Event &rec = flightRecorder().claim();
+        rec = e;
+        // Auto-attach the thread's current trace context: any event
+        // emitted while a TraceScope is live (a mail delivery, a wire
+        // handler, a replay) becomes a child span of that op without
+        // the emitter knowing about tracing at all.
+        if (rec.trace == 0)
+            rec.trace = currentTrace();
+        if (recording()) [[unlikely]]
+            recordTrack(rec);
+    }
 
     /** All recorded events, grouped per track, oldest-first. */
     std::map<u32, std::vector<Event>> tracks() const;
@@ -185,6 +117,9 @@ class Timeline
     bool writeChromeTrace(const std::string &path) const;
 
   private:
+    /** Append @p rec to its (pid, tid) track ring (recording on). */
+    void recordTrack(const Event &rec);
+
     std::atomic<bool> recording_{false};
     size_t capacity_ = 1u << 16;
     std::atomic<u16> next_pid_{1};
@@ -197,7 +132,12 @@ class Timeline
 };
 
 /** The global timeline every instrumentation point uses. */
-Timeline &timeline();
+inline Timeline &
+timeline()
+{
+    static Timeline t;
+    return t;
+}
 
 } // namespace rio::obs
 

@@ -13,6 +13,7 @@
 #include <optional>
 #include <unordered_map>
 
+#include "base/node_pool.h"
 #include "base/types.h"
 #include "riommu/structures.h"
 
@@ -88,7 +89,8 @@ class Riotlb
         return (static_cast<u32>(bdf) << 16) | rid;
     }
 
-    std::unordered_map<u32, RiotlbEntry> entries_;
+    NodePool nodes_; //!< invalidated entries, reused by insert
+    std::pmr::unordered_map<u32, RiotlbEntry> entries_{&nodes_};
     RiotlbStats stats_;
 };
 

@@ -7,6 +7,7 @@
 
 #include <set>
 
+#include "base/fifo.h"
 #include "base/logging.h"
 #include "base/rng.h"
 #include "base/stats.h"
@@ -43,6 +44,24 @@ TEST(Types, PagesSpanned)
 }
 
 // ---- rng ------------------------------------------------------------------
+
+/** Growing while the contents wrap the buffer's end keeps FIFO order. */
+TEST(Fifo, GrowsWhileWrappedAndKeepsOrder)
+{
+    Fifo<int> q;
+    int next_in = 0;
+    int next_out = 0;
+    for (int i = 0; i < 6; ++i)
+        q.push(next_in++);
+    for (int i = 0; i < 5; ++i)
+        EXPECT_EQ(q.pop(), next_out++);
+    // The head is mid-buffer; fill past the end and past capacity.
+    for (int i = 0; i < 40; ++i)
+        q.push(next_in++);
+    while (!q.empty())
+        EXPECT_EQ(q.pop(), next_out++);
+    EXPECT_EQ(next_out, next_in);
+}
 
 TEST(Rng, DeterministicAcrossInstances)
 {

@@ -175,6 +175,68 @@ TEST_P(LifecycleModeTest, ReplugRestoresService)
     EXPECT_EQ(log[3].phase, sys::LifecyclePhase::kReplug);
 }
 
+/**
+ * Surprise unplug while a Tx packet is on the wire. The NIC keeps the
+ * in-flight packet's descriptors and payload in members that outlive
+ * the epoch, so: the lost packet's completion event, which fires while
+ * the first packet after replug is in flight, must return at the epoch
+ * guard; and that packet must then complete with its own descriptors
+ * and payload.
+ */
+TEST_P(LifecycleModeTest, UnplugWithTxInFlightThenReplug)
+{
+    des::Simulator sim;
+    nic::NicProfile profile = testProfile();
+    profile.tx_buffers_per_packet = 2; // a mapped send: header + data
+    profile.line_rate_gbps = 0.01;     // ~100 us per inline send on the
+                                       // wire, ~1.2 ms per MSS send
+    sys::Machine m(sim, GetParam(), profile);
+    m.bringUp();
+    const u64 baseline_mappings = m.nic().liveMappings();
+    std::vector<std::pair<Nanos, net::Packet>> wire;
+    m.nic().setWireTxCallback([&](const net::Packet &pkt) {
+        wire.emplace_back(sim.now(), pkt);
+    });
+
+    net::Packet lost; // inline: one descriptor
+    lost.payload_bytes = 40;
+    lost.flow = 1;
+    m.core().post([&] { ASSERT_TRUE(m.nic().sendPacket(lost).isOk()); });
+    sim.runUntil(50'000); // the lost packet is on the wire until ~105 us
+    ASSERT_EQ(m.nic().stats().tx_packets, 0u);
+
+    net::Packet fresh; // mapped: two descriptors
+    fresh.payload_bytes = net::kMss;
+    fresh.flow = 2;
+    u32 space_after_replug = 0;
+    m.core().post([&] {
+        m.surpriseUnplugNic(0);
+        m.removeCleanupNic(0);
+        ASSERT_TRUE(m.replugNic(0).isOk());
+        space_after_replug = m.nic().txSpacePackets(fresh.payload_bytes);
+        ASSERT_TRUE(m.nic().sendPacket(fresh).isOk());
+    });
+    // Past the lost packet's completion time, before the fresh one's.
+    sim.runUntil(1'000'000);
+    EXPECT_EQ(m.nic().stats().tx_packets, 0u)
+        << "the lost packet's completion ran past the epoch guard";
+    EXPECT_TRUE(wire.empty());
+
+    sim.run();
+    ASSERT_EQ(wire.size(), 1u);
+    EXPECT_GT(wire[0].first, 1'000'000u);
+    EXPECT_EQ(wire[0].second.flow, fresh.flow);
+    EXPECT_EQ(wire[0].second.payload_bytes, fresh.payload_bytes);
+    EXPECT_EQ(m.nic().stats().tx_packets, 1u);
+    EXPECT_EQ(m.nic().stats().tx_payload_bytes, fresh.payload_bytes);
+    EXPECT_EQ(m.nic().stats().dma_faults, 0u);
+    // Both of its descriptors retired and were cleaned: the ring and
+    // the mappings are back where the replug left them.
+    EXPECT_EQ(m.nic().txSpacePackets(fresh.payload_bytes),
+              space_after_replug);
+    EXPECT_EQ(m.nic().liveMappings(), baseline_mappings);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllModes, LifecycleModeTest,
     ::testing::Values(ProtectionMode::kStrict, ProtectionMode::kStrictPlus,

@@ -6,6 +6,10 @@
  */
 #include <gtest/gtest.h>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 #include <algorithm>
 #include <map>
 #include <vector>
@@ -96,6 +100,55 @@ TEST(RbTreeDeathTest, OverlappingInsertPanics)
     EXPECT_DEATH(t.insert(15, 25, nullptr, nullptr), "overlap");
 }
 
+/** Erased nodes come back from the spare pool on later inserts, fully
+ * reset: their old counts and gaps must not leak into the new tree. */
+TEST(RbTree, RecycledNodesStartClean)
+{
+    RbTree t;
+    std::vector<RbTree::Node *> erased;
+    for (u64 lo = 0; lo < 640; lo += 10)
+        erased.push_back(t.insert(lo, lo + 4, nullptr, nullptr));
+    // Park every range (live = false, as a magazine does) and widen
+    // some gaps before erasing, so the spares carry flags, counts and
+    // max gaps that differ from anything the second tree holds.
+    for (RbTree::Node *n : erased)
+        n->live = false;
+    for (size_t i = 1; i < erased.size(); i += 3)
+        t.erase(erased[i], nullptr, nullptr);
+    t.clear();
+    std::sort(erased.begin(), erased.end());
+
+    u64 reused = 0;
+    for (u64 k = 0; k < erased.size(); ++k) {
+        const u64 lo = 10000 - 100 * k;
+        RbTree::Node *n = t.insert(lo, lo + 1, nullptr, nullptr);
+        reused += std::binary_search(erased.begin(), erased.end(), n);
+        EXPECT_TRUE(n->live) << "after inserting " << lo;
+        ASSERT_TRUE(t.validate()) << "after inserting " << lo;
+    }
+    EXPECT_EQ(reused, t.size()) << "every insert should reuse a spare";
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(RbTree, SpareNodeIsPoisoned)
+{
+    RbTree t;
+    t.insert(0, 9, nullptr, nullptr);
+    RbTree::Node *n = t.insert(20, 29, nullptr, nullptr);
+    const char *addr = reinterpret_cast<const char *>(n);
+    ASSERT_FALSE(__asan_address_is_poisoned(addr));
+    t.erase(n, nullptr, nullptr);
+    EXPECT_TRUE(__asan_address_is_poisoned(addr))
+        << "an erased node must be poisoned while spare";
+    EXPECT_TRUE(__asan_address_is_poisoned(addr + sizeof(RbTree::Node) - 1));
+    RbTree::Node *again = t.insert(40, 49, nullptr, nullptr);
+    ASSERT_EQ(reinterpret_cast<const char *>(again), addr)
+        << "the insert takes the spare back";
+    EXPECT_FALSE(__asan_address_is_poisoned(addr));
+    EXPECT_TRUE(t.validate());
+}
+#endif
+
 // ---- property sweep: randomized insert/erase against a model -------------
 
 struct SweepParam
@@ -127,11 +180,9 @@ TEST_P(RbTreeSweep, MatchesModelAndKeepsInvariants)
             model.erase(it);
         }
         ASSERT_EQ(t.size(), model.size());
-        if (i % 64 == 0) {
-            ASSERT_TRUE(t.validate()) << "after op " << i;
-        }
+        // Inserts after erases build the tree from recycled nodes.
+        ASSERT_TRUE(t.validate()) << "after op " << i;
     }
-    ASSERT_TRUE(t.validate());
 
     // Full in-order traversal must match the model exactly.
     auto mit = model.begin();

@@ -7,6 +7,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "des/simulator.h"
 #include "dma/baseline_handle.h"
 #include "iova/linux_allocator.h"
@@ -15,6 +19,36 @@
 #include "workloads/storage.h"
 #include "workloads/request_load.h"
 #include "workloads/stream.h"
+
+/** Global operator new calls in this binary (the steady-state
+ * allocation guard compares them across stream lengths). */
+static std::atomic<unsigned long> g_operator_news{0};
+
+void *
+operator new(std::size_t size)
+{
+    g_operator_news.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+// The replaced operator new is malloc, so free() is its match; GCC
+// cannot tell once the delete is inlined into a new-expression's user.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+#pragma GCC diagnostic pop
 
 namespace rio::workloads {
 namespace {
@@ -167,6 +201,37 @@ TEST(StreamTest, LinuxIovaScanChargesArePinned)
             << dma::modeName(pin.mode);
         EXPECT_EQ(alloc.allocCalls(), pin.alloc_calls)
             << dma::modeName(pin.mode);
+    }
+}
+
+/**
+ * The per-packet path (map, device DMA, Tx completion, IRQ, unmap,
+ * event recording) touches no heap once warm: a stream twice as long
+ * makes exactly as many allocations, in every mode. The warm-up runs
+ * past the first wrap of the ACKs' Rx ring (1536 buffers, one ACK per
+ * ~4 data packets), whose first pass materializes a frame per two
+ * buffers.
+ */
+TEST(StreamTest, SteadyStatePacketsAllocateNothing)
+{
+    const auto allocationsFor = [](ProtectionMode mode, u64 packets) {
+        StreamParams p = quickStream(nic::mlxProfile());
+        p.warmup_packets = 8000;
+        p.measure_packets = packets;
+        const unsigned long before = g_operator_news.load();
+        const RunResult r = runStream(mode, nic::mlxProfile(), p);
+        EXPECT_GE(r.tx_packets, packets) << dma::modeName(mode);
+        return g_operator_news.load() - before;
+    };
+    for (ProtectionMode mode : dma::kEvaluatedModes) {
+        // A first run pays the process's one-time allocations (the
+        // flight ring filling, function-local statics).
+        (void)allocationsFor(mode, 3000);
+        const unsigned long n = allocationsFor(mode, 3000);
+        const unsigned long n2 = allocationsFor(mode, 6000);
+        EXPECT_EQ(n2, n) << dma::modeName(mode) << ": "
+                         << static_cast<long>(n2 - n)
+                         << " allocations in 3000 more packets";
     }
 }
 
