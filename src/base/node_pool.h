@@ -34,8 +34,10 @@ class NodePool final : public std::pmr::memory_resource
     /** Blocks up to this size are recycled; larger ones (a hash
      * map's bucket array) go straight to the heap. */
     static constexpr size_t kMaxBytes = 128;
-    /** Size classes are multiples of the heap's 16-byte alignment. */
-    static constexpr size_t kGrain = 16;
+    /** Size classes are multiples of 8 bytes, and a class's blocks
+     * are requested at exactly that size: a 56-byte tree node keeps
+     * malloc's 64-byte chunk (asked as 64 bytes, it would take 80). */
+    static constexpr size_t kGrain = 8;
 
     struct Spare
     {
