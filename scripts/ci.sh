@@ -14,21 +14,29 @@
 #   lane       flavour  what it adds
 #   sanitize   asan     every ctest (StreamTest.SteadyStatePackets-
 #                       AllocateNothing; the recycled-node RbTree and
-#                       IovaScanFuzz checks, RbTree.SpareNodeIsPoisoned
-#                       only here); FaultFuzz, LifecycleFuzz, VirtFuzz
-#                       and IovaScanFuzz soaks (recovery and teardown
-#                       paths, the IOVA tree's augmentation and spares)
+#                       IovaScanFuzz checks; PhysicalMemory's ranged-
+#                       observer, dirty-pool zeroing and ArenaHash.*
+#                       cases; RbTree.SpareNodeIsPoisoned and the
+#                       whole-zeroed block of PhysicalMemory.Pooled-
+#                       BlockIsPoisoned only here); FaultFuzz,
+#                       LifecycleFuzz, VirtFuzz and IovaScanFuzz soaks
+#                       (recovery and teardown paths, the IOVA tree's
+#                       augmentation and spares)
 #   tsan       tsan     everything that runs parallelFor threads:
-#                       engine, obs, lock, memory-pool and cluster suites,
-#                       ClusterFuzz, threaded fig7 / scaling sweeps and
-#                       concurrent cluster / tail / migration rows
+#                       engine, obs, lock, memory-pool (PhysicalMemory.
+#                       ObserverSeesOnlyWritesIntersectingItsRange,
+#                       FramesFromDirtyPooledBlocksReadZero) and cluster
+#                       suites, ClusterFuzz, threaded fig7 / scaling
+#                       sweeps and concurrent cluster / tail / migration
+#                       rows
 #   obs        release  zero-cost goldens, fault-storm and wire-storm
 #                       trace validation, the BENCH_9/BENCH_10 ledgers
 #   virt       release  virt suites, VirtFuzz soak, all-platform sweep
 #                       (exits nonzero unless nested widens the gap)
 #   cluster    asan     ClusterFuzz soak, 1K-QP/machine erosion sweep
 #   wire       asan     WireFuzz soak, full hostile-wire storm sweep
-#   migrate    asan     MigrateFuzz soak
+#   migrate    asan     migrate_test (ArenaHash.* included),
+#                       MigrateFuzz soak
 #   fuzz       default  every fuzz campaign on extra seeds (IovaScanFuzz
 #                       included)
 #   lifecycle  default  LifecycleFuzz soak, churn sweeps per seed

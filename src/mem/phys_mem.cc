@@ -84,12 +84,23 @@ PhysicalMemory::carveFrame()
         block_next_ = reinterpret_cast<u8 *>(
             pageAlignUp(reinterpret_cast<std::uintptr_t>(block)));
         block_left_ = kBlockFrames;
+        // Past the first block, a memory is growing in bulk: zero the
+        // whole block in one pass. The first block keeps per-frame
+        // zeroing, so a machine that carves a few frames does not pay
+        // for thirty.
+        if (blocks_.size() > 1) {
+            constexpr u64 kFramesBytes = kBlockFrames * kPageSize;
+            ASAN_UNPOISON_MEMORY_REGION(block_next_, kFramesBytes);
+            std::memset(block_next_, 0, kFramesBytes);
+            ASAN_POISON_MEMORY_REGION(block_next_, kFramesBytes);
+        }
     }
     u8 *frame = block_next_;
     block_next_ += kPageSize;
     --block_left_;
     ASAN_UNPOISON_MEMORY_REGION(frame, kPageSize);
-    std::memset(frame, 0, kPageSize);
+    if (blocks_.size() == 1)
+        std::memset(frame, 0, kPageSize);
     return frame;
 }
 
@@ -131,7 +142,7 @@ PhysicalMemory::writeSpan(PhysAddr addr, const void *src, u64 size)
 {
     RIO_ASSERT(addr + size <= capacity_ && addr + size >= addr,
                "phys write out of range: addr=", addr, " size=", size);
-    if (observer_)
+    if (watched(addr, size))
         observer_(addr, size);
     const auto *in = static_cast<const u8 *>(src);
     while (size > 0) {
@@ -141,6 +152,16 @@ PhysicalMemory::writeSpan(PhysAddr addr, const void *src, u64 size)
         addr += in_page;
         size -= in_page;
     }
+}
+
+void
+PhysicalMemory::setWriteObserver(WriteObserver cb, PhysAddr lo, u64 len)
+{
+    observer_ = std::move(cb);
+    watch_lo_ = observer_ ? lo : 0;
+    // An empty end turns the inline writes' range check off; a range
+    // running past the top of the address space ends there.
+    watch_end_ = !observer_ ? 0 : len > ~lo ? ~PhysAddr{0} : lo + len;
 }
 
 void
@@ -168,7 +189,7 @@ PhysicalMemory::fillZero(PhysAddr addr, u64 size)
 {
     RIO_ASSERT(addr + size <= capacity_ && addr + size >= addr,
                "phys fill out of range: addr=", addr, " size=", size);
-    if (observer_ && size > 0)
+    if (watched(addr, size))
         observer_(addr, size);
     while (size > 0) {
         const u64 in_page = std::min(size, kPageSize - (addr & kPageMask));

@@ -14,11 +14,14 @@
  * materialization order, so a word access never straddles host pages.
  * A destroyed memory hands its blocks to a process-wide pool that the
  * next memory carves from, so host pages are faulted in once per
- * process, not once per machine. read64/read32 are inline for any
+ * process, not once per machine. A memory's first block is zeroed a
+ * frame at a time as frames are carved; each later block is zeroed
+ * whole when carving reaches it. read64/read32 are inline for any
  * naturally aligned in-range word (a never-written frame reads 0),
- * write64 for one of a materialized frame; read/write are inline for
- * an in-range access within one frame (write: a materialized frame,
- * no observer) and loop frame by frame out of line otherwise.
+ * write64 for one of a materialized frame outside the watched range;
+ * read/write are inline for an in-range access within one frame
+ * (write: a materialized frame outside the watched range) and loop
+ * frame by frame out of line otherwise.
  */
 #ifndef RIO_MEM_PHYS_MEM_H
 #define RIO_MEM_PHYS_MEM_H
@@ -69,7 +72,7 @@ class PhysicalMemory
     void
     write(PhysAddr addr, const void *src, u64 size)
     {
-        u8 *frame = !observer_ && withinOneFrame(addr, size)
+        u8 *frame = !watched(addr, size) && withinOneFrame(addr, size)
                         ? frameIfPresent(addr)
                         : nullptr;
         if (frame)
@@ -84,7 +87,9 @@ class PhysicalMemory
     void
     write64(PhysAddr addr, u64 value)
     {
-        u8 *word = observer_ ? nullptr : wordIfPresent(addr, sizeof(value));
+        u8 *word = watched(addr, sizeof(value))
+                       ? nullptr
+                       : wordIfPresent(addr, sizeof(value));
         if (word)
             std::memcpy(word, &value, sizeof(value));
         else
@@ -116,20 +121,23 @@ class PhysicalMemory
     }
 
     /** Zero [addr, addr+size). Frames never written stay unmaterialized
-     * (they already read as zeros); the observer still sees the whole
-     * range. */
+     * (they already read as zeros); an observer watching any of it still
+     * sees the whole range. */
     void fillZero(PhysAddr addr, u64 size);
 
     // ---- write observation ----------------------------------------------
     /**
-     * Invoked on every mutation of physical memory (all write paths
-     * funnel through write()/fillZero()). One observer at a time;
-     * null clears it. Used by the migration engine for dirty-page
-     * tracking — the hook is host-side only and charges no simulated
-     * cycles.
+     * Invoked with the full (addr, size) of every non-empty mutation of
+     * physical memory that intersects the watched range [lo, lo+len)
+     * (all write paths funnel through write()/fillZero()); the default
+     * range is all of memory. Writes outside the range keep the inline
+     * paths. One observer at a time; null clears it. Used by the
+     * migration engine for dirty-page tracking over the guest arena —
+     * the hook is host-side only and charges no simulated cycles.
      */
     using WriteObserver = std::function<void(PhysAddr addr, u64 size)>;
-    void setWriteObserver(WriteObserver cb) { observer_ = std::move(cb); }
+    void setWriteObserver(WriteObserver cb, PhysAddr lo = 0,
+                          u64 len = ~u64{0});
 
     // ---- allocation -----------------------------------------------------
     /** Allocate one zeroed 4 KB frame; returns its physical address. */
@@ -181,6 +189,14 @@ class PhysicalMemory
     void readSpan(PhysAddr addr, void *dst, u64 size) const;
     void writeSpan(PhysAddr addr, const void *src, u64 size);
 
+    /** True if [addr, addr+size) is non-empty and intersects the
+     * observer's watched range (always false with no observer). */
+    bool
+    watched(PhysAddr addr, u64 size) const
+    {
+        return addr < watch_end_ && addr + size > watch_lo_ && size > 0;
+    }
+
     /** True if [addr, addr+size) is non-empty, in range and inside one
      * frame (capacity_ is page-aligned, so addr < capacity_ suffices
      * for the frame's end). */
@@ -193,7 +209,9 @@ class PhysicalMemory
 
     /** The frame holding @p addr, materialized zeroed if absent. */
     u8 *frameFor(PhysAddr addr);
-    /** A zeroed frame carved from the current block. */
+    /** A zeroed frame carved from the current block (the first block
+     * zeroes each frame as it goes; later ones are zeroed whole when
+     * carving reaches them). */
     u8 *carveFrame();
 
     /** The frame holding @p addr, or null if it was never written. */
@@ -241,6 +259,8 @@ class PhysicalMemory
     u8 *block_next_ = nullptr; //!< next uncarved frame of blocks_.back()
     u64 block_left_ = 0;       //!< uncarved frames left in it
     WriteObserver observer_;
+    PhysAddr watch_lo_ = 0;  //!< observer range start
+    PhysAddr watch_end_ = 0; //!< observer range end; 0: no observer
 };
 
 } // namespace rio::mem

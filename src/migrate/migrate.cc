@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
+#include <utility>
 
 #include "base/logging.h"
 #include "obs/timeline.h"
@@ -29,6 +31,56 @@ constexpr u64 kPhaseBlackout = 2;
 constexpr u64 kPhaseResume = 3;
 
 } // namespace
+
+u64
+hashArena(const mem::PhysicalMemory &pm, PhysAddr base, u64 pages)
+{
+    // Word-wise FNV-style hash over four page streams: lane k takes every
+    // word of the arena's quarter k in order, and the tail pages past
+    // the last whole quarter go to lane 3. Four streams keep four reads
+    // in flight, so the pass runs near memory bandwidth instead of one
+    // stream's. Each step (h ^ w) * P is a bijection in both h and w, so
+    // a change to any single word changes its lane and, through the
+    // bijective fold, the result. The lanes are named locals, not an
+    // array: GCC kept an array of lanes in memory, and the hash ran at
+    // half speed.
+    constexpr u64 kBasis = 1469598103934665603ULL; // FNV offset basis
+    constexpr u64 kPrime = 1099511628211ULL;
+    const auto mix = [](u64 h, u64 w) { return (h ^ w) * kPrime; };
+    RIO_ASSERT(isPageAligned(base), "arena not page-aligned");
+    // Pages are hashed where they lie; a never-written one hashes as
+    // this zero page, which is what reading it would return.
+    static constexpr std::array<u8, kPageSize> kZeroPage{};
+    const auto page = [&pm, base](u64 g) {
+        const u8 *p = pm.frameData(base + g * kPageSize);
+        return p ? p : kZeroPage.data();
+    };
+    const auto word = [](const u8 *p) {
+        u64 w;
+        std::memcpy(&w, p, sizeof(w));
+        return w;
+    };
+    const u64 quarter = pages / 4;
+    u64 h0 = kBasis, h1 = kBasis, h2 = kBasis, h3 = kBasis;
+    for (u64 g = 0; g < quarter; ++g) {
+        const u8 *p0 = page(g);
+        const u8 *p1 = page(g + quarter);
+        const u8 *p2 = page(g + 2 * quarter);
+        const u8 *p3 = page(g + 3 * quarter);
+        for (u64 i = 0; i < kPageSize; i += sizeof(u64)) {
+            h0 = mix(h0, word(p0 + i));
+            h1 = mix(h1, word(p1 + i));
+            h2 = mix(h2, word(p2 + i));
+            h3 = mix(h3, word(p3 + i));
+        }
+    }
+    for (u64 g = 4 * quarter; g < pages; ++g) {
+        const u8 *p3 = page(g);
+        for (u64 i = 0; i < kPageSize; i += sizeof(u64))
+            h3 = mix(h3, word(p3 + i));
+    }
+    return mix(mix(mix(mix(kBasis, h0), h1), h2), h3);
+}
 
 // ---- GuestDirtier ------------------------------------------------------
 
@@ -139,8 +191,11 @@ Migrator::start()
     sink_map_ = sm.value();
     sink_mapped_ = true;
 
+    dirty_.assign((cfg_.guest_pages + 63) / 64, 0);
+    shipped_once_.assign(dirty_.size(), 0);
     spm.setWriteObserver(
-        [this](PhysAddr addr, u64 size) { onSrcWrite(addr, size); });
+        [this](PhysAddr addr, u64 size) { onSrcWrite(addr, size); },
+        src_arena_, cfg_.guest_pages * kPageSize);
     observer_on_ = true;
     dirtier_.arm(cl_.lane(cfg_.src).sim(), spm, src_arena_,
                  cfg_.guest_pages, cfg_.dirty_pages_per_ms,
@@ -198,25 +253,27 @@ Migrator::connectStream()
 void
 Migrator::onSrcWrite(PhysAddr addr, u64 size)
 {
-    if (done_ || blackout_ || size == 0)
+    // The observer watches the arena only, so [addr, addr+size) meets
+    // it; a write straddling an arena edge is clipped to it.
+    if (done_ || blackout_)
         return;
-    const PhysAddr end = addr + size;
     const PhysAddr arena_end = src_arena_ + cfg_.guest_pages * kPageSize;
-    if (end <= src_arena_ || addr >= arena_end)
-        return;
     const u64 first = (std::max(addr, src_arena_) - src_arena_) >>
                       kPageShift;
-    const u64 last = (std::min(end - 1, arena_end - 1) - src_arena_) >>
+    const u64 last = (std::min(addr + size, arena_end) - 1 - src_arena_) >>
                      kPageShift;
     for (u64 g = first; g <= last; ++g)
-        dirty_.insert(g);
+        dirty_[g / 64] |= u64{1} << (g % 64);
 }
 
 void
 Migrator::enqueuePage(u64 gfn)
 {
-    if (!shipped_once_.insert(gfn).second)
+    u64 &shipped = shipped_once_[gfn / 64];
+    const u64 bit = u64{1} << (gfn % 64);
+    if (shipped & bit)
         ++rep_.pages_reshipped;
+    shipped |= bit;
     queue_.push_back({/*state=*/false, gfn,
                       src_arena_ + gfn * kPageSize,
                       static_cast<u32>(kPageSize), 0, chunk_seq_++});
@@ -309,9 +366,10 @@ void
 Migrator::endRound()
 {
     ++rep_.rounds;
-    std::vector<u64> d(dirty_.begin(), dirty_.end());
-    std::sort(d.begin(), d.end());
-    dirty_.clear();
+    std::vector<u64> d; // the dirty gfns, ascending
+    for (u64 i = 0; i < dirty_.size(); ++i)
+        for (u64 w = std::exchange(dirty_[i], 0); w != 0; w &= w - 1)
+            d.push_back(i * 64 + std::countr_zero(w));
     if (rep_.rounds >= cfg_.max_rounds || d.size() <= cfg_.converge_dirty) {
         beginBlackout(d);
         return;
@@ -625,41 +683,8 @@ Migrator::cleanup()
 u64
 Migrator::arenaHash(bool target) const
 {
-    // Word-wise FNV-style hash: word i of each page feeds lane i % 4, so
-    // the four lanes' multiplies run in parallel. Each step (h ^ w) * P
-    // is a bijection in both h and w, so a change to any single word
-    // changes its lane and, through the bijective fold, the result. The
-    // lanes are named locals, not an array: GCC kept an array of lanes
-    // in memory, and the hash ran at half speed.
-    constexpr u64 kBasis = 1469598103934665603ULL; // FNV offset basis
-    constexpr u64 kPrime = 1099511628211ULL;
-    const auto mix = [](u64 h, u64 w) { return (h ^ w) * kPrime; };
-    const mem::PhysicalMemory &pm =
-        cl_.machine(target ? cfg_.dst : cfg_.src).ctx().memory();
-    const PhysAddr base = target ? dst_arena_ : src_arena_;
-    RIO_ASSERT(isPageAligned(base), "arena not page-aligned");
-    // Pages are hashed where they lie; a never-written one hashes as
-    // this zero page, which is what reading it would return.
-    static constexpr std::array<u8, kPageSize> kZeroPage{};
-    const auto word = [](const u8 *p) {
-        u64 w;
-        std::memcpy(&w, p, sizeof(w));
-        return w;
-    };
-    u64 h0 = kBasis, h1 = kBasis, h2 = kBasis, h3 = kBasis;
-    static_assert(kPageSize % (4 * sizeof(u64)) == 0);
-    for (u64 g = 0; g < cfg_.guest_pages; ++g) {
-        const u8 *page = pm.frameData(base + g * kPageSize);
-        if (!page)
-            page = kZeroPage.data();
-        for (u64 i = 0; i < kPageSize; i += 4 * sizeof(u64)) {
-            h0 = mix(h0, word(page + i));
-            h1 = mix(h1, word(page + i + 8));
-            h2 = mix(h2, word(page + i + 16));
-            h3 = mix(h3, word(page + i + 24));
-        }
-    }
-    return mix(mix(mix(mix(kBasis, h0), h1), h2), h3);
+    return hashArena(cl_.machine(target ? cfg_.dst : cfg_.src).ctx().memory(),
+                     target ? dst_arena_ : src_arena_, cfg_.guest_pages);
 }
 
 void

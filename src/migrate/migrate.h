@@ -41,7 +41,6 @@
 
 #include <deque>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "base/rng.h"
@@ -94,6 +93,15 @@ struct MigrationReport
     Nanos blackout_ns = 0; //!< quiesce start -> resume-done
     Nanos total_ns = 0;    //!< start() -> resume-done
 };
+
+/**
+ * Hash of every byte of the @p pages 4 KB pages at @p base: an
+ * FNV-style multiply over 64-bit words in four lanes, lane k over the
+ * range's quarter k (tail pages in lane 3), folded into one value. Any
+ * single-word difference changes it, and a never-written page hashes
+ * as a written page of zeros.
+ */
+u64 hashArena(const mem::PhysicalMemory &pm, PhysAddr base, u64 pages);
 
 /**
  * Seeded guest-CPU page dirtier: exponential inter-write gaps at
@@ -167,12 +175,8 @@ class Migrator
     PhysAddr srcArena() const { return src_arena_; }
     PhysAddr dstArena() const { return dst_arena_; }
 
-    /**
-     * Hash of every byte of the arena (false = source, true = target):
-     * an FNV-style multiply over 64-bit words in four interleaved
-     * lanes, folded into one value. Any single-word difference changes
-     * it; callers compare source against target.
-     */
+    /** hashArena() of the source (false) or target (true) arena;
+     * callers compare the two. */
     u64 arenaHash(bool target) const;
 
     GuestDirtier &dirtier() { return dirtier_; }
@@ -239,10 +243,10 @@ class Migrator
     PhysAddr src_arena_ = 0;
     PhysAddr src_scratch_ = 0; //!< serialized-state staging page
     GuestDirtier dirtier_;
-    std::unordered_set<u64> dirty_; //!< observer collector (gfns)
+    std::vector<u64> dirty_; //!< observer collector: bit gfn set if dirty
     std::deque<Chunk> queue_;
     std::unordered_map<u64, Chunk> inflight_; //!< (qp<<32)|wqe -> chunk
-    std::unordered_set<u64> shipped_once_;
+    std::vector<u64> shipped_once_; //!< bit gfn set once gfn was queued
     u32 qp_ = 0;
     u64 chunk_seq_ = 0;
     bool connected_ = false;

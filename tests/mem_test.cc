@@ -8,6 +8,7 @@
 #include <sanitizer/asan_interface.h>
 #endif
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <set>
@@ -275,6 +276,120 @@ TEST(PhysicalMemory, Write64ReportsToObserver)
     EXPECT_EQ(pm.read64(0x4010), 0xfeedu);
 }
 
+// ---- watched range ------------------------------------------------------
+
+/** Each write path, placed fully below, straddling or touching each
+ * edge of, inside, and fully above a watched range: the observer sees
+ * exactly the writes that intersect it, each with its full extent, and
+ * every write lands. */
+TEST(PhysicalMemory, ObserverSeesOnlyWritesIntersectingItsRange)
+{
+    const PhysAddr lo = 8 * kPageSize + 24;
+    const u64 len = 3 * kPageSize;
+    const PhysAddr end = lo + len;
+    enum class Op { kWrite, kWrite64, kWrite32, kWrite8, kFillZero, kSpan };
+    struct Case
+    {
+        Op op;
+        const char *name;
+        u64 size;
+    };
+    const Case cases[] = {
+        {Op::kWrite, "write", 24},       {Op::kWrite64, "write64", 8},
+        {Op::kWrite32, "write32", 4},    {Op::kWrite8, "write8", 1},
+        {Op::kFillZero, "fillZero", 100},
+        {Op::kSpan, "multi-frame write", 2 * kPageSize + 16},
+    };
+    for (const Case &c : cases) {
+        const u64 n = c.size;
+        // (addr, intersects): far below, touching below, one byte over
+        // the low edge, at it, the last byte, touching above, far above.
+        const std::pair<PhysAddr, bool> places[] = {
+            {lo - n - 64, false}, {lo - n, false}, {lo - n + 1, true},
+            {lo, true},           {end - 1, true}, {end, false},
+            {end + 64, false},
+        };
+        for (const auto &[addr, hits] : places) {
+            SCOPED_TRACE(testing::Message() << c.name << " at " << addr);
+            PhysicalMemory pm;
+            // Materialized beforehand, so writes outside the range can
+            // take the inline paths.
+            const std::vector<u8> ones(end + 3 * kPageSize, 0x11);
+            pm.write(0, ones.data(), ones.size());
+            std::vector<std::pair<PhysAddr, u64>> seen;
+            pm.setWriteObserver(
+                [&seen](PhysAddr a, u64 sz) { seen.emplace_back(a, sz); },
+                lo, len);
+            std::vector<u8> data(n);
+            for (u64 i = 0; i < n; ++i)
+                data[i] = static_cast<u8>(i * 13 + 1);
+            switch (c.op) {
+            case Op::kWrite:
+            case Op::kSpan:
+                pm.write(addr, data.data(), n);
+                break;
+            case Op::kWrite64: {
+                u64 v;
+                std::memcpy(&v, data.data(), n);
+                pm.write64(addr, v);
+                break;
+            }
+            case Op::kWrite32: {
+                u32 v;
+                std::memcpy(&v, data.data(), n);
+                pm.write32(addr, v);
+                break;
+            }
+            case Op::kWrite8:
+                pm.write8(addr, data[0]);
+                break;
+            case Op::kFillZero:
+                std::fill(data.begin(), data.end(), 0);
+                pm.fillZero(addr, n);
+                break;
+            }
+            if (hits) {
+                ASSERT_EQ(seen.size(), 1u);
+                EXPECT_EQ(seen[0], std::make_pair(addr, n));
+            } else {
+                EXPECT_TRUE(seen.empty());
+            }
+            std::vector<u8> got(n);
+            pm.read(addr, got.data(), n);
+            EXPECT_EQ(got, data);
+        }
+    }
+}
+
+/** Clearing a ranged observer stops its calls and forgets the range: a
+ * later default observer watches all of memory again. */
+TEST(PhysicalMemory, ClearedObserverForgetsItsRange)
+{
+    PhysicalMemory pm;
+    pm.write64(0x1000, 1);
+    pm.write64(0x9000, 1);
+    u64 calls = 0;
+    pm.setWriteObserver([&calls](PhysAddr, u64) { ++calls; }, 0x8000,
+                        kPageSize);
+    pm.write64(0x9000, 2);
+    pm.write64(0x8ff8, 2);
+    EXPECT_EQ(calls, 1u);
+    pm.setWriteObserver(nullptr);
+    pm.write64(0x8ff8, 3);
+    pm.write(0x8000, &calls, sizeof(calls));
+    EXPECT_EQ(calls, 1u);
+    EXPECT_EQ(pm.read64(0x8ff8), 3u);
+    EXPECT_EQ(pm.read64(0x1000), 1u);
+
+    std::vector<std::pair<PhysAddr, u64>> seen;
+    pm.setWriteObserver(
+        [&seen](PhysAddr a, u64 n) { seen.emplace_back(a, n); });
+    pm.write64(0x1000, 4);
+    pm.write8(0x9000, 4);
+    ASSERT_EQ(seen.size(), 2u);
+    EXPECT_EQ(seen[0], std::make_pair(PhysAddr{0x1000}, u64{8}));
+    EXPECT_EQ(seen[1], std::make_pair(PhysAddr{0x9000}, u64{1}));
+}
 
 TEST(PhysicalMemory, FramesAcrossManyBlocksKeepTheirData)
 {
@@ -393,6 +508,31 @@ TEST(PhysicalMemory, WholeFrameFirstWriteToRecycledBlockReadsBack)
     EXPECT_EQ(pm.read64(10 * kPageSize), 0u);
 }
 
+/** A memory carving from dirty pooled blocks hands out zeroed frames:
+ * its first block zeroed frame by frame, the later ones whole. */
+TEST(PhysicalMemory, FramesFromDirtyPooledBlocksReadZero)
+{
+    // Three whole dirty blocks, so every frame the new memory carves
+    // (from the last pooled block back) was dirty.
+    std::set<const u8 *> old_hosts;
+    {
+        PhysicalMemory dead;
+        old_hosts = dirtyFrames(dead, 3 * PhysicalMemory::kBlockFrames);
+    }
+    PhysicalMemory pm;
+    // Frames carved in an order unrelated to their addresses; one zero
+    // byte materializes each, so the whole frame must read zero.
+    for (u64 i = 0; i < kDirtyFrames; ++i)
+        pm.write8(((i * 37) % 101 + 1) * kPageSize + i, 0);
+    for (u64 i = 0; i < kDirtyFrames; ++i) {
+        const u8 *host = pm.frameData(((i * 37) % 101 + 1) * kPageSize);
+        ASSERT_NE(host, nullptr);
+        ASSERT_TRUE(old_hosts.count(host)) << "frame " << i;
+        for (u64 b = 0; b < kPageSize; ++b)
+            ASSERT_EQ(host[b], 0) << "frame " << i << " byte " << b;
+    }
+}
+
 TEST(PhysicalMemory, WordReadsOfUnwrittenFrameInPopulatedLeafAreZero)
 {
     {
@@ -440,6 +580,20 @@ TEST(PhysicalMemory, PooledBlockIsPoisoned)
     EXPECT_FALSE(__asan_address_is_poisoned(first));
     EXPECT_TRUE(__asan_address_is_poisoned(first + kPageSize))
         << "the block's uncarved frames stay poisoned";
+
+    // Carve the rest of the first block and one frame of the second,
+    // which is zeroed whole: its uncarved frames stay poisoned too.
+    constexpr u64 kFrames = PhysicalMemory::kBlockFrames;
+    for (u64 i = 1; i <= kFrames; ++i)
+        pm.write8(0x7000 + i * kPageSize, 3);
+    const u8 *second = pm.frameData(0x7000 + kFrames * kPageSize);
+    ASSERT_NE(second, nullptr);
+    EXPECT_FALSE(__asan_address_is_poisoned(second));
+    EXPECT_FALSE(__asan_address_is_poisoned(second + kPageSize - 1));
+    EXPECT_TRUE(__asan_address_is_poisoned(second + kPageSize));
+    EXPECT_TRUE(
+        __asan_address_is_poisoned(second + kFrames * kPageSize - 1))
+        << "the whole-zeroed block's last frame is still uncarved";
 }
 #endif
 

@@ -265,6 +265,106 @@ TEST(Migrate, ArenaHashDetectsDivergence)
     EXPECT_TRUE(r.hash_ok);
 }
 
+// ---- hashArena ----------------------------------------------------------
+
+/** Arena sizes around the four-lane split: fewer pages than lanes,
+ * one tail page, and whole quarters plus a three-page tail. */
+constexpr std::array<u64, 4> kHashPages = {1, 3, 5, 4 * 9 + 3};
+
+/** Write every 7th word of each of the @p pages pages at @p base with
+ * a value of its page and word, in page order or @p reverse; page 2
+ * stays never-written. */
+void
+seedArena(mem::PhysicalMemory &pm, PhysAddr base, u64 pages, bool reverse)
+{
+    for (u64 i = 0; i < pages; ++i) {
+        const u64 g = reverse ? pages - 1 - i : i;
+        if (g == 2)
+            continue;
+        for (u64 w = 0; w + 1 < kPageSize / 8; w += 7)
+            pm.write64(base + g * kPageSize + w * 8,
+                       0x9E3779B97F4A7C15ULL * (g * 512 + w + 1));
+    }
+}
+
+/** Equal contents hash equal, wherever the pages lie and in whatever
+ * order their host frames were carved. */
+TEST(ArenaHash, EqualContentsHashEqual)
+{
+    for (const u64 pages : kHashPages) {
+        SCOPED_TRACE(pages);
+        mem::PhysicalMemory a, b;
+        const PhysAddr base_a = 16 * kPageSize;
+        const PhysAddr base_b = 1000 * kPageSize;
+        seedArena(a, base_a, pages, /*reverse=*/false);
+        b.write64(7 * kPageSize, 1); // b's frames start one carve later
+        seedArena(b, base_b, pages, /*reverse=*/true);
+        EXPECT_EQ(migrate::hashArena(a, base_a, pages),
+                  migrate::hashArena(b, base_b, pages));
+    }
+}
+
+/** One flipped word anywhere changes the hash: the first and last page
+ * of each quarter, the tail pages and a never-written page. */
+TEST(ArenaHash, OneFlippedWordChangesTheHash)
+{
+    for (const u64 pages : kHashPages) {
+        SCOPED_TRACE(pages);
+        mem::PhysicalMemory pm;
+        const PhysAddr base = 16 * kPageSize;
+        seedArena(pm, base, pages, /*reverse=*/false);
+        const u64 want = migrate::hashArena(pm, base, pages);
+
+        std::vector<u64> probe;
+        const u64 quarter = pages / 4;
+        for (u64 k = 0; k < 4 && quarter > 0; ++k) {
+            probe.push_back(k * quarter);
+            probe.push_back((k + 1) * quarter - 1);
+        }
+        for (u64 g = 4 * quarter; g < pages; ++g)
+            probe.push_back(g); // tail pages (lane 3)
+        if (pages > 2) {
+            ASSERT_EQ(pm.frameData(base + 2 * kPageSize), nullptr);
+            probe.push_back(2); // never written
+        }
+        for (const u64 g : probe) {
+            for (const u64 w : {u64{0}, u64{7}, kPageSize / 8 - 1}) {
+                SCOPED_TRACE(testing::Message() << "page " << g << " word "
+                                                << w);
+                const PhysAddr at = base + g * kPageSize + w * 8;
+                const u64 old = pm.read64(at);
+                pm.write64(at, old ^ (u64{1} << 40));
+                EXPECT_NE(migrate::hashArena(pm, base, pages), want);
+                pm.write64(at, old);
+                EXPECT_EQ(migrate::hashArena(pm, base, pages), want);
+            }
+        }
+    }
+}
+
+/** A page written full of zeros hashes as one never written. */
+TEST(ArenaHash, ZeroPageHashesAsNeverWritten)
+{
+    const std::vector<u8> junk(kPageSize, 0xa5), zeros(kPageSize, 0);
+    for (const u64 pages : kHashPages) {
+        SCOPED_TRACE(pages);
+        mem::PhysicalMemory written, blank;
+        const PhysAddr base = 16 * kPageSize;
+        for (u64 g = 0; g < pages; ++g) {
+            written.write(base + g * kPageSize, junk.data(), junk.size());
+            written.write(base + g * kPageSize, zeros.data(), zeros.size());
+        }
+        written.write64(base + 8, 5);
+        blank.write64(base + 8, 5);
+        ASSERT_NE(written.frameData(base + (pages - 1) * kPageSize), nullptr);
+        if (pages > 1) {
+            ASSERT_EQ(blank.frameData(base + kPageSize), nullptr);
+        }
+        EXPECT_EQ(migrate::hashArena(written, base, pages),
+                  migrate::hashArena(blank, base, pages));
+    }
+}
+
 /** The migrated-away ledger tier: strays at the source's dead QPs are
  * counted, and protected modes fault them all — zero landings. */
 TEST(Migrate, PostMigrationStraysFaultInProtectedModes)
