@@ -281,7 +281,7 @@ seedArena(mem::PhysicalMemory &pm, PhysAddr base, u64 pages, bool reverse)
         const u64 g = reverse ? pages - 1 - i : i;
         if (g == 2)
             continue;
-        for (u64 w = 0; w + 1 < kPageSize / 8; w += 7)
+        for (u64 w = 0; w < kPageSize / 8; w += 7)
             pm.write64(base + g * kPageSize + w * 8,
                        0x9E3779B97F4A7C15ULL * (g * 512 + w + 1));
     }
