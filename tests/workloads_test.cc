@@ -169,38 +169,50 @@ TEST(StreamTest, NoDmaFaultsInHealthyRuns)
 }
 
 /**
- * The exact IOVA-allocation charge of the quick mlx stream. The fig7
- * golden rounds the iova column, so a one-visit drift in the Linux
- * allocator's scan accounting could slip past it; these totals cannot.
+ * The exact IOVA charges of the quick mlx stream, per Table 1 row.
+ * The fig7 golden rounds the iova columns, so a one-visit drift in an
+ * allocator's scan, lookup or erase accounting could slip past it;
+ * these window totals cannot. The Linux allocator's scan length and
+ * call count are pinned too.
  */
 TEST(StreamTest, LinuxIovaScanChargesArePinned)
 {
     struct Pin
     {
         ProtectionMode mode;
-        Cycles window_alloc_cycles;
-        u64 total_visits;
-        u64 alloc_calls;
+        Cycles alloc_cycles;
+        Cycles find_cycles;
+        Cycles free_cycles;
+        u64 total_visits; //!< Linux allocator only
+        u64 alloc_calls;  //!< Linux allocator only
     };
     for (const Pin &pin :
-         {Pin{ProtectionMode::kStrict, 45025640, 2900564, 21486},
-          Pin{ProtectionMode::kDefer, 9128650, 613829, 21486}}) {
+         {Pin{ProtectionMode::kStrict, 45025640, 4264000, 1964460, 2900564,
+              21486},
+          Pin{ProtectionMode::kStrictPlus, 1215000, 4769280, 796500, 0, 0},
+          Pin{ProtectionMode::kDefer, 9128650, 3752560, 1918706, 613829,
+              21486},
+          Pin{ProtectionMode::kDeferPlus, 1216886, 3009580, 796500, 0, 0}}) {
         des::Simulator sim;
         StreamRun run(sim, pin.mode, nic::mlxProfile(),
                       quickStream(nic::mlxProfile()));
         sim.run();
         const RunResult r = run.collect();
+        const char *name = dma::modeName(pin.mode);
+        EXPECT_EQ(r.acct.get(cycles::Cat::kMapIovaAlloc), pin.alloc_cycles)
+            << name;
+        EXPECT_EQ(r.acct.get(cycles::Cat::kUnmapIovaFind), pin.find_cycles)
+            << name;
+        EXPECT_EQ(r.acct.get(cycles::Cat::kUnmapIovaFree), pin.free_cycles)
+            << name;
         auto &handle =
             dynamic_cast<dma::BaselineDmaHandle &>(run.machine().handle());
-        const auto &alloc = dynamic_cast<const iova::LinuxIovaAllocator &>(
-            handle.allocator());
-        EXPECT_EQ(r.acct.get(cycles::Cat::kMapIovaAlloc),
-                  pin.window_alloc_cycles)
-            << dma::modeName(pin.mode);
-        EXPECT_EQ(alloc.totalAllocVisits(), pin.total_visits)
-            << dma::modeName(pin.mode);
-        EXPECT_EQ(alloc.allocCalls(), pin.alloc_calls)
-            << dma::modeName(pin.mode);
+        if (const auto *alloc =
+                dynamic_cast<const iova::LinuxIovaAllocator *>(
+                    &handle.allocator())) {
+            EXPECT_EQ(alloc->totalAllocVisits(), pin.total_visits) << name;
+            EXPECT_EQ(alloc->allocCalls(), pin.alloc_calls) << name;
+        }
     }
 }
 
