@@ -13,15 +13,17 @@
 #
 #   lane       flavour  what it adds
 #   sanitize   asan     every ctest (StreamTest.SteadyStatePackets-
-#                       AllocateNothing; the recycled-node RbTree and
-#                       IovaScanFuzz checks; PhysicalMemory's ranged-
-#                       observer, dirty-pool zeroing and ArenaHash.*
-#                       cases; RbTree.SpareNodeIsPoisoned and the
-#                       whole-zeroed block of PhysicalMemory.Pooled-
-#                       BlockIsPoisoned only here); FaultFuzz,
-#                       LifecycleFuzz, VirtFuzz and IovaScanFuzz soaks
+#                       AllocateNothing; the recycled-node RbTree,
+#                       IOVA-handle and IovaScanFuzz checks;
+#                       PhysicalMemory's ranged-observer, dirty-pool
+#                       zeroing and ArenaHash.* cases; RbTree.Spare-
+#                       NodeIsPoisoned, LinuxAllocatorDeathTest.Stale-
+#                       HandleIsCaught and the whole-zeroed block of
+#                       PhysicalMemory.PooledBlockIsPoisoned only
+#                       here); FaultFuzz, LifecycleFuzz, VirtFuzz,
+#                       IovaScanFuzz and RbTreeSpliceFuzz soaks
 #                       (recovery and teardown paths, the IOVA tree's
-#                       augmentation and spares)
+#                       augmentation, splices and spares)
 #   tsan       tsan     everything that runs parallelFor threads:
 #                       engine, obs, lock, memory-pool (PhysicalMemory.
 #                       ObserverSeesOnlyWritesIntersectingItsRange,
@@ -38,7 +40,7 @@
 #   migrate    asan     migrate_test (ArenaHash.* included),
 #                       MigrateFuzz soak
 #   fuzz       default  every fuzz campaign on extra seeds (IovaScanFuzz
-#                       included)
+#                       and RbTreeSpliceFuzz included)
 #   lifecycle  default  LifecycleFuzz soak, churn sweeps per seed
 set -euo pipefail
 
@@ -104,10 +106,10 @@ extras_sanitize() {
     RIO_VIRT_EXTRA_SEEDS="6007,28657" \
         "$1/tests/fuzz_test" --gtest_filter='*VirtFuzz*'
     # The allocator's rank-counted scan against the 3.4 linear loop,
-    # with every tree rotation, augmented-field update and recycled
-    # node under ASan.
+    # and splices against descents, with every tree rotation,
+    # augmented-field update and recycled node under ASan.
     RIO_IOVA_EXTRA_SEEDS="4099,65521,1000003" \
-        "$1/tests/fuzz_test" --gtest_filter='*IovaScanFuzz*'
+        "$1/tests/fuzz_test" --gtest_filter='*IovaScanFuzz*:*RbTreeSpliceFuzz*'
 }
 
 extras_tsan() {

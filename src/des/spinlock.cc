@@ -31,14 +31,14 @@ SimSpinlock::acquire(Core *core, cycles::CycleAccount *acct)
         acct->charge(cycles::Cat::kLockWait, wait);
     ++stats_.contended;
     stats_.wait_cycles += wait;
-    obs::Event e;
-    e.kind = obs::Ev::kLockAcquire;
-    e.t = core->virtualNow(); // the charge above advanced it to grant
-    e.dur_ns = free_at_ - now;
-    e.arg = wait;
-    e.pid = core->obsPid();
-    e.tid = core->obsTid();
-    obs::timeline().emit(e);
+    obs::timeline().emitInPlace([&](obs::Event &e) {
+        e.kind = obs::Ev::kLockAcquire;
+        e.t = core->virtualNow(); // the charge above advanced it to grant
+        e.dur_ns = free_at_ - now;
+        e.arg = wait;
+        e.pid = core->obsPid();
+        e.tid = core->obsTid();
+    });
     return wait;
 }
 
@@ -52,12 +52,12 @@ SimSpinlock::release(Core *core)
     const Nanos now = core->virtualNow();
     if (now > free_at_)
         free_at_ = now;
-    obs::Event e;
-    e.kind = obs::Ev::kLockRelease;
-    e.t = now;
-    e.pid = core->obsPid();
-    e.tid = core->obsTid();
-    obs::timeline().emit(e);
+    obs::timeline().emitInPlace([&](obs::Event &e) {
+        e.kind = obs::Ev::kLockRelease;
+        e.t = now;
+        e.pid = core->obsPid();
+        e.tid = core->obsTid();
+    });
 }
 
 } // namespace rio::des

@@ -84,13 +84,13 @@ BaselineDmaHandle::mapSuper(u16 rid, PhysAddr pa, u32 size,
         Status s = table_.mapHuge(range.value().pfn_lo, phys_base_pfn,
                                   iommu::DmaDir::kBidir);
         if (!s) {
-            allocator_->free(range.value().pfn_lo);
+            allocator_->free(range.value().handle);
             return s;
         }
         it = super_by_phys_
                  .emplace(phys_base_pfn,
-                          SuperRegion{range.value().pfn_lo,
-                                      phys_base_pfn, 0})
+                          SuperRegion{range.value().pfn_lo, phys_base_pfn,
+                                      0, range.value().handle})
                  .first;
         super_phys_by_iova_[range.value().pfn_lo] = phys_base_pfn;
     }
@@ -141,13 +141,14 @@ BaselineDmaHandle::unmapSuper(const DmaMapping &mapping, bool *handled)
     if (!s)
         return s;
     const u64 iova_lo = region.iova_base_pfn;
+    const iova::IovaHandle iova = region.iova;
     super_phys_by_iova_.erase(pit);
     super_by_phys_.erase(region.phys_base_pfn);
     if (modeDefersInvalidation(mode_)) {
         charge(cycles::Cat::kUnmapIotlbInv, cost_.iotlb_invalidate_queued);
         charge(cycles::Cat::kUnmapOther,
                cost_.unmap_other + cost_.defer_list_op);
-        defer_queue_.push_back(iova_lo);
+        defer_queue_.push_back(iova);
         if (defer_queue_.size() >= kDeferBatch)
             flushDeferred();
         return Status::ok();
@@ -160,7 +161,7 @@ BaselineDmaHandle::unmapSuper(const DmaMapping &mapping, bool *handled)
     }
     for (u64 i = 0; i < kHugePfns; ++i)
         iommu_.iotlb().invalidateEntry(bdf_.pack(), iova_lo + i);
-    Status fs = allocator_->free(iova_lo);
+    Status fs = allocator_->free(iova);
     if (!fs)
         return fs;
     charge(cycles::Cat::kUnmapOther, cost_.unmap_other);
@@ -190,7 +191,7 @@ BaselineDmaHandle::mapImpl(u16 rid, PhysAddr pa, u32 size,
     Status s = table_.mapRange(range.value().pfn_lo, pa >> kPageShift,
                                npages, dir); // charged: map/page table
     if (!s) {
-        allocator_->free(range.value().pfn_lo);
+        allocator_->free(range.value().handle);
         return s;
     }
     charge(cycles::Cat::kMapOther, cost_.map_other);
@@ -200,8 +201,8 @@ BaselineDmaHandle::mapImpl(u16 rid, PhysAddr pa, u32 size,
     m.device_addr = (range.value().pfn_lo << kPageShift) | (pa & kPageMask);
     m.pa = pa;
     m.size = size;
-    live_map_[range.value().pfn_lo] =
-        LiveMappingInfo{m.device_addr, size, rid};
+    live_map_[range.value().pfn_lo] = LiveRange{
+        LiveMappingInfo{m.device_addr, size, rid}, range.value().handle};
     return m;
 }
 
@@ -216,10 +217,19 @@ BaselineDmaHandle::unmapImpl(const DmaMapping &mapping, bool /*end_of_burst*/)
     }
     const u64 iova_pfn = mapping.device_addr >> kPageShift;
 
-    auto found = allocator_->find(iova_pfn); // charged: unmap/iova find
+    // A live mapping's address lies in its range's first page, and its
+    // entry holds the range's handle: find and free need no tree
+    // search. Any other address (a double or bogus unmap) is searched
+    // for, as find_iova() does. charged: unmap/iova find
+    auto live = live_map_.find(iova_pfn);
+    auto found = live != live_map_.end()
+                     ? allocator_->find(live->second.iova)
+                     : allocator_->find(iova_pfn);
     if (!found.isOk())
         return found.status();
     const iova::IovaRange range = found.value();
+    if (live == live_map_.end())
+        live = live_map_.find(range.pfn_lo);
 
     // Order matters (§3.1): remove the translation, purge the IOTLB,
     // only then recycle the IOVA.
@@ -233,7 +243,7 @@ BaselineDmaHandle::unmapImpl(const DmaMapping &mapping, bool /*end_of_burst*/)
         charge(cycles::Cat::kUnmapIotlbInv, cost_.iotlb_invalidate_queued);
         charge(cycles::Cat::kUnmapOther,
                cost_.unmap_other + cost_.defer_list_op);
-        defer_queue_.push_back(range.pfn_lo);
+        defer_queue_.push_back(range.handle);
         if (defer_queue_.size() >= kDeferBatch)
             flushDeferred();
     } else {
@@ -252,14 +262,15 @@ BaselineDmaHandle::unmapImpl(const DmaMapping &mapping, bool /*end_of_burst*/)
                     return qs;
             }
         }
-        Status fs = allocator_->free(range.pfn_lo); // charged: iova free
+        Status fs = allocator_->free(range.handle); // charged: iova free
         if (!fs)
             return fs;
         charge(cycles::Cat::kUnmapOther, cost_.unmap_other);
     }
     RIO_ASSERT(live_ > 0, "unmap with no live mappings");
     --live_;
-    live_map_.erase(range.pfn_lo);
+    if (live != live_map_.end())
+        live_map_.erase(live);
     return Status::ok();
 }
 
@@ -297,7 +308,7 @@ BaselineDmaHandle::mapSg(u16 rid, const std::vector<SgEntry> &sg,
             // Roll back: remove what was installed, free the range.
             for (u64 p = range.value().pfn_lo; p < pfn; ++p)
                 (void)table_.unmap(p);
-            (void)allocator_->free(range.value().pfn_lo);
+            (void)allocator_->free(range.value().handle);
             return s;
         }
         DmaMapping m;
@@ -312,8 +323,10 @@ BaselineDmaHandle::mapSg(u16 rid, const std::vector<SgEntry> &sg,
     u64 total_bytes = 0;
     for (const SgEntry &e : sg)
         total_bytes += e.len;
-    live_map_[range.value().pfn_lo] = LiveMappingInfo{
-        out.front().device_addr, static_cast<u32>(total_bytes), rid};
+    live_map_[range.value().pfn_lo] =
+        LiveRange{LiveMappingInfo{out.front().device_addr,
+                                  static_cast<u32>(total_bytes), rid},
+                  range.value().handle};
     // One logical mapping, matching unmapSg's single unmap().
     traceEvent(TraceEvent::Kind::kMap, out.front().device_addr);
     return out;
@@ -348,8 +361,8 @@ BaselineDmaHandle::flushDeferred()
         RIO_ASSERT(qs.isOk(), "deferred flush unrecoverable: ",
                    qs.toString());
     }
-    for (u64 pfn_lo : defer_queue_) {
-        Status s = allocator_->free(pfn_lo); // charged: unmap/iova free
+    for (iova::IovaHandle iova : defer_queue_) {
+        Status s = allocator_->free(iova); // charged: unmap/iova free
         RIO_ASSERT(s.isOk(), "deferred free failed: ", s.toString());
     }
     defer_queue_.clear();
@@ -412,8 +425,8 @@ BaselineDmaHandle::liveMappingList() const
 {
     std::vector<LiveMappingInfo> out;
     out.reserve(live_map_.size() + super_live_.size());
-    for (const auto &[pfn_lo, info] : live_map_)
-        out.push_back(info);
+    for (const auto &[pfn_lo, live] : live_map_)
+        out.push_back(live.info);
     for (const auto &[addr, info] : super_live_)
         out.push_back(info);
     return out;

@@ -154,6 +154,15 @@ class BaselineDmaHandle : public DmaHandle
         u64 iova_base_pfn = 0;
         u64 phys_base_pfn = 0;
         u32 refs = 0;
+        iova::IovaHandle iova; //!< the region's IOVA range
+    };
+
+    /** A live 4K-path mapping: what the leak detector reports, and
+     * the allocator handle its unmap finds and frees the range by. */
+    struct LiveRange
+    {
+        LiveMappingInfo info;
+        iova::IovaHandle iova;
     };
 
     /** Superpage-path map body; null result means "fall back to 4K"
@@ -174,14 +183,16 @@ class BaselineDmaHandle : public DmaHandle
     iommu::IoPageTable table_;
     iommu::InvalQueue inval_queue_;
     std::unique_ptr<iova::IovaAllocator> allocator_;
-    std::vector<u64> defer_queue_; //!< pfn_lo of ranges to free at flush
+    std::vector<iova::IovaHandle> defer_queue_; //!< ranges to free at flush
     u64 live_ = 0;
     // Host-side shadow of the live mappings, keyed by the range's
     // pfn_lo, so the leak detector can name ring + IOVA of anything
-    // that survives a quiesce. Pure bookkeeping — never charged. Its
-    // nodes are recycled: a map/unmap pair touches no heap.
+    // that survives a quiesce, and the unmap path reaches the range's
+    // allocator node without a tree search. Pure bookkeeping — never
+    // charged. Its nodes are recycled: a map/unmap pair touches no
+    // heap.
     NodePool live_nodes_;
-    std::pmr::unordered_map<u64, LiveMappingInfo> live_map_{&live_nodes_};
+    std::pmr::unordered_map<u64, LiveRange> live_map_{&live_nodes_};
 
     // ---- stage-1 superpage state (off unless setStage1Superpages) ---
     bool superpages_ = false;

@@ -14,18 +14,18 @@ void
 emitDmaSpan(obs::Ev kind, des::Core *core, Nanos t0, Cycles cycles,
             u16 bdf, u16 rid)
 {
-    obs::Event e;
-    e.kind = kind;
-    e.arg = cycles;
-    e.bdf = bdf;
-    e.rid = rid;
-    if (core) {
-        e.t = core->virtualNow();
-        e.dur_ns = e.t > t0 ? e.t - t0 : 0;
-        e.pid = core->obsPid();
-        e.tid = core->obsTid();
-    }
-    obs::timeline().emit(e);
+    obs::timeline().emitInPlace([&](obs::Event &e) {
+        e.kind = kind;
+        e.arg = cycles;
+        e.bdf = bdf;
+        e.rid = rid;
+        if (core) {
+            e.t = core->virtualNow();
+            e.dur_ns = e.t > t0 ? e.t - t0 : 0;
+            e.pid = core->obsPid();
+            e.tid = core->obsTid();
+        }
+    });
 }
 
 } // namespace

@@ -8,6 +8,7 @@ Iotlb::Iotlb(IotlbConfig config)
     : config_(config)
 {
     RIO_ASSERT(config_.sets > 0 && config_.ways > 0, "empty IOTLB");
+    pow2_sets_ = (config_.sets & (config_.sets - 1)) == 0;
     entries_.resize(static_cast<size_t>(config_.sets) * config_.ways);
 }
 
@@ -17,7 +18,8 @@ Iotlb::setIndex(u16 sid, u64 iova_pfn) const
     // Mix the requester id in so devices do not alias trivially.
     const u64 h = (iova_pfn ^ (static_cast<u64>(sid) * 0x9e3779b9)) *
                   0xff51afd7ed558ccdULL;
-    return static_cast<unsigned>(h >> 32) % config_.sets;
+    const auto top = static_cast<unsigned>(h >> 32);
+    return pow2_sets_ ? top & (config_.sets - 1) : top % config_.sets;
 }
 
 Iotlb::Entry *

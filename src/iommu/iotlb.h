@@ -83,6 +83,8 @@ class Iotlb
     const Entry *findEntry(u16 sid, u64 iova_pfn) const;
 
     IotlbConfig config_;
+    /** Set index by mask (power-of-two set count) or remainder. */
+    bool pow2_sets_ = false;
     std::vector<Entry> entries_; // sets * ways, row-major by set
     u64 tick_ = 0;
     IotlbStats stats_;

@@ -14,23 +14,46 @@
 #include "cycles/cost_model.h"
 #include "cycles/cycle_account.h"
 #include "des/spinlock.h"
+#include "iova/rbtree.h"
 
 namespace rio::iova {
+
+/**
+ * An allocated range's node in its allocator's tree, as alloc() and
+ * find() return it. The unmap path hands it back to find() and
+ * free(), which then reach the node without a search, as Linux's
+ * __free_iova() takes the struct iova that find_iova() returned.
+ * Opaque to callers; valid from the call that returned it until the
+ * range is freed (the node then goes back to the tree's pool).
+ */
+class IovaHandle
+{
+  public:
+    IovaHandle() = default;
+    explicit operator bool() const { return node_ != nullptr; }
+
+  private:
+    friend class IovaAllocator;
+    explicit IovaHandle(RbTree::Node *node) : node_(node) {}
+    RbTree::Node *node_ = nullptr;
+};
 
 /** An allocated IOVA page range [pfn_lo, pfn_hi], inclusive. */
 struct IovaRange
 {
     u64 pfn_lo = 0;
     u64 pfn_hi = 0;
+    IovaHandle handle; //!< the range's node, for find() and free()
 
     u64 npages() const { return pfn_hi - pfn_lo + 1; }
     IovaAddr addr() const { return pfn_lo << kPageShift; }
 };
 
 /**
- * Allocator of IOVA page ranges. Implementations charge cycles into
- * the supplied CycleAccount at the point where work happens, so the
- * Table 1 component costs emerge from the algorithms themselves.
+ * Allocator of IOVA page ranges kept in a red-black tree.
+ * Implementations charge cycles into the supplied CycleAccount at the
+ * point where work happens, so the Table 1 component costs emerge
+ * from the algorithms themselves.
  *
  * The three-call protocol mirrors the Linux unmap path: the driver
  * first *finds* the range for an address (charged as "iova find"),
@@ -58,22 +81,40 @@ class IovaAllocator
 
     /**
      * Look up the live range containing @p pfn (the unmap path's
-     * find_iova()). Returns kNotFound for unknown or already-freed
-     * pfns — the double-unmap case callers must handle.
+     * find_iova()), charged by the nodes the search visits. Returns
+     * kNotFound for unknown or already-freed pfns — the double-unmap
+     * case callers must handle.
      */
-    virtual Result<IovaRange> find(u64 pfn) = 0;
+    Result<IovaRange> find(u64 pfn);
 
     /**
-     * Release the range whose low pfn is @p pfn_lo. Must have been
-     * returned by alloc() and not yet freed.
+     * find() for a range whose handle the caller kept: charged
+     * exactly as the search for any pfn in the range (its node's
+     * root path), without searching.
      */
-    virtual Status free(u64 pfn_lo) = 0;
+    Result<IovaRange> find(IovaHandle handle);
+
+    /** Release the range @p handle names (not yet freed). */
+    Status free(IovaHandle handle);
+
+    /**
+     * Release the range whose low pfn is @p pfn_lo, located by an
+     * uncharged search. Must have been returned by alloc() and not
+     * yet freed.
+     */
+    Status free(u64 pfn_lo);
 
     /** Ranges currently allocated-and-not-freed. */
     virtual u64 live() const = 0;
 
     /** Nodes resident in the search structure (>= live for strict+). */
-    virtual u64 treeSize() const = 0;
+    u64 treeSize() const { return tree_.size(); }
+
+    /** The search structure (tests: searches, shape checks). */
+    const RbTree &tree() const { return tree_; }
+
+    /** Tree structural check, for property tests. */
+    bool validate() const { return tree_.validate(); }
 
     /**
      * Model Linux's globally locked allocator (§3.2): every public
@@ -90,6 +131,16 @@ class IovaAllocator
     }
 
   protected:
+    /** Release @p node, a live range of this allocator's tree. */
+    virtual Status freeNode(RbTree::Node *node) = 0;
+
+    /** The range and handle of @p node. */
+    static IovaRange
+    rangeOf(RbTree::Node *node)
+    {
+        return IovaRange{node->pfn_lo, node->pfn_hi, IovaHandle(node)};
+    }
+
     /** Serialize a public operation on the shared allocator lock. */
     des::SpinGuard
     lockScope()
@@ -106,6 +157,7 @@ class IovaAllocator
 
     cycles::CycleAccount *acct_;
     const cycles::CostModel &cost_;
+    RbTree tree_;
     des::SimSpinlock *lock_ = nullptr;
     des::Core *lock_core_ = nullptr;
 };

@@ -39,6 +39,8 @@ LinuxIovaAllocator::alloc(u64 npages)
     // __get_cached_rbnode: resume just below the cached node, or
     // start from the rightmost node after a cache reset — the path
     // that makes some allocations linear in the live-IOVA count.
+    // The loop keeps curr == prev(above): the new range goes between
+    // them, so the insert splices there without a second descent.
     RbTree::Node *curr;
     RbTree::Node *above = cached_node_; // the last node examined
     if (cached_node_) {
@@ -53,7 +55,7 @@ LinuxIovaAllocator::alloc(u64 npages)
 
     for (u64 steps = 0; curr; ++steps) {
         if (steps >= kLinearScan && limit_pfn + 1 == above->pfn_lo) {
-            curr = skipToFit(curr, above, npages, &limit_pfn, &visits);
+            curr = skipToFit(curr, &above, npages, &limit_pfn, &visits);
             break;
         }
         ++visits;
@@ -84,7 +86,8 @@ LinuxIovaAllocator::alloc(u64 npages)
 
     const u64 pfn_lo = limit_pfn - (npages + pad) + 1;
     const u64 pfn_hi = pfn_lo + npages - 1;
-    RbTree::Node *node = tree_.insert(pfn_lo, pfn_hi, &visits, &rebalances);
+    RbTree::Node *node = tree_.insertBetween(curr, above, pfn_lo, pfn_hi,
+                                             &visits, &rebalances);
     cachedInsertUpdate(node);
 
     ++alloc_calls_;
@@ -93,33 +96,13 @@ LinuxIovaAllocator::alloc(u64 npages)
     charge(cycles::Cat::kMapIovaAlloc,
            visits * cost_.rb_node_visit +
                rebalances * cost_.rb_rebalance_step + cost_.iova_op_base);
-    return IovaRange{pfn_lo, pfn_hi};
-}
-
-Result<IovaRange>
-LinuxIovaAllocator::find(u64 pfn)
-{
-    auto lock = lockScope();
-    u64 visits = 0;
-    RbTree::Node *node = tree_.findContaining(pfn, &visits);
-    charge(cycles::Cat::kUnmapIovaFind,
-           visits * cost_.rb_node_visit + cost_.cached_access);
-    if (!node)
-        return Status(ErrorCode::kNotFound, "IOVA not allocated");
-    return IovaRange{node->pfn_lo, node->pfn_hi};
+    return rangeOf(node);
 }
 
 Status
-LinuxIovaAllocator::free(u64 pfn_lo)
+LinuxIovaAllocator::freeNode(RbTree::Node *node)
 {
     auto lock = lockScope();
-    // The driver already located the range via find(); Linux's
-    // __free_iova() takes that pointer directly, so this lookup is
-    // mechanical and not charged.
-    RbTree::Node *node = tree_.findContaining(pfn_lo, nullptr);
-    if (!node || node->pfn_lo != pfn_lo)
-        return Status(ErrorCode::kNotFound, "free of unallocated IOVA");
-
     u64 visits = 0;
     u64 rebalances = 0;
     cachedDeleteUpdate(node, &visits);
@@ -132,7 +115,7 @@ LinuxIovaAllocator::free(u64 pfn_lo)
 }
 
 RbTree::Node *
-LinuxIovaAllocator::skipToFit(RbTree::Node *curr, RbTree::Node *above,
+LinuxIovaAllocator::skipToFit(RbTree::Node *curr, RbTree::Node **above,
                               u64 npages, u64 *limit_pfn, u64 *visits)
 {
     // From here on the loop examines curr, prev(curr), ... and each
@@ -143,12 +126,13 @@ LinuxIovaAllocator::skipToFit(RbTree::Node *curr, RbTree::Node *above,
     // on such a candidate; the visits it charges are the nodes the
     // loop would have stepped through, counted by rank.
     const u64 top = tree_.rank(curr);
-    u64 bound = above->pfn_lo;
+    u64 bound = (*above)->pfn_lo;
     while (RbTree::Node *succ = tree_.lastGapAtLeast(bound, npages)) {
         RbTree::Node *cand = tree_.prev(succ);
         const u64 limit = succ->pfn_lo - 1;
         if (cand->pfn_hi + npages + padSize(npages, limit) <= limit) {
             *visits += top - tree_.rank(cand) + 1;
+            *above = succ;
             *limit_pfn = limit;
             return cand;
         }
@@ -156,7 +140,8 @@ LinuxIovaAllocator::skipToFit(RbTree::Node *curr, RbTree::Node *above,
     }
     // No hole fits: the loop walks off the leftmost node.
     *visits += top + 1;
-    *limit_pfn = tree_.first()->pfn_lo - 1;
+    *above = tree_.first();
+    *limit_pfn = (*above)->pfn_lo - 1;
     return nullptr;
 }
 

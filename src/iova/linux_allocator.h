@@ -38,11 +38,8 @@ class LinuxIovaAllocator : public IovaAllocator
                        const cycles::CostModel &cost);
 
     Result<IovaRange> alloc(u64 npages) override;
-    Result<IovaRange> find(u64 pfn) override;
-    Status free(u64 pfn_lo) override;
 
     u64 live() const override { return tree_.size(); }
-    u64 treeSize() const override { return tree_.size(); }
 
     /** Scan-length statistics, used to demonstrate the pathology. */
     u64 lastAllocVisits() const { return last_alloc_visits_; }
@@ -52,28 +49,27 @@ class LinuxIovaAllocator : public IovaAllocator
     /** True when the cached-node heuristic currently has a node. */
     bool hasCachedNode() const { return cached_node_ != nullptr; }
 
-    /** Tree structural check, for property tests. */
-    bool validate() const { return tree_.validate(); }
+  protected:
+    Status freeNode(RbTree::Node *node) override;
 
   private:
     static u64 padSize(u64 size, u64 limit_pfn) { return (limit_pfn + 1) % size; }
 
     /**
-     * Finish the 3.4 scan from @p curr, whose successor @p above set
-     * the window top (*@p limit_pfn == above->pfn_lo - 1), in
+     * Finish the 3.4 scan from @p curr, whose successor *@p above set
+     * the window top (*@p limit_pfn == (*above)->pfn_lo - 1), in
      * O(log n) per candidate hole. Returns the node the loop would
-     * stop at (nullptr: it walks off the left end), sets *@p limit_pfn
-     * to the loop's final window top and adds the nodes it would
-     * examine to *@p visits.
+     * stop at (nullptr: it walks off the left end), sets *@p above to
+     * that node's successor and *@p limit_pfn to the loop's final
+     * window top, and adds the nodes it would examine to *@p visits.
      */
-    RbTree::Node *skipToFit(RbTree::Node *curr, RbTree::Node *above,
+    RbTree::Node *skipToFit(RbTree::Node *curr, RbTree::Node **above,
                             u64 npages, u64 *limit_pfn, u64 *visits);
 
     void cachedInsertUpdate(RbTree::Node *node) { cached_node_ = node; }
     void cachedDeleteUpdate(RbTree::Node *freed, u64 *visits);
 
     u64 limit_pfn_;
-    RbTree tree_;
     RbTree::Node *cached_node_ = nullptr;
 
     u64 last_alloc_visits_ = 0;

@@ -45,7 +45,7 @@ MagazineIovaAllocator::takeNode(RbTree::Node *node)
     RIO_ASSERT(!node->live, "live node parked in magazine");
     node->live = true;
     ++live_;
-    return IovaRange{node->pfn_lo, node->pfn_hi};
+    return rangeOf(node);
 }
 
 Result<IovaRange>
@@ -68,14 +68,16 @@ MagazineIovaAllocator::carveFresh(u64 npages)
 
     u64 visits = 0;
     u64 rebalances = 0;
-    RbTree::Node *node = tree_.insert(pfn_lo, pfn_hi, &visits, &rebalances);
+    RbTree::Node *node = tree_.insertBetween(nullptr, lowest_, pfn_lo,
+                                             pfn_hi, &visits, &rebalances);
+    lowest_ = node;
     node->live = true;
     ++live_;
     charge(cycles::Cat::kMapIovaAlloc,
            cost_.iova_op_base + cost_.magazine_op +
                visits * cost_.rb_node_visit +
                rebalances * cost_.rb_rebalance_step);
-    return IovaRange{node->pfn_lo, node->pfn_hi};
+    return rangeOf(node);
 }
 
 Result<IovaRange>
@@ -127,35 +129,13 @@ MagazineIovaAllocator::allocCached(u64 npages)
     return carveFresh(npages);
 }
 
-Result<IovaRange>
-MagazineIovaAllocator::find(u64 pfn)
-{
-    auto lock = lockScope();
-    u64 visits = 0;
-    RbTree::Node *node = tree_.findContaining(pfn, &visits);
-    charge(cycles::Cat::kUnmapIovaFind,
-           visits * cost_.rb_node_visit + cost_.cached_access);
-    if (!node || !node->live)
-        return Status(ErrorCode::kNotFound, "IOVA not allocated");
-    return IovaRange{node->pfn_lo, node->pfn_hi};
-}
-
 Status
-MagazineIovaAllocator::free(u64 pfn_lo)
+MagazineIovaAllocator::freeNode(RbTree::Node *node)
 {
-    if (rounds_ > 0) {
-        // Lookup is mechanical (the driver located the range via
-        // find() already); parking happens in the core pair.
-        RbTree::Node *node = tree_.findContaining(pfn_lo, nullptr);
-        if (!node || node->pfn_lo != pfn_lo || !node->live)
-            return Status(ErrorCode::kNotFound,
-                          "free of unallocated IOVA");
+    // Parking happens in the core pair when there is one.
+    if (rounds_ > 0)
         return freeCached(node);
-    }
     auto lock = lockScope();
-    RbTree::Node *node = tree_.findContaining(pfn_lo, nullptr);
-    if (!node || node->pfn_lo != pfn_lo || !node->live)
-        return Status(ErrorCode::kNotFound, "free of unallocated IOVA");
     node->live = false;
     --live_;
     magazines_[node->pfn_hi - node->pfn_lo + 1].push_back(node);

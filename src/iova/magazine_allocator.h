@@ -40,11 +40,8 @@ class MagazineIovaAllocator : public IovaAllocator
                           const cycles::CostModel &cost);
 
     Result<IovaRange> alloc(u64 npages) override;
-    Result<IovaRange> find(u64 pfn) override;
-    Status free(u64 pfn_lo) override;
 
     u64 live() const override { return live_; }
-    u64 treeSize() const override { return tree_.size(); }
 
     /** Ranges currently parked in magazines. */
     u64 parked() const { return tree_.size() - live_; }
@@ -68,7 +65,8 @@ class MagazineIovaAllocator : public IovaAllocator
     /** Whole-magazine exchanges with the locked depot. */
     u64 depotExchanges() const { return depot_exchanges_; }
 
-    bool validate() const { return tree_.validate(); }
+  protected:
+    Status freeNode(RbTree::Node *node) override;
 
   private:
     using Magazine = std::vector<RbTree::Node *>;
@@ -88,7 +86,9 @@ class MagazineIovaAllocator : public IovaAllocator
     u64 limit_pfn_;
     /** Top of the never-yet-used address space (fresh carve point). */
     u64 next_top_;
-    RbTree tree_;
+    /** The last range carved: the tree's leftmost node, since parked
+     * ranges never leave the tree. */
+    RbTree::Node *lowest_ = nullptr;
     /** Depot. rounds_ == 0: flat per-size stacks of single ranges
      * (the legacy layout). rounds_ > 0: per-size stacks of *full*
      * magazines, exchanged whole. */

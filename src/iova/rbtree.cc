@@ -89,12 +89,6 @@ RbTree::Node *
 RbTree::insert(u64 pfn_lo, u64 pfn_hi, u64 *visits, u64 *rebalances)
 {
     RIO_ASSERT(pfn_lo <= pfn_hi, "inverted range");
-    Node *z = ::new (nodes_.allocate(sizeof(Node), alignof(Node))) Node();
-    z->pfn_lo = pfn_lo;
-    z->pfn_hi = pfn_hi;
-    z->left = z->right = z->parent = &nil_;
-    z->red = true;
-
     Node *y = &nil_;
     Node *x = root_;
     Node *pred = nullptr; // the last node the descent went right from
@@ -106,7 +100,7 @@ RbTree::insert(u64 pfn_lo, u64 pfn_hi, u64 *visits, u64 *rebalances)
         RIO_ASSERT(pfn_hi < x->pfn_lo || pfn_lo > x->pfn_hi,
                    "inserting overlapping IOVA range [", pfn_lo, ",",
                    pfn_hi, "] vs [", x->pfn_lo, ",", x->pfn_hi, "]");
-        ++x->count; // z lands below every node on the path
+        ++x->count; // the new node lands below every node on the path
         if (pfn_lo < x->pfn_lo) {
             succ = x;
             x = x->left;
@@ -115,6 +109,50 @@ RbTree::insert(u64 pfn_lo, u64 pfn_hi, u64 *visits, u64 *rebalances)
             x = x->right;
         }
     }
+    return link(pfn_lo, pfn_hi, y, pred, succ, rebalances);
+}
+
+RbTree::Node *
+RbTree::insertBetween(Node *pred, Node *succ, u64 pfn_lo, u64 pfn_hi,
+                      u64 *visits, u64 *rebalances)
+{
+    RIO_ASSERT(pfn_lo <= pfn_hi, "inverted range");
+    RIO_ASSERT((!pred || pred->pfn_hi < pfn_lo) &&
+                   (!succ || pfn_hi < succ->pfn_lo),
+               "splicing [", pfn_lo, ",", pfn_hi,
+               "] out of order with its neighbours");
+    // Of two in-order neighbours, the lower one has no right child or
+    // the upper one has no left child (exactly one holds); insert()'s
+    // descent ends in that slot. The other neighbour is the first
+    // ancestor the walk up enters from the slot's side.
+    Node *y = pred && isNil(pred->right) ? pred : succ ? succ : &nil_;
+    const bool right_slot = y == pred;
+    Node *other = nullptr;
+    for (Node *n = y; !isNil(n); n = n->parent) {
+        if (visits)
+            ++*visits;
+        ++n->count;
+        if (!other && !isNil(n->parent) &&
+            (n == n->parent->left) == right_slot)
+            other = n->parent;
+    }
+    RIO_ASSERT(isNil(y) ? isNil(root_)
+                        : other == (right_slot ? succ : pred) &&
+                              (right_slot || isNil(y->left)),
+               "splicing [", pfn_lo, ",", pfn_hi,
+               "] between non-adjacent nodes");
+    return link(pfn_lo, pfn_hi, y, pred, succ, rebalances);
+}
+
+RbTree::Node *
+RbTree::link(u64 pfn_lo, u64 pfn_hi, Node *y, Node *pred, Node *succ,
+             u64 *rebalances)
+{
+    Node *z = ::new (nodes_.allocate(sizeof(Node), alignof(Node))) Node();
+    z->pfn_lo = pfn_lo;
+    z->pfn_hi = pfn_hi;
+    z->left = z->right = &nil_;
+    z->red = true;
     z->parent = y;
     if (isNil(y))
         root_ = z;
@@ -350,6 +388,7 @@ RbTree::eraseFixup(Node *x, u64 *rebalances)
 RbTree::Node *
 RbTree::findContaining(u64 pfn, u64 *visits) const
 {
+    ++searches_;
     Node *n = root_;
     while (!isNil(n)) {
         if (visits)
@@ -362,6 +401,16 @@ RbTree::findContaining(u64 pfn, u64 *visits) const
             return n;
     }
     return nullptr;
+}
+
+u64
+RbTree::depth(const Node *node) const
+{
+    RIO_ASSERT(node && !isNil(node), "depth(null)");
+    u64 d = 1;
+    for (; !isNil(node->parent); node = node->parent)
+        ++d;
+    return d;
 }
 
 u64
@@ -507,6 +556,25 @@ RbTree::validate() const
         if (n->gap != gapBelow(n, pred))
             return false;
     return true;
+}
+
+bool
+RbTree::sameSubtree(const Node *a, const RbTree &other, const Node *b) const
+{
+    if (isNil(a) || other.isNil(b))
+        return isNil(a) && other.isNil(b);
+    return a->pfn_lo == b->pfn_lo && a->pfn_hi == b->pfn_hi &&
+           a->live == b->live && a->red == b->red &&
+           a->count == b->count && a->gap == b->gap &&
+           a->max_gap == b->max_gap &&
+           sameSubtree(a->left, other, b->left) &&
+           sameSubtree(a->right, other, b->right);
+}
+
+bool
+RbTree::sameAs(const RbTree &other) const
+{
+    return size_ == other.size_ && sameSubtree(root_, other, other.root_);
 }
 
 } // namespace rio::iova

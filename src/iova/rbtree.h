@@ -68,11 +68,31 @@ class RbTree
      */
     Node *insert(u64 pfn_lo, u64 pfn_hi, u64 *visits, u64 *rebalances);
 
+    /**
+     * Insert a new range between its in-order neighbours @p pred and
+     * @p succ (nullptr: the range goes below the leftmost / above the
+     * rightmost node), without a descent. Counts the same visits and
+     * rebalances and leaves the same tree as insert(): the new leaf
+     * hangs in the one empty slot between the two neighbours, and the
+     * visits are that slot's root path.
+     */
+    Node *insertBetween(Node *pred, Node *succ, u64 pfn_lo, u64 pfn_hi,
+                        u64 *visits, u64 *rebalances);
+
     /** Remove @p node and return its memory to the spare pool. */
     void erase(Node *node, u64 *visits, u64 *rebalances);
 
     /** Find the range containing @p pfn, or nullptr. */
     Node *findContaining(u64 pfn, u64 *visits) const;
+
+    /**
+     * Nodes on @p node's path from the root, itself included: the
+     * visits findContaining() counts for any pfn in @p node's range.
+     */
+    u64 depth(const Node *node) const;
+
+    /** findContaining() calls so far (host-side; never charged). */
+    u64 searches() const { return searches_; }
 
     /** Leftmost / rightmost nodes (nullptr when empty). */
     Node *first() const;
@@ -105,10 +125,22 @@ class RbTree
      */
     bool validate() const;
 
+    /**
+     * True when @p other has the same shape, colours, ranges, live
+     * flags and augmentation, node for node. For tests.
+     */
+    bool sameAs(const RbTree &other) const;
+
   private:
     bool isNil(const Node *n) const { return n == &nil_; }
     Node *nil() { return &nil_; }
 
+    /** Hang a new red leaf [pfn_lo, pfn_hi] below @p parent (nil: the
+     * root), fix the gaps beside its in-order neighbours @p pred and
+     * @p succ, and rebalance. Every count on the root path must
+     * already include it. */
+    Node *link(u64 pfn_lo, u64 pfn_hi, Node *parent, Node *pred,
+               Node *succ, u64 *rebalances);
     void rotateLeft(Node *x);
     void rotateRight(Node *x);
     void insertFixup(Node *z, u64 *rebalances);
@@ -132,12 +164,15 @@ class RbTree
     void destroySubtree(Node *n);
     bool validateNode(const Node *n, int black_depth, int &expected,
                       u64 lo_bound, u64 hi_bound) const;
+    bool sameSubtree(const Node *a, const RbTree &other,
+                     const Node *b) const;
 
     NodePool nodes_; //!< erased nodes, reused by insert
     // Sentinel nil node (CLRS-style): simplifies erase fixup.
     mutable Node nil_;
     Node *root_;
     u64 size_ = 0;
+    mutable u64 searches_ = 0;
 };
 
 static_assert(sizeof(RbTree::Node) == 56,

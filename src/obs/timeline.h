@@ -90,14 +90,22 @@ class Timeline
     {
         Event &rec = flightRecorder().claim();
         rec = e;
-        // Auto-attach the thread's current trace context: any event
-        // emitted while a TraceScope is live (a mail delivery, a wire
-        // handler, a replay) becomes a child span of that op without
-        // the emitter knowing about tracing at all.
-        if (rec.trace == 0)
-            rec.trace = currentTrace();
-        if (recording()) [[unlikely]]
-            recordTrack(rec);
+        finish(rec);
+    }
+
+    /**
+     * emit() for an event built in place: @p fill sets the fields of
+     * the claimed flight-ring slot, cleared to a default Event first,
+     * so the event is never assembled elsewhere and copied over.
+     */
+    template <typename Fill>
+    void
+    emitInPlace(Fill &&fill)
+    {
+        Event &rec = flightRecorder().claim();
+        rec = Event{};
+        fill(rec);
+        finish(rec);
     }
 
     /** All recorded events, grouped per track, oldest-first. */
@@ -117,6 +125,20 @@ class Timeline
     bool writeChromeTrace(const std::string &path) const;
 
   private:
+    /** Complete the event in its flight-ring slot @p rec. */
+    void
+    finish(Event &rec)
+    {
+        // Auto-attach the thread's current trace context: any event
+        // emitted while a TraceScope is live (a mail delivery, a wire
+        // handler, a replay) becomes a child span of that op without
+        // the emitter knowing about tracing at all.
+        if (rec.trace == 0)
+            rec.trace = currentTrace();
+        if (recording()) [[unlikely]]
+            recordTrack(rec);
+    }
+
     /** Append @p rec to its (pid, tid) track ring (recording on). */
     void recordTrack(const Event &rec);
 

@@ -100,16 +100,16 @@ void
 RdmaNic::emitEvent(obs::Ev kind, Nanos t, u64 trace, u64 arg, u64 arg2,
                    Nanos dur_ns)
 {
-    obs::Event ev;
-    ev.kind = kind;
-    ev.t = t;
-    ev.dur_ns = dur_ns;
-    ev.trace = trace;
-    ev.arg = arg;
-    ev.arg2 = arg2;
-    ev.pid = core_.obsPid();
-    ev.tid = core_.obsTid();
-    obs::timeline().emit(ev);
+    obs::timeline().emitInPlace([&](obs::Event &ev) {
+        ev.kind = kind;
+        ev.t = t;
+        ev.dur_ns = dur_ns;
+        ev.trace = trace;
+        ev.arg = arg;
+        ev.arg2 = arg2;
+        ev.pid = core_.obsPid();
+        ev.tid = core_.obsTid();
+    });
 }
 
 void

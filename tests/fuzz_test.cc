@@ -1249,6 +1249,8 @@ class LinearIovaOracle
         tree_.erase(node, nullptr, nullptr);
     }
 
+    const iova::RbTree &tree() const { return tree_; }
+
   private:
     static constexpr u64 kStartPfn = 1;
     static u64 pad(u64 size, u64 limit) { return (limit + 1) % size; }
@@ -1351,8 +1353,12 @@ TEST_P(IovaScanFuzz, ScanAgreesWithLinearLoop)
         }
         // Frees park tree nodes on the spare list and allocs take them
         // back: a recycled node with a stale count or max gap would
-        // skew the rank-charged visits, so check after every op.
+        // skew the rank-charged visits, so check after every op. The
+        // allocator splices each range between the scan's neighbours
+        // (skipToFit's, and off the left end too); the oracle inserts
+        // by descent. The trees must stay identical.
         ASSERT_TRUE(alloc.validate()) << "op " << i;
+        ASSERT_TRUE(alloc.tree().sameAs(oracle.tree())) << "op " << i;
     }
     EXPECT_EQ(alloc.live(), live.size());
     if (limit_pfn > target_live * 16) {
@@ -1366,6 +1372,119 @@ INSTANTIATE_TEST_SUITE_P(
     Seeds, IovaScanFuzz, ::testing::ValuesIn(iovaScanFuzzParams()),
     [](const ::testing::TestParamInfo<IovaScanFuzzParam> &info) {
         return "limit" + std::to_string(info.param.limit_pfn) + "_s" +
+               std::to_string(info.param.seed);
+    });
+
+// ---- splice vs descent ---------------------------------------------------------
+
+/**
+ * Two trees fed the same random inserts and erases: one inserts by
+ * descent, the other splices each range between the neighbours a
+ * plain ordered map names (below the leftmost node, above the
+ * rightmost, or between two). Every splice must count the visits and
+ * rebalances of the descent and leave the same tree. And in the
+ * spliced tree, every node's root path must be the visits a search
+ * counts for its first pfn, its last and one between.
+ * RIO_IOVA_EXTRA_SEEDS appends seeds (sanitize and fuzz CI).
+ */
+struct SpliceFuzzParam
+{
+    u64 seed;
+    u64 universe; //!< pfns the ranges are drawn from
+    int ops;
+};
+
+std::vector<SpliceFuzzParam>
+spliceFuzzParams()
+{
+    std::vector<u64> seeds = {1, 2, 3, 5, 8, 13};
+    appendExtraSeeds(seeds, "RIO_IOVA_EXTRA_SEEDS");
+    std::vector<SpliceFuzzParam> params;
+    for (u64 seed : seeds) {
+        params.push_back({seed, 4000, 6000});
+        params.push_back({seed, 300, 3000});
+    }
+    return params;
+}
+
+class RbTreeSpliceFuzz : public ::testing::TestWithParam<SpliceFuzzParam>
+{
+};
+
+TEST_P(RbTreeSpliceFuzz, SpliceMatchesDescent)
+{
+    const auto [seed, universe, ops] = GetParam();
+    Rng rng(seed);
+    iova::RbTree descent;
+    iova::RbTree spliced;
+    struct Pair
+    {
+        iova::RbTree::Node *descent;
+        iova::RbTree::Node *spliced;
+    };
+    std::map<u64, Pair> ranges; // pfn_lo -> the range's node in each
+    u64 ends = 0;
+
+    for (int i = 0; i < ops; ++i) {
+        const bool grow = ranges.size() < universe / 16
+                              ? rng.below(100) < 65
+                              : rng.below(100) < 45;
+        if (ranges.empty() || grow) {
+            // A free run of up to 4 pfns at a random pfn, if any.
+            const u64 lo = rng.below(universe);
+            auto succ = ranges.lower_bound(lo);
+            const auto pred =
+                succ == ranges.begin() ? ranges.end() : std::prev(succ);
+            if (pred != ranges.end() && pred->second.spliced->pfn_hi >= lo)
+                continue;
+            const u64 room =
+                succ == ranges.end() ? 4 : succ->first - lo;
+            if (room == 0)
+                continue;
+            const u64 hi = lo + rng.below(std::min<u64>(room, 4));
+            ends += pred == ranges.end() || succ == ranges.end();
+            u64 dv = 0, dr = 0, sv = 0, sr = 0;
+            iova::RbTree::Node *d = descent.insert(lo, hi, &dv, &dr);
+            iova::RbTree::Node *sp = spliced.insertBetween(
+                pred == ranges.end() ? nullptr : pred->second.spliced,
+                succ == ranges.end() ? nullptr : succ->second.spliced, lo,
+                hi, &sv, &sr);
+            ASSERT_EQ(sv, dv) << "visits, op " << i;
+            ASSERT_EQ(sr, dr) << "rebalances, op " << i;
+            ranges[lo] = Pair{d, sp};
+        } else {
+            auto it = ranges.begin();
+            std::advance(it, static_cast<long>(rng.below(ranges.size())));
+            u64 dv = 0, dr = 0, sv = 0, sr = 0;
+            descent.erase(it->second.descent, &dv, &dr);
+            spliced.erase(it->second.spliced, &sv, &sr);
+            ASSERT_EQ(sv, dv) << "op " << i;
+            ASSERT_EQ(sr, dr) << "op " << i;
+            ranges.erase(it);
+        }
+        ASSERT_TRUE(spliced.validate()) << "op " << i;
+        ASSERT_TRUE(spliced.sameAs(descent)) << "op " << i;
+        if (i % 8 != 0)
+            continue;
+        for (const auto &[lo, pair] : ranges) {
+            const iova::RbTree::Node *n = pair.spliced;
+            const u64 depth = spliced.depth(n);
+            for (u64 pfn : {n->pfn_lo, n->pfn_hi,
+                            n->pfn_lo + (n->pfn_hi - n->pfn_lo) / 2}) {
+                u64 visits = 0;
+                ASSERT_EQ(spliced.findContaining(pfn, &visits), n);
+                ASSERT_EQ(visits, depth) << "pfn " << pfn << ", op " << i;
+            }
+        }
+    }
+    EXPECT_GT(ends, 0u) << "no splice at either end of the tree";
+    EXPECT_GT(ranges.size(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, RbTreeSpliceFuzz, ::testing::ValuesIn(spliceFuzzParams()),
+    [](const ::testing::TestParamInfo<SpliceFuzzParam> &info) {
+        return "universe" + std::to_string(info.param.universe) + "_s" +
                std::to_string(info.param.seed);
     });
 

@@ -6,9 +6,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
+#include "base/rng.h"
 #include "cycles/cycle_account.h"
 #include "iommu/iommu.h"
 
@@ -191,6 +193,83 @@ TEST(IotlbTest, CapacityBounded)
     for (u64 i = 0; i < 1000; ++i)
         tlb.insert(3, i, Pte{(i << 12) | Pte::kRead});
     EXPECT_LE(tlb.validEntries(), tlb.capacity());
+}
+
+/**
+ * A geometry whose set count is not a power of two takes the set
+ * index modulo the set count. A random lookup/fill/invalidate stream
+ * over two devices must hit, miss and evict exactly as a reference
+ * LRU model with the same set hash does; the totals are pinned too.
+ */
+TEST(IotlbTest, NonPowerOfTwoSetsMatchReference)
+{
+    constexpr unsigned kSets = 6;
+    constexpr unsigned kWays = 3;
+    struct Way
+    {
+        u16 sid;
+        u64 pfn;
+        u64 tick;
+    };
+    std::vector<std::vector<Way>> ref(kSets);
+    const auto refSet = [](u16 sid, u64 pfn) {
+        const u64 h =
+            (pfn ^ (static_cast<u64>(sid) * 0x9e3779b9)) * 0xff51afd7ed558ccdULL;
+        return static_cast<unsigned>(h >> 32) % kSets;
+    };
+    const auto refFind = [&](u16 sid, u64 pfn) -> Way * {
+        for (Way &w : ref[refSet(sid, pfn)])
+            if (w.sid == sid && w.pfn == pfn)
+                return &w;
+        return nullptr;
+    };
+
+    Iotlb tlb(IotlbConfig{kSets, kWays});
+    Rng rng(17);
+    u64 tick = 0;
+    u64 hits = 0, misses = 0, evictions = 0;
+    for (int i = 0; i < 4000; ++i) {
+        const u16 sid = static_cast<u16>(1 + rng.below(2));
+        const u64 pfn = rng.below(48);
+        if (rng.below(10) == 0) {
+            const bool had = refFind(sid, pfn) != nullptr;
+            if (had) {
+                auto &set = ref[refSet(sid, pfn)];
+                set.erase(std::find_if(set.begin(), set.end(),
+                                       [&](const Way &w) {
+                                           return w.sid == sid &&
+                                                  w.pfn == pfn;
+                                       }));
+            }
+            ASSERT_EQ(tlb.invalidateEntry(sid, pfn), had) << "op " << i;
+            continue;
+        }
+        // A translation: look up, fill on a miss.
+        const bool hit = tlb.lookup(sid, pfn).has_value();
+        if (Way *w = refFind(sid, pfn)) {
+            ASSERT_TRUE(hit) << "op " << i;
+            w->tick = ++tick;
+            ++hits;
+            continue;
+        }
+        ASSERT_FALSE(hit) << "op " << i;
+        ++misses;
+        tlb.insert(sid, pfn, Pte{(pfn << 12) | Pte::kRead});
+        auto &set = ref[refSet(sid, pfn)];
+        if (set.size() == kWays) {
+            set.erase(std::min_element(
+                set.begin(), set.end(),
+                [](const Way &a, const Way &b) { return a.tick < b.tick; }));
+            ++evictions;
+        }
+        set.push_back(Way{sid, pfn, ++tick});
+    }
+    EXPECT_EQ(tlb.stats().hits, hits);
+    EXPECT_EQ(tlb.stats().misses, misses);
+    EXPECT_EQ(tlb.stats().evictions, evictions);
+    EXPECT_EQ(hits, 657u);
+    EXPECT_EQ(misses, 2946u);
+    EXPECT_EQ(evictions, 2847u);
 }
 
 // ---- full IOMMU ------------------------------------------------------------

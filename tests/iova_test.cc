@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <deque>
+#include <memory>
+#include <tuple>
 #include <vector>
 
 #include "base/rng.h"
@@ -312,6 +314,110 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Kind::kLinux, Kind::kMagazine),
                        ::testing::Values(u64{1}, u64{2}, u64{3}),
                        ::testing::Values(2000)));
+
+std::unique_ptr<IovaAllocator>
+makeAllocator(Kind kind, u32 rounds, CycleAccount *acct,
+              const cycles::CostModel &cost)
+{
+    if (kind == Kind::kLinux)
+        return std::make_unique<LinuxIovaAllocator>(kLimitPfn, acct, cost);
+    auto mag = std::make_unique<MagazineIovaAllocator>(kLimitPfn, acct, cost);
+    mag->setCoreCache(rounds);
+    return mag;
+}
+
+class HandleSweep
+    : public ::testing::TestWithParam<std::tuple<Kind, u32, u64>>
+{
+};
+
+/**
+ * Two allocators fed the same churn: one finds and frees each range
+ * by pfn (a tree search), the other by the handle alloc() returned.
+ * Every find and free must charge the same cycles and return the same
+ * range, and the trees must stay identical; the handle side searches
+ * nothing.
+ */
+TEST_P(HandleSweep, HandlesChargeWhatTheSearchCharges)
+{
+    auto [kind, rounds, seed] = GetParam();
+    cycles::CostModel cost;
+    CycleAccount by_pfn_acct;
+    CycleAccount by_handle_acct;
+    auto by_pfn = makeAllocator(kind, rounds, &by_pfn_acct, cost);
+    auto by_handle = makeAllocator(kind, rounds, &by_handle_acct, cost);
+
+    Rng rng(seed);
+    std::vector<IovaRange> live; // by_handle's ranges
+    for (int i = 0; i < 3000; ++i) {
+        if (live.empty() || rng.chance(0.55)) {
+            const u64 npages = 1 + rng.below(4);
+            auto a = by_pfn->alloc(npages);
+            auto b = by_handle->alloc(npages);
+            ASSERT_TRUE(a.isOk() && b.isOk());
+            ASSERT_EQ(a.value().pfn_lo, b.value().pfn_lo);
+            ASSERT_TRUE(b.value().handle);
+            live.push_back(b.value());
+        } else {
+            const size_t idx = rng.below(live.size());
+            const IovaRange victim = live[idx];
+            // Search by any pfn of the range, as an unmap's address.
+            const u64 pfn = victim.pfn_lo + rng.below(victim.npages());
+            auto a = by_pfn->find(pfn);
+            auto b = by_handle->find(victim.handle);
+            ASSERT_TRUE(a.isOk() && b.isOk()) << "op " << i;
+            ASSERT_EQ(b.value().pfn_lo, victim.pfn_lo);
+            ASSERT_EQ(b.value().pfn_hi, victim.pfn_hi);
+            ASSERT_EQ(by_handle_acct.get(Cat::kUnmapIovaFind),
+                      by_pfn_acct.get(Cat::kUnmapIovaFind))
+                << "op " << i;
+            ASSERT_TRUE(by_pfn->free(a.value().pfn_lo).isOk());
+            ASSERT_TRUE(by_handle->free(b.value().handle).isOk());
+            ASSERT_EQ(by_handle_acct.get(Cat::kUnmapIovaFree),
+                      by_pfn_acct.get(Cat::kUnmapIovaFree))
+                << "op " << i;
+            live.erase(live.begin() + static_cast<long>(idx));
+        }
+        ASSERT_EQ(by_handle_acct.total(), by_pfn_acct.total()) << "op " << i;
+        ASSERT_TRUE(by_handle->tree().sameAs(by_pfn->tree())) << "op " << i;
+    }
+    EXPECT_EQ(by_handle->live(), live.size());
+    EXPECT_EQ(by_handle->tree().searches(), 0u);
+    EXPECT_GT(by_pfn->tree().searches(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Churn, HandleSweep,
+    ::testing::Values(std::make_tuple(Kind::kLinux, 0u, u64{1}),
+                      std::make_tuple(Kind::kLinux, 0u, u64{2}),
+                      std::make_tuple(Kind::kMagazine, 0u, u64{1}),
+                      std::make_tuple(Kind::kMagazine, 8u, u64{2})));
+
+TEST_F(MagazineAllocatorTest, ParkedHandleFindsAndFreesNothing)
+{
+    auto a = alloc.alloc(1);
+    ASSERT_TRUE(alloc.free(a.value().handle).isOk());
+    EXPECT_EQ(alloc.find(a.value().handle).status().code(),
+              ErrorCode::kNotFound);
+    EXPECT_EQ(alloc.free(a.value().handle).code(), ErrorCode::kNotFound);
+    EXPECT_EQ(alloc.parked(), 1u);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+/** A Linux range's node goes back to the tree's pool when it is freed;
+ * ASan must catch a handle that outlives its range. */
+TEST(LinuxAllocatorDeathTest, StaleHandleIsCaught)
+{
+    CycleAccount acct;
+    cycles::CostModel cost;
+    LinuxIovaAllocator alloc(kLimitPfn, &acct, cost);
+    (void)alloc.alloc(1);
+    auto a = alloc.alloc(1);
+    ASSERT_TRUE(alloc.free(a.value().handle).isOk());
+    EXPECT_DEATH((void)alloc.find(a.value().handle), "use-after-poison");
+    EXPECT_DEATH((void)alloc.free(a.value().handle), "use-after-poison");
+}
+#endif
 
 // ---- per-core magazine pair over the depot (ROADMAP perf debt) -------
 

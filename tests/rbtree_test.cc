@@ -93,6 +93,52 @@ TEST(RbTree, VisitCountersAreCharged)
     EXPECT_GE(ins_visits, 1u);
 }
 
+/** Splicing at known neighbours: both ends and the middle, as the
+ * descent would, and the root path is what a search visits. */
+TEST(RbTree, InsertBetweenMatchesInsert)
+{
+    RbTree by_descent;
+    RbTree spliced;
+    u64 dv = 0, dr = 0, sv = 0, sr = 0;
+    by_descent.insert(100, 109, &dv, &dr);
+    RbTree::Node *mid = spliced.insertBetween(nullptr, nullptr, 100, 109,
+                                              &sv, &sr);
+    by_descent.insert(200, 209, &dv, &dr); // above the rightmost
+    RbTree::Node *top = spliced.insertBetween(mid, nullptr, 200, 209, &sv,
+                                              &sr);
+    by_descent.insert(10, 19, &dv, &dr); // below the leftmost
+    RbTree::Node *low = spliced.insertBetween(nullptr, mid, 10, 19, &sv,
+                                              &sr);
+    by_descent.insert(150, 159, &dv, &dr); // between two
+    RbTree::Node *inner = spliced.insertBetween(mid, top, 150, 159, &sv,
+                                                &sr);
+    EXPECT_EQ(sv, dv);
+    EXPECT_EQ(sr, dr);
+    EXPECT_GT(sr, 0u) << "the third insert rebalances";
+    EXPECT_TRUE(spliced.validate());
+    EXPECT_TRUE(spliced.sameAs(by_descent));
+    for (RbTree::Node *n : {mid, top, low, inner}) {
+        u64 visits = 0;
+        EXPECT_EQ(spliced.findContaining(n->pfn_hi, &visits), n);
+        EXPECT_EQ(spliced.depth(n), visits);
+    }
+    EXPECT_EQ(spliced.searches(), 4u);
+    EXPECT_FALSE(by_descent.sameAs(RbTree()));
+}
+
+TEST(RbTreeDeathTest, SpliceBetweenNonNeighboursPanics)
+{
+    RbTree t;
+    RbTree::Node *a = t.insert(10, 19, nullptr, nullptr);
+    t.insert(30, 39, nullptr, nullptr);
+    RbTree::Node *c = t.insert(50, 59, nullptr, nullptr);
+    // 30..39 is the root, with both children: no slot between a and c.
+    EXPECT_DEATH(t.insertBetween(a, c, 40, 45, nullptr, nullptr),
+                 "non-adjacent");
+    EXPECT_DEATH(t.insertBetween(a, nullptr, 20, 25, nullptr, nullptr),
+                 "non-adjacent");
+}
+
 TEST(RbTreeDeathTest, OverlappingInsertPanics)
 {
     RbTree t;

@@ -247,6 +247,33 @@ TEST(StreamTest, SteadyStatePacketsAllocateNothing)
     }
 }
 
+/**
+ * The unmap path reaches each range's allocator node through the
+ * handle its map kept, and alloc() splices the new node where its
+ * scan stopped: a baseline-mode stream makes no IOVA tree search at
+ * all, in setup (the Rx prefill), warm-up or the measured packets,
+ * while the charged "iova find" visits stay those of the search
+ * (LinuxIovaScanChargesArePinned).
+ */
+TEST(StreamTest, SteadyStatePacketsSearchNoTree)
+{
+    for (ProtectionMode mode :
+         {ProtectionMode::kStrict, ProtectionMode::kStrictPlus,
+          ProtectionMode::kDefer, ProtectionMode::kDeferPlus}) {
+        des::Simulator sim;
+        StreamRun run(sim, mode, nic::mlxProfile(),
+                      quickStream(nic::mlxProfile()));
+        sim.run();
+        const RunResult r = run.collect();
+        EXPECT_GT(r.tx_packets, 0u) << dma::modeName(mode);
+        auto &handle =
+            dynamic_cast<dma::BaselineDmaHandle &>(run.machine().handle());
+        EXPECT_GT(handle.allocator().treeSize(), 0u) << dma::modeName(mode);
+        EXPECT_EQ(handle.allocator().tree().searches(), 0u)
+            << dma::modeName(mode);
+    }
+}
+
 TEST(RrTest, RttOrderingAndMagnitude)
 {
     RrParams p = rrParamsFor(nic::mlxProfile());
