@@ -54,6 +54,7 @@ struct RowResult
     std::string variant;
     u32 connections = 0;
     workloads::FleetReport rep;
+    std::vector<obs::Recording> events;
 };
 
 RowResult
@@ -79,6 +80,7 @@ runPoint(dma::ProtectionMode mode, const std::string &variant,
     row.variant = variant;
     row.connections = connections;
     row.rep = workloads::runFleet(cluster, p);
+    row.events = cluster.takeRecordings();
     RIO_ASSERT(row.rep.leaks_clean, "leaked mappings at ",
                dma::modeName(mode), " conns=", connections);
     RIO_ASSERT(row.rep.comp_errors == 0 && row.rep.remote_faults == 0,
@@ -135,20 +137,22 @@ main(int argc, char **argv)
     std::vector<RowResult> rows;
     for (const u32 conns : sweep) {
         for (const dma::ProtectionMode mode : bench::evaluatedModes())
-            rows.push_back({mode, "base", conns, {}});
+            rows.push_back({mode, "base", conns, {}, {}});
         // Ablations ride the same sweep point.
-        rows.push_back({dma::ProtectionMode::kRiommu, "rdfetch", conns, {}});
         rows.push_back(
-            {dma::ProtectionMode::kRiommu, "rdfetch+tier", conns, {}});
+            {dma::ProtectionMode::kRiommu, "rdfetch", conns, {}, {}});
+        rows.push_back(
+            {dma::ProtectionMode::kRiommu, "rdfetch+tier", conns, {}, {}});
         for (const dma::ProtectionMode mode :
              {dma::ProtectionMode::kStrictPlus,
               dma::ProtectionMode::kDeferPlus})
-            rows.push_back({mode, "coredepot", conns, {}});
+            rows.push_back({mode, "coredepot", conns, {}, {}});
     }
     des::parallelFor(rows.size(), args.threads, [&](size_t i) {
         rows[i] = runPoint(rows[i].mode, rows[i].variant,
                            rows[i].connections, machines, quick);
     });
+    bench::addRowEvents(rows);
 
     // Fig7-equivalent ordering gate at the bare (smallest) point: the
     // unprotected optimum is cheapest and rIOMMU beats strict — the

@@ -277,6 +277,20 @@ parseBenchArgs(int argc, char **argv,
     return args;
 }
 
+/**
+ * Hand each row's machine recordings (its `events`, taken from the
+ * row's cluster on the thread that ran it) to the process timeline in
+ * row order, which numbers their tracks and prints their first dumps.
+ * Call on the calling thread once the rows are done.
+ */
+template <typename Row>
+inline void
+addRowEvents(std::vector<Row> &rows)
+{
+    for (Row &row : rows)
+        obs::timeline().add(std::move(row.events));
+}
+
 /** Export the Chrome trace if --timeline was given. Call at exit. */
 inline void
 finishBench(const BenchArgs &args)

@@ -103,6 +103,7 @@ struct MigOut
     u64 stray_faulted = 0;
     u64 stray_landed = 0;
     bool hash_ok = false;
+    std::vector<obs::Recording> events;
 };
 
 MigOut
@@ -213,6 +214,7 @@ runMigration(const MigRun &r)
                    "hypervisor handle leak on ", m, " at ",
                    dma::modeName(r.mode));
     }
+    out.events = cl.takeRecordings();
     return out;
 }
 
@@ -391,6 +393,7 @@ main(int argc, char **argv)
     des::parallelFor(rows.size(), args.threads, [&](size_t i) {
         outs[i] = runMigration(rows[i].run);
     });
+    bench::addRowEvents(outs);
     const auto emit = [&](size_t i) {
         tableRow(t, rows[i].run, outs[i]);
         jsonRow(json, rows[i].variant, rows[i].run, outs[i]);

@@ -61,11 +61,14 @@ struct TailPoint
     double loss = 0;
     bool incast = false;
     workloads::FleetReport rep;
+    std::vector<obs::Recording> events;
 };
 
+/** Run one point; its machines' recordings go to @p events. */
 workloads::FleetReport
 runPoint(dma::ProtectionMode mode, double loss, bool incast,
-         unsigned machines, bool quick)
+         unsigned machines, bool quick,
+         std::vector<obs::Recording> &events)
 {
     workloads::FleetParams p = bench::fleetParams(64, quick);
     sys::ClusterConfig cfg;
@@ -103,6 +106,7 @@ runPoint(dma::ProtectionMode mode, double loss, bool incast,
                ": ", rep.slo.count, " records for ", rep.completions,
                " CQEs");
     RIO_ASSERT(rep.leaks_clean, "leaked mappings at ", name);
+    events = cluster.takeRecordings();
     return rep;
 }
 
@@ -144,11 +148,13 @@ main(int argc, char **argv)
     for (const double loss : losses)
         for (const bool incast : {false, true})
             for (const dma::ProtectionMode mode : bench::evaluatedModes())
-                points.push_back({mode, loss, incast, {}});
+                points.push_back({mode, loss, incast, {}, {}});
     des::parallelFor(points.size(), args.threads, [&](size_t i) {
         TailPoint &pt = points[i];
-        pt.rep = runPoint(pt.mode, pt.loss, pt.incast, machines, quick);
+        pt.rep = runPoint(pt.mode, pt.loss, pt.incast, machines, quick,
+                          pt.events);
     });
+    bench::addRowEvents(points);
 
     // Reports of the lossless/no-incast anchor, keyed by mode name,
     // for the structural-tail assertions below.

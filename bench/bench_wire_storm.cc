@@ -55,6 +55,7 @@ struct StormPoint
     double loss = 0;
     bool incast = false;
     workloads::FleetReport rep;
+    std::vector<obs::Recording> events;
 };
 
 StormPoint
@@ -94,6 +95,7 @@ runStorm(dma::ProtectionMode mode, double loss, bool incast,
     pt.loss = loss;
     pt.incast = incast;
     pt.rep = workloads::runFleet(cluster, p);
+    pt.events = cluster.takeRecordings();
 
     // One CQE per post: every loss recovers or errors, none vanish.
     RIO_ASSERT(pt.rep.completions == pt.rep.posts,
@@ -175,11 +177,12 @@ main(int argc, char **argv)
     for (const double l : losses)
         for (const bool incast : {false, true})
             for (const dma::ProtectionMode mode : bench::evaluatedModes())
-                points.push_back({mode, l, incast, {}});
+                points.push_back({mode, l, incast, {}, {}});
     des::parallelFor(points.size(), args.threads, [&](size_t i) {
         points[i] = runStorm(points[i].mode, points[i].loss,
                              points[i].incast, machines, quick);
     });
+    bench::addRowEvents(points);
 
     bench::JsonWriter json("wire_storm", args.threads);
     for (const StormPoint &pt : points) {

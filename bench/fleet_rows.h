@@ -80,20 +80,27 @@ runCompatRows(const BenchArgs &args, const std::string &title,
     const workloads::FleetParams p = fleetParams(64, quick);
 
     const std::vector<dma::ProtectionMode> &modes = evaluatedModes();
-    std::vector<workloads::FleetReport> reps(modes.size());
+    struct Row
+    {
+        workloads::FleetReport rep;
+        std::vector<obs::Recording> events;
+    };
+    std::vector<Row> rows(modes.size());
     des::parallelFor(modes.size(), args.threads, [&](size_t i) {
         sys::ClusterConfig cfg;
         cfg.machines = 2;
         cfg.mode = modes[i];
         cfg.max_qps = workloads::fleetMaxQps(p, 2);
         sys::Cluster cluster(cfg);
-        reps[i] = workloads::runFleet(cluster, p);
+        rows[i].rep = workloads::runFleet(cluster, p);
+        rows[i].events = cluster.takeRecordings();
     });
+    addRowEvents(rows);
 
     Table t({"mode", "conns", "cycles/op", "avg burst"});
     JsonWriter json(json_name, args.threads);
     for (size_t i = 0; i < modes.size(); ++i) {
-        const workloads::FleetReport &rep = reps[i];
+        const workloads::FleetReport &rep = rows[i].rep;
         RIO_ASSERT(rep.leaks_clean && rep.comp_errors == 0 &&
                        rep.remote_faults == 0,
                    "compat row must match the lossless fabric at ",

@@ -30,7 +30,7 @@
 #                       FramesFromDirtyPooledBlocksReadZero) and cluster
 #                       suites, ClusterFuzz, threaded fig7 / scaling
 #                       sweeps and concurrent cluster / tail / migration
-#                       rows
+#                       / recording wire-storm rows
 #   obs        release  zero-cost goldens, fault-storm and wire-storm
 #                       trace validation, the BENCH_9/BENCH_10 ledgers
 #   virt       release  virt suites, VirtFuzz soak, all-platform sweep
@@ -66,7 +66,8 @@ declare -A TARGETS=(
     [tsan]="parallel_test obs_test des_test spinlock_test mem_test
             magazine_churn_test cluster_test fuzz_test
             bench_fig7_cycles_per_packet bench_scaling_cores
-            bench_cluster_rdma bench_tail_latency bench_migration"
+            bench_cluster_rdma bench_tail_latency bench_migration
+            bench_wire_storm"
     [obs]=all
     [virt]=all
     [cluster]="cluster_test fuzz_test bench_cluster_rdma"
@@ -123,8 +124,7 @@ extras_tsan() {
         --cores 1,2 --threads 4 > /dev/null
     # Concurrent rows: whole clusters side by side, each on one
     # thread, sharing only the process-wide obs state (the registry's
-    # teardown merge, SLO gate, timeline pids); TSan holds them to
-    # that.
+    # teardown merge, the SLO gate); TSan holds them to that.
     "$1/tests/fuzz_test" --gtest_filter='*ClusterFuzz*'
     RIO_BENCH_QUICK=1 "$1/bench/bench_cluster_rdma" \
         --connections 64 --quick --threads 4 > /dev/null
@@ -134,6 +134,12 @@ extras_tsan() {
     # Concurrent guests, arena hashing and stray ledgers.
     RIO_BENCH_QUICK=1 "$1/bench/bench_migration" \
         --quick --threads 4 > /dev/null
+    # Recording rows: each machine records into its own recorder on
+    # its row's thread; the calling thread takes the rows' recordings,
+    # prints their dumps and writes the trace after the join.
+    RIO_BENCH_QUICK=1 "$1/bench/bench_wire_storm" --quick --loss 0.02 \
+        --threads 4 --timeline "$1/tsan_wire_storm_timeline.json" \
+        > /dev/null 2>&1
 }
 
 extras_obs() {

@@ -14,6 +14,7 @@
 #include "cycles/cost_model.h"
 #include "cycles/cycle_account.h"
 #include "des/simulator.h"
+#include "obs/flight.h"
 
 namespace rio::des {
 
@@ -72,19 +73,46 @@ class Core
     u64 itemsRun() const { return items_run_; }
 
     /**
-     * Timeline track of this core: (machine ordinal, core ordinal),
-     * assigned by sys::Machine via obs::Timeline::allocPid(). Purely
-     * observability — never read by simulation logic.
+     * Where this core's events go: its machine's recorder, on track
+     * @p tid (set by sys::Machine; a bare core records nothing).
+     * Purely observability — never read by simulation logic.
      */
     void
-    setObsTrack(u16 pid, u16 tid)
+    setRecorder(obs::Recorder *rec, u16 tid)
     {
-        obs_pid_ = pid;
+        recorder_ = rec;
         obs_tid_ = tid;
     }
 
-    u16 obsPid() const { return obs_pid_; }
-    u16 obsTid() const { return obs_tid_; }
+    /** Record on this core's track an event @p fill builds in place
+     * (see obs::Recorder::emitInPlace). */
+    template <typename Fill>
+    void
+    emitInPlace(Fill &&fill)
+    {
+        if (!recorder_)
+            return;
+        recorder_->emitInPlace([&](obs::Event &e) {
+            fill(e);
+            e.pid = recorder_->pid();
+            e.tid = obs_tid_;
+        });
+    }
+
+    /** Record @p e on this core's track. */
+    void
+    emit(const obs::Event &e)
+    {
+        emitInPlace([&](obs::Event &rec) { rec = e; });
+    }
+
+    /** Fire a flight dump on this core's recorder. */
+    void
+    dump(const std::string &reason)
+    {
+        if (recorder_)
+            recorder_->dump(reason);
+    }
 
     /**
      * Deterministic id for pairing async timeline spans (QI
@@ -99,7 +127,7 @@ class Core
     u32
     nextSpanId()
     {
-        return (static_cast<u32>(obs_pid_ & 0xff) << 24) |
+        return (static_cast<u32>(obsPid() & 0xff) << 24) |
                (static_cast<u32>(obs_tid_ & 0xff) << 16) |
                static_cast<u32>(++span_seq_ & 0xffff);
     }
@@ -114,7 +142,7 @@ class Core
     u64
     nextTraceId()
     {
-        return (static_cast<u64>(obs_pid_) << 48) |
+        return (static_cast<u64>(obsPid()) << 48) |
                (static_cast<u64>(obs_tid_ & 0xff) << 40) |
                (++trace_seq_ & 0xffffffffffULL);
     }
@@ -131,6 +159,8 @@ class Core
     }
 
   private:
+    u16 obsPid() const { return recorder_ ? recorder_->pid() : 0; }
+
     void scheduleNext();
     void runOne();
 
@@ -145,7 +175,7 @@ class Core
     Nanos free_at_ = 0;
     Cycles busy_cycles_ = 0;
     u64 items_run_ = 0;
-    u16 obs_pid_ = 0;
+    obs::Recorder *recorder_ = nullptr;
     u16 obs_tid_ = 0;
     u32 span_seq_ = 0;
     u64 trace_seq_ = 0;

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "base/logging.h"
-#include "obs/timeline.h"
 
 namespace rio::des {
 
@@ -12,6 +11,7 @@ SimSpinlock::acquire(Core *core, cycles::CycleAccount *acct)
 {
     RIO_ASSERT(!held_, "recursive acquire of SimSpinlock ", name_);
     held_ = true;
+    waited_ = false;
     ++stats_.acquisitions;
     if (!core)
         return 0;
@@ -31,13 +31,12 @@ SimSpinlock::acquire(Core *core, cycles::CycleAccount *acct)
         acct->charge(cycles::Cat::kLockWait, wait);
     ++stats_.contended;
     stats_.wait_cycles += wait;
-    obs::timeline().emitInPlace([&](obs::Event &e) {
+    waited_ = true;
+    core->emitInPlace([&](obs::Event &e) {
         e.kind = obs::Ev::kLockAcquire;
         e.t = core->virtualNow(); // the charge above advanced it to grant
         e.dur_ns = free_at_ - now;
         e.arg = wait;
-        e.pid = core->obsPid();
-        e.tid = core->obsTid();
     });
     return wait;
 }
@@ -52,11 +51,13 @@ SimSpinlock::release(Core *core)
     const Nanos now = core->virtualNow();
     if (now > free_at_)
         free_at_ = now;
-    obs::timeline().emitInPlace([&](obs::Event &e) {
+    // Only a scope that waited is on record: its release closes the
+    // kLockAcquire span, and uncontended scopes leave the ring alone.
+    if (!waited_)
+        return;
+    core->emitInPlace([&](obs::Event &e) {
         e.kind = obs::Ev::kLockRelease;
         e.t = now;
-        e.pid = core->obsPid();
-        e.tid = core->obsTid();
     });
 }
 

@@ -58,7 +58,8 @@ class SimSpinlock
      */
     Cycles acquire(Core *core, cycles::CycleAccount *acct);
 
-    /** Release at @p core's current virtual time. */
+    /** Release at @p core's current virtual time. A kLockRelease
+     * event is recorded only when the matching acquire() waited. */
     void release(Core *core);
 
     const Stats &stats() const { return stats_; }
@@ -71,6 +72,7 @@ class SimSpinlock
     const cycles::CostModel &cost_;
     const char *name_;
     bool held_ = false;
+    bool waited_ = false; //!< this scope's acquire() spun
     Nanos free_at_ = 0;
     Stats stats_;
 };

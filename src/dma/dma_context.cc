@@ -5,7 +5,7 @@
 #include "dma/baseline_handle.h"
 #include "dma/none_handle.h"
 #include "dma/riommu_handle.h"
-#include "obs/flight.h"
+#include "des/core.h"
 
 namespace rio::dma {
 
@@ -104,8 +104,8 @@ DmaContext::checkHandleLeaks(const DmaHandle &handle) const
     const u16 sid = handle.bdf().pack();
     report.stale_iotlb = iommu_.iotlb().validEntriesFor(sid);
     report.stale_riotlb = riommu_.riotlb().entriesFor(sid);
-    if (!report.clean())
-        obs::flightDump("handle_leak");
+    if (!report.clean() && handle.obsCore())
+        handle.obsCore()->dump("handle_leak");
     return report;
 }
 

@@ -3,7 +3,6 @@
 #include "cycles/cycle_account.h"
 #include "des/core.h"
 #include "obs/registry.h"
-#include "obs/timeline.h"
 
 namespace rio::dma {
 
@@ -14,17 +13,15 @@ void
 emitDmaSpan(obs::Ev kind, des::Core *core, Nanos t0, Cycles cycles,
             u16 bdf, u16 rid)
 {
-    obs::timeline().emitInPlace([&](obs::Event &e) {
+    if (!core)
+        return;
+    core->emitInPlace([&](obs::Event &e) {
         e.kind = kind;
         e.arg = cycles;
         e.bdf = bdf;
         e.rid = rid;
-        if (core) {
-            e.t = core->virtualNow();
-            e.dur_ns = e.t > t0 ? e.t - t0 : 0;
-            e.pid = core->obsPid();
-            e.tid = core->obsTid();
-        }
+        e.t = core->virtualNow();
+        e.dur_ns = e.t > t0 ? e.t - t0 : 0;
     });
 }
 
@@ -46,6 +43,7 @@ DmaHandle::bindObs(const char *mode, cycles::CycleAccount *acct,
     obs_mode_ = mode ? mode : "?";
     obs_acct_ = acct;
     obs_core_ = core;
+    fault_.bindCore(core);
 }
 
 Result<DmaMapping>

@@ -104,6 +104,10 @@ class DmaHandle
     void bindObs(const char *mode, cycles::CycleAccount *acct,
                  des::Core *core);
 
+    /** The core bindObs() recorded against (its recorder gets this
+     * handle's events); null when unbound. */
+    des::Core *obsCore() const { return obs_core_; }
+
     /** Driver cycles of each map()/unmap() since bindObs(). */
     const obs::Histogram &mapCycles() const { return map_cycles_; }
     const obs::Histogram &unmapCycles() const { return unmap_cycles_; }

@@ -1,8 +1,7 @@
 #include "dma/fault.h"
 
 #include "base/logging.h"
-#include "obs/flight.h"
-#include "obs/timeline.h"
+#include "des/core.h"
 
 namespace rio::dma {
 
@@ -34,11 +33,13 @@ FaultEngine::recover(Status fail, const std::function<void()> &repair,
 {
     RIO_ASSERT(!fail.isOk(), "recover() on a successful access");
     ++stats_.faults_seen;
-    obs::Event ev;
-    ev.kind = obs::Ev::kFault;
-    ev.arg = static_cast<u64>(policy_);
-    obs::timeline().emit(ev);
-    obs::flightDump("dma_fault");
+    if (core_) {
+        obs::Event ev;
+        ev.kind = obs::Ev::kFault;
+        ev.arg = static_cast<u64>(policy_);
+        core_->emit(ev);
+        core_->dump("dma_fault");
+    }
     // Every recovery starts with the fault interrupt: read the fault
     // status and drain the record(s). One op per handled fault.
     charge(cost_ ? cost_->fault_report : 0, /*first=*/true);

@@ -24,6 +24,10 @@
 #include "cycles/cost_model.h"
 #include "cycles/cycle_account.h"
 
+namespace rio::des {
+class Core;
+}
+
 namespace rio::dma {
 
 /** What the driver does about a faulted device access. */
@@ -95,6 +99,9 @@ class FaultEngine
         acct_ = acct;
     }
 
+    /** The core whose recorder gets fault events and dumps. */
+    void bindCore(des::Core *core) { core_ = core; }
+
     void setPolicy(FaultPolicy policy) { policy_ = policy; }
     FaultPolicy policy() const { return policy_; }
 
@@ -145,6 +152,7 @@ class FaultEngine
     FaultStats stats_;
     const cycles::CostModel *cost_ = nullptr;
     cycles::CycleAccount *acct_ = nullptr;
+    des::Core *core_ = nullptr;
 };
 
 } // namespace rio::dma

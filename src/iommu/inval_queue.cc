@@ -2,8 +2,6 @@
 
 #include "base/logging.h"
 #include "iommu/virt_hooks.h"
-#include "obs/flight.h"
-#include "obs/timeline.h"
 
 namespace rio::iommu {
 
@@ -11,24 +9,16 @@ namespace {
 
 constexpr u64 kDescBytes = 16;
 
-/** Issue-side half of the QI timeline span. */
+/** Issue-side half of the QI timeline span on @p core's track (the
+ * span id is a lane-confined counter of the core). */
 obs::Event
-qiIssueEvent(des::Core *core, u16 bdf)
+qiIssueEvent(des::Core &core, u16 bdf)
 {
     obs::Event e;
     e.kind = obs::Ev::kQiIssue;
     e.bdf = bdf;
-    if (core) {
-        // Span id derived from the core (lane-confined counter), not
-        // the shared Timeline atomic: keeps trace output identical
-        // across thread counts.
-        e.id = core->nextSpanId();
-        e.t = core->virtualNow();
-        e.pid = core->obsPid();
-        e.tid = core->obsTid();
-    } else {
-        e.id = obs::timeline().nextSpanId();
-    }
+    e.id = core.nextSpanId();
+    e.t = core.virtualNow();
     return e;
 }
 
@@ -169,8 +159,13 @@ InvalQueue::syncOp(const QiDescriptor &desc, u16 bdf,
                    bool count_op)
 {
     des::SpinGuard lock(lock_, lock_core_, acct);
-    const obs::Event issue = qiIssueEvent(lock_core_, bdf);
-    obs::timeline().emit(issue);
+    // Events go to the core's recorder; a queue with no core (a bare
+    // context) records none.
+    obs::Event issue;
+    if (lock_core_) {
+        issue = qiIssueEvent(*lock_core_, bdf);
+        lock_core_->emit(issue);
+    }
     Cycles c = submit(desc);
     c += submit(QiDescriptor::wait(status_addr_));
     c += cost_.qi_doorbell;
@@ -182,8 +177,10 @@ InvalQueue::syncOp(const QiDescriptor &desc, u16 bdf,
         // spinning forever in virtual time.
         c += cost_.qi_timeout_spin;
         ++stats_.timeouts;
-        obs::timeline().emit(qiEndEvent(issue, c, cost_.core_ghz, false));
-        obs::flightDump("qi_timeout");
+        if (lock_core_) {
+            lock_core_->emit(qiEndEvent(issue, c, cost_.core_ghz, false));
+            lock_core_->dump("qi_timeout");
+        }
         if (acct)
             acct->charge(cycles::Cat::kLifecycle, c);
         return Status(ErrorCode::kTimedOut,
@@ -195,7 +192,8 @@ InvalQueue::syncOp(const QiDescriptor &desc, u16 bdf,
                "QI wait did not complete");
     c += 2 * cost_.cached_access;
     stats_.sync_cycles.observe(c);
-    obs::timeline().emit(qiEndEvent(issue, c, cost_.core_ghz, true));
+    if (lock_core_)
+        lock_core_->emit(qiEndEvent(issue, c, cost_.core_ghz, true));
     if (acct) {
         if (count_op)
             acct->charge(cat, c);

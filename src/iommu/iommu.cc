@@ -78,13 +78,6 @@ Iommu::invalidateContextCache(Bdf bdf)
 }
 
 void
-Iommu::invalidateContextCacheAll()
-{
-    ctx_stats_.purges += ctx_cache_.size();
-    ctx_cache_.clear();
-}
-
-void
 Iommu::recordFault(Bdf bdf, IovaAddr iova, Access access,
                    FaultReason reason)
 {

@@ -85,9 +85,6 @@ class Iommu
      */
     void invalidateContextCache(Bdf bdf);
 
-    /** Drop every cached context entry (global context invalidation). */
-    void invalidateContextCacheAll();
-
     /**
      * Hardware pass-through (the paper's HWpt control mode):
      * translation returns the IOVA unchanged without touching the

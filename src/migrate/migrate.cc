@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "base/logging.h"
-#include "obs/timeline.h"
+#include "base/strings.h"
 
 namespace rio::migrate {
 
@@ -97,15 +97,6 @@ GuestDirtier::arm(des::Simulator &sim, mem::PhysicalMemory &pm,
     paused_ = false;
     if (rate_ <= 0.0 || pages_ == 0)
         return; // inert: zero draws, zero events
-    scheduleNext();
-}
-
-void
-GuestDirtier::resume()
-{
-    if (sim_ == nullptr || rate_ <= 0.0 || !paused_)
-        return;
-    paused_ = false;
     scheduleNext();
 }
 
@@ -653,11 +644,13 @@ Migrator::finish()
 void
 Migrator::fail(const char *why)
 {
-    (void)why;
     if (done_)
         return;
     done_ = true;
     rep_.failed = true;
+    rep_.fail_reason = why;
+    cl_.machine(cfg_.src).core(0).dump(
+        strprintf("migration_failed: %s", why));
     rep_.dirtier_writes = dirtier_.writes();
     dirtier_.pause();
     if (observer_on_) {
@@ -696,9 +689,7 @@ Migrator::emitPhase(u64 arg, u64 arg2)
     ev.t = core.virtualNow();
     ev.arg = arg;
     ev.arg2 = arg2;
-    ev.pid = core.obsPid();
-    ev.tid = core.obsTid();
-    obs::timeline().emit(ev);
+    core.emit(ev);
 }
 
 Nanos

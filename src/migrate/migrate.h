@@ -79,6 +79,7 @@ struct MigrationReport
 {
     bool completed = false;
     bool failed = false;
+    const char *fail_reason = nullptr; //!< why it failed, if it did
     u32 rounds = 0;          //!< pre-copy rounds run (round 0 included)
     u64 pages_shipped = 0;   //!< kMigPage chunks acked
     u64 pages_reshipped = 0; //!< shipped again after a re-dirty
@@ -115,7 +116,6 @@ class GuestDirtier
     void arm(des::Simulator &sim, mem::PhysicalMemory &pm, PhysAddr base,
              u64 pages, double pages_per_ms, u64 seed);
     void pause() { paused_ = true; }
-    void resume();
     u64 writes() const { return writes_; }
 
   private:

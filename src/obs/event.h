@@ -24,7 +24,7 @@ enum class Ev : u8 {
     kFault,        //!< device access faulted (instant)
     kQuiescePhase, //!< lifecycle phase journaled (instant; arg=phase)
     kLockAcquire,  //!< contended lock granted (span; dur = spin wait)
-    kLockRelease,  //!< lock released (instant)
+    kLockRelease,  //!< contended lock released (instant)
     kFlightDump,   //!< flight recorder fired (instant; arg=dump #)
     kVmExit,       //!< guest trapped to the hypervisor (span; arg=reason)
     kQpError,      //!< RDMA QP entered error state (instant; arg=qp)
@@ -83,6 +83,15 @@ class EventRing
 
     /** Events oldest-first. */
     std::vector<Event> inOrder() const;
+
+    /** Apply @p fn to every held event, in slot order. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn)
+    {
+        for (Event &e : buf_)
+            fn(e);
+    }
 
     /** The most recently pushed event, or null when empty. */
     const Event *

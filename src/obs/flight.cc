@@ -1,47 +1,11 @@
 #include "obs/flight.h"
 
-#include <cstdio>
-#include <mutex>
+#include <utility>
 
 #include "base/strings.h"
 #include "obs/timeline.h"
 
 namespace rio::obs {
-
-namespace {
-
-/** Process-wide dump archive (see flight.h). Dumps are rare and
- * rate-limited, so a plain mutex-guarded vector is fine; the hot
- * record() path never touches it. */
-std::mutex &
-archiveMutex()
-{
-    static std::mutex m;
-    return m;
-}
-
-std::vector<FlightDump> &
-archiveList()
-{
-    static std::vector<FlightDump> l;
-    return l;
-}
-
-} // namespace
-
-std::vector<FlightDump>
-flightDumpArchive()
-{
-    std::lock_guard<std::mutex> g(archiveMutex());
-    return archiveList();
-}
-
-void
-clearFlightDumpArchive()
-{
-    std::lock_guard<std::mutex> g(archiveMutex());
-    archiveList().clear();
-}
 
 std::string
 eventLine(const Event &e)
@@ -60,82 +24,67 @@ eventLine(const Event &e)
 }
 
 std::string
-FlightRecorder::renderText() const
+dumpText(const FlightDump &d)
 {
     std::string out;
-    for (const Event &e : ring_.inOrder()) {
+    for (const Event &e : d.events) {
         out += eventLine(e);
         out += '\n';
     }
-    if (ring_.dropped())
+    if (d.overwritten)
         out += strprintf("(%llu older events overwritten)\n",
-                         (unsigned long long)ring_.dropped());
+                         (unsigned long long)d.overwritten);
     return out;
 }
 
+Recorder::Recorder()
+    : flight_(kFlightCapacity),
+      track_capacity_(timeline().recording() ? timeline().capacity() : 0)
+{
+}
+
+void
+Recorder::recordTrack(const Event &rec)
+{
+    if (rec.tid >= rec_.tracks.size())
+        rec_.tracks.resize(rec.tid + 1, EventRing(track_capacity_));
+    rec_.tracks[rec.tid].push(rec);
+}
+
 u64
-FlightRecorder::dump(const std::string &reason)
+Recorder::dump(const std::string &reason)
 {
     const u64 seq = ++dump_seq_;
-    if (seq <= dump_limit_) {
+    const Event *last = flight_.newest();
+    if (seq <= kDumpLimit) {
         FlightDump d;
         d.seq = seq;
         d.reason = reason;
-        d.text = renderText();
-        // Label the dump with the (machine, lane) of the newest event
-        // so cluster dumps from different machines are attributable.
-        if (const Event *last = ring_.newest()) {
+        d.events = flight_.inOrder();
+        d.overwritten = flight_.dropped();
+        if (last) {
             d.pid = last->pid;
             d.tid = last->tid;
         }
-        std::fprintf(stderr,
-                     "=== flight recorder dump #%llu (%s), last %zu "
-                     "events ===\n%s=== end of dump ===\n",
-                     (unsigned long long)seq, reason.c_str(),
-                     ring_.size(), d.text.c_str());
-        {
-            // Publish to the process-wide archive so a dump fired on
-            // a des::parallelFor worker outlives that thread and is
-            // readable from the main thread (dumps_ is thread-confined).
-            std::lock_guard<std::mutex> g(archiveMutex());
-            archiveList().push_back(d);
-        }
-        dumps_.push_back(std::move(d));
+        rec_.dumps.push_back(std::move(d));
     }
-    return seq;
-}
-
-void
-FlightRecorder::setCapacity(size_t n)
-{
-    ring_ = EventRing(n);
-}
-
-void
-FlightRecorder::clear()
-{
-    ring_.clear();
-    dump_seq_ = 0;
-    dumps_.clear();
-}
-
-u64
-flightDump(const std::string &reason)
-{
-    const u64 seq = flightRecorder().dump(reason);
-    // Mirror the dump into the timeline so `--timeline` output shows
-    // where in virtual time the failure hit. Timestamp: the newest
-    // event the ring saw (the dump has no clock of its own).
+    // The marker has no clock of its own: the newest event's will do.
     Event marker;
     marker.kind = Ev::kFlightDump;
     marker.arg = seq;
-    if (const Event *last = flightRecorder().ring().newest()) {
+    if (last) {
         marker.t = last->t;
         marker.pid = last->pid;
         marker.tid = last->tid;
     }
-    timeline().emit(marker);
+    emit(marker);
     return seq;
+}
+
+Recording
+Recorder::take()
+{
+    return std::exchange(rec_, Recording{});
 }
 
 } // namespace rio::obs

@@ -1,14 +1,15 @@
 /**
  * @file
- * Flight recorder: the same typed events as the timeline, kept in a
- * small always-on ring regardless of the recording gate, so that when
- * something goes wrong — a DMA fault record, a stale-mapping leak, a
- * QI timeout, a test assertion — the last moments before the failure
- * can be dumped as a self-describing artifact instead of being lost.
- *
- * Dumps are rate-limited (first kDefaultDumpLimit per process reach
- * stderr; all are counted and the most recent texts retained) so a
- * fault-storm bench does not drown in its own diagnostics.
+ * A machine's event recorder. Every sys::Machine owns one: the small
+ * always-on flight ring, kept whatever the recording gate says, so
+ * that when something goes wrong — a DMA fault, a stale-mapping leak,
+ * a QI timeout, a QP error — the last moments before the failure can
+ * be dumped instead of lost; the machine's dumps; and, while the
+ * timeline records, one bounded track ring per core. Emitters reach
+ * it through the des::Core they hold, so each event belongs to one
+ * machine and is written by that machine's lane alone: no locks, and
+ * nothing depends on which thread ran it. When the run ends, the
+ * tracks and dumps go to the process timeline (timeline.h).
  */
 #ifndef RIO_OBS_FLIGHT_H
 #define RIO_OBS_FLIGHT_H
@@ -17,100 +18,99 @@
 #include <vector>
 
 #include "obs/event.h"
+#include "obs/trace_ctx.h"
 
 namespace rio::obs {
 
-/** One completed dump: why it fired and what the ring held. */
+/** One fired dump: why, and what the flight ring held. */
 struct FlightDump
 {
-    u64 seq = 0;
+    u64 seq = 0; //!< the machine's dump number (1-based)
     u16 pid = 0; //!< machine label of the newest ring event (origin)
-    u16 tid = 0; //!< core/lane label of the newest ring event
+    u16 tid = 0; //!< core label of the newest ring event
     std::string reason;
-    std::string text; //!< one line per event, oldest first
+    std::vector<Event> events; //!< the ring, oldest first
+    u64 overwritten = 0;       //!< older events the ring had dropped
 };
 
-/** The always-on low-capacity ring + its dump machinery. */
-class FlightRecorder
+/** Render @p d: one line per event, oldest first. */
+std::string dumpText(const FlightDump &d);
+
+/** What a recorder hands to the timeline at the end of a run. */
+struct Recording
+{
+    std::vector<EventRing> tracks; //!< index = core (tid)
+    std::vector<FlightDump> dumps; //!< the first kDumpLimit fired
+};
+
+/** One machine's flight ring, dumps and timeline tracks. */
+class alignas(kCachelineSize) Recorder
 {
   public:
-    static constexpr size_t kDefaultCapacity = 256;
-    static constexpr u64 kDefaultDumpLimit = 4;
+    static constexpr size_t kFlightCapacity = 256;
+    static constexpr u64 kDumpLimit = 4;
 
-    FlightRecorder() : ring_(kDefaultCapacity) {}
+    /** Tracks are kept iff the timeline records when this is built. */
+    Recorder();
 
-    /** The ring slot Timeline::emit fills, for every event, always. */
-    Event &claim() { return ring_.claim(); }
+    /** Machine label within its row (a Cluster numbers its machines);
+     * the timeline replaces it by the machine's position. */
+    u16 pid() const { return pid_; }
+    void setPid(u16 pid) { pid_ = pid; }
+
+    /** Record @p e in the flight ring and, while recording, its track. */
+    void
+    emit(const Event &e)
+    {
+        emitInPlace([&](Event &rec) { rec = e; });
+    }
 
     /**
-     * Fire a dump: snapshot the ring as text, keep it (up to the dump
-     * limit), and print the first few to stderr. Returns the dump
-     * sequence number (1-based).
+     * emit() for an event built in place: @p fill sets the fields of
+     * the claimed flight-ring slot, cleared to a default Event first,
+     * so the event is never assembled elsewhere and copied over.
+     */
+    template <typename Fill>
+    void
+    emitInPlace(Fill &&fill)
+    {
+        Event &rec = flight_.claim();
+        rec = Event{};
+        fill(rec);
+        // An event emitted inside a TraceScope (a mail delivery, a
+        // wire handler, a replay) becomes a child span of that op.
+        if (rec.trace == 0)
+            rec.trace = currentTrace();
+        if (track_capacity_) [[unlikely]]
+            recordTrack(rec);
+    }
+
+    /**
+     * Fire a dump: snapshot the flight ring (the first kDumpLimit
+     * dumps only; all are counted) and record a kFlightDump marker at
+     * the newest event's time and track. Returns the dump's number.
      */
     u64 dump(const std::string &reason);
 
-    /** Render the current ring contents without firing a dump. */
-    std::string renderText() const;
-
     u64 dumpCount() const { return dump_seq_; }
-    const std::vector<FlightDump> &dumps() const { return dumps_; }
-    const FlightDump *lastDump() const
-    {
-        return dumps_.empty() ? nullptr : &dumps_.back();
-    }
+    const std::vector<FlightDump> &dumps() const { return rec_.dumps; }
+    const EventRing &ring() const { return flight_; }
+    const std::vector<EventRing> &tracks() const { return rec_.tracks; }
 
-    /** Dumps reaching stderr / retained in dumps() (tests raise it). */
-    void setDumpLimit(u64 n) { dump_limit_ = n; }
-
-    void setCapacity(size_t n);
-    const EventRing &ring() const { return ring_; }
-
-    void clear();
+    /** Hand the tracks and kept dumps over, leaving them empty. */
+    Recording take();
 
   private:
-    EventRing ring_;
+    void recordTrack(const Event &rec);
+
+    EventRing flight_;
+    size_t track_capacity_; //!< 0 = not recording tracks
+    u16 pid_ = 0;
     u64 dump_seq_ = 0;
-    u64 dump_limit_ = kDefaultDumpLimit;
-    std::vector<FlightDump> dumps_;
+    Recording rec_;
 };
 
-/** The calling thread's flight recorder (fed by the global
- * timeline). Thread-local so lanes record without locking; in a
- * single-threaded run it behaves exactly like the old process-wide
- * singleton. Only the hot claim() path is thread-confined: every
- * retained dump is also published to the process-wide archive below,
- * so a dump fired on a des::parallelFor worker survives that thread
- * and is visible to main-thread post-mortem inspection and trace
- * export. */
-inline FlightRecorder &
-flightRecorder()
-{
-    // Inline, so Timeline::emit reaches the ring without a call.
-    static thread_local FlightRecorder fr;
-    return fr;
-}
-
-/**
- * Process-wide dump archive: a copy of every retained FlightDump, in
- * publication order, regardless of which thread's recorder fired it.
- * This is what Timeline::writeChromeTrace embeds and what post-run
- * inspection should read — per-recorder dumps() only sees the calling
- * thread's own dumps. Each recorder's dump limit bounds what it
- * publishes.
- */
-std::vector<FlightDump> flightDumpArchive();
-
-/** Drop everything published to the archive (tests/bench resets). */
-void clearFlightDumpArchive();
-
-/**
- * Convenience trigger used by the failure paths: fire a flight dump
- * (subject to the rate limit) and mirror it into the timeline as an
- * instant event so `--timeline` output carries the dump marker.
- */
-u64 flightDump(const std::string &reason);
-
-/** Render one event as the flight recorder's text line (tests). */
+/** Render one event as the flight recorder's text line. */
 std::string eventLine(const Event &e);
 
 } // namespace rio::obs

@@ -54,53 +54,79 @@ Timeline::setCapacity(size_t per_track)
 }
 
 void
-Timeline::recordTrack(const Event &rec)
+Timeline::add(std::vector<Recording> row)
 {
-    const u32 key = (static_cast<u32>(rec.pid) << 16) | rec.tid;
-    std::lock_guard<std::mutex> g(mu_);
-    auto it = rings_.find(key);
-    if (it == rings_.end())
-        it = rings_.emplace(key, EventRing(capacity_)).first;
-    it->second.push(rec);
+    const u16 base = static_cast<u16>(added_ + 1);
+    for (size_t m = 0; m < row.size(); ++m) {
+        Recording &rec = row[m];
+        const u16 pid = static_cast<u16>(base + m);
+        // A trace id's origin field moves from row index to track id.
+        const auto relabel = [&](Event &e) {
+            e.pid = pid;
+            if (e.trace)
+                e.trace += u64{base} << 48;
+        };
+        for (EventRing &ring : rec.tracks)
+            ring.forEach(relabel);
+        for (FlightDump &d : rec.dumps) {
+            if (dumps_.size() == Recorder::kDumpLimit)
+                break;
+            d.pid = pid;
+            for (Event &e : d.events)
+                relabel(e);
+            std::fprintf(stderr,
+                         "=== flight recorder dump #%llu (%s), last %zu "
+                         "events ===\n%s=== end of dump ===\n",
+                         (unsigned long long)d.seq, d.reason.c_str(),
+                         d.events.size(), dumpText(d).c_str());
+            dumps_.push_back(std::move(d));
+        }
+        if (!rec.tracks.empty())
+            machines_.emplace_back(pid, std::move(rec.tracks));
+    }
+    added_ += row.size();
 }
 
 std::map<u32, std::vector<Event>>
 Timeline::tracks() const
 {
-    std::lock_guard<std::mutex> g(mu_);
     std::map<u32, std::vector<Event>> out;
-    for (const auto &[key, ring] : rings_)
-        out.emplace(key, ring.inOrder());
+    for (const auto &[pid, rings] : machines_) {
+        for (size_t tid = 0; tid < rings.size(); ++tid) {
+            if (rings[tid].pushed())
+                out.emplace(static_cast<u32>(pid) << 16 | tid,
+                            rings[tid].inOrder());
+        }
+    }
     return out;
 }
 
 u64
 Timeline::recorded() const
 {
-    std::lock_guard<std::mutex> g(mu_);
     u64 n = 0;
-    for (const auto &[key, ring] : rings_)
-        n += ring.pushed();
+    for (const auto &[pid, rings] : machines_)
+        for (const EventRing &ring : rings)
+            n += ring.pushed();
     return n;
 }
 
 u64
 Timeline::dropped() const
 {
-    std::lock_guard<std::mutex> g(mu_);
     u64 n = 0;
-    for (const auto &[key, ring] : rings_)
-        n += ring.dropped();
+    for (const auto &[pid, rings] : machines_)
+        for (const EventRing &ring : rings)
+            n += ring.dropped();
     return n;
 }
 
 void
 Timeline::clear()
 {
-    std::lock_guard<std::mutex> g(mu_);
-    rings_.clear();
-    next_pid_.store(1, std::memory_order_relaxed);
-    next_span_.store(0, std::memory_order_relaxed);
+    added_ = 0;
+    machines_.clear();
+    dumps_.clear();
 }
 
 namespace {
@@ -148,11 +174,11 @@ Timeline::writeChromeTrace(const std::string &path) const
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
         return false;
     }
-    std::lock_guard<std::mutex> g(mu_);
+    const std::map<u32, std::vector<Event>> all = tracks();
     std::fprintf(f, "{\"displayTimeUnit\": \"ns\", \"traceEvents\": [");
     bool first = true;
     // Track naming so Perfetto shows "machine N" / "core N" labels.
-    for (const auto &[key, ring] : rings_) {
+    for (const auto &[key, events] : all) {
         const u16 pid = static_cast<u16>(key >> 16);
         const u16 tid = static_cast<u16>(key & 0xffff);
         emitJson(f, &first,
@@ -165,11 +191,11 @@ Timeline::writeChromeTrace(const std::string &path) const
                            "\"pid\": %u, \"tid\": %u, \"args\": "
                            "{\"name\": \"core %u\"}}",
                            pid, tid, tid));
-        (void)ring;
+        (void)events;
     }
-    for (const auto &[key, ring] : rings_) {
+    for (const auto &[key, events] : all) {
         (void)key;
-        for (const Event &e : ring.inOrder()) {
+        for (const Event &e : events) {
             const double end_us = static_cast<double>(e.t) / 1000.0;
             const double dur_us =
                 static_cast<double>(e.dur_ns) / 1000.0;
@@ -251,11 +277,10 @@ Timeline::writeChromeTrace(const std::string &path) const
             emitJson(f, &first, obj);
         }
     }
-    // Flight-recorder dumps ride along as named instants so a
-    // `--timeline` artifact is self-contained evidence of failures.
-    // Read the process-wide archive, not this thread's recorder:
-    // dumps fired on des::parallelFor workers must appear too.
-    for (const FlightDump &d : flightDumpArchive()) {
+    // The printed flight-recorder dumps ride along as named instants
+    // so a `--timeline` artifact is self-contained evidence of
+    // failures.
+    for (const FlightDump &d : dumps_) {
         // Dumps carry the (machine, core) labels of their newest
         // event, so multi-machine cluster dumps are attributable.
         emitJson(
@@ -268,16 +293,11 @@ Timeline::writeChromeTrace(const std::string &path) const
                       d.pid, d.tid, (unsigned long long)d.seq,
                       d.reason.c_str(), d.pid, d.tid));
     }
-    u64 n_rec = 0, n_drop = 0;
-    for (const auto &[key, ring] : rings_) {
-        (void)key;
-        n_rec += ring.pushed();
-        n_drop += ring.dropped();
-    }
     std::fprintf(f,
                  "\n], \"rioMeta\": {\"recorded\": %llu, "
                  "\"dropped\": %llu}}\n",
-                 (unsigned long long)n_rec, (unsigned long long)n_drop);
+                 (unsigned long long)recorded(),
+                 (unsigned long long)dropped());
     std::fclose(f);
     std::printf("wrote %s\n", path.c_str());
     return true;

@@ -1,16 +1,16 @@
 /**
  * @file
- * Virtual-time event timeline: typed trace events pushed into
- * per-core bounded rings as the simulation runs, exported as Chrome
+ * Virtual-time event timeline: the machines' recorded tracks (see
+ * flight.h), collected when their runs end and exported as Chrome
  * trace_event JSON so a run opens directly in Perfetto — one track
  * per (machine, core), async arrows for QI issue→complete spans.
  *
  * Gating, from cheapest to most detailed:
- *  - recording off (the default): every event still lands in the
- *    small always-on flight-recorder ring (see flight.h), but the big
- *    per-core rings stay empty;
+ *  - recording off (the default): every event still lands in its
+ *    machine's small always-on flight ring, but no tracks are kept;
  *  - recording on (`--timeline out.json` on any bench, or
- *    setRecording(true)): events are kept per core and exported.
+ *    setRecording(true) before the machines are built): each machine
+ *    keeps a bounded ring per core, exported here.
  *
  * Like the owner counters, emitting an event charges zero simulated
  * cycles and draws zero RNG values; timelines are a pure projection
@@ -19,141 +19,72 @@
 #ifndef RIO_OBS_TIMELINE_H
 #define RIO_OBS_TIMELINE_H
 
-#include <atomic>
 #include <map>
-#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/types.h"
 #include "obs/event.h"
 #include "obs/flight.h"
-#include "obs/trace_ctx.h"
 
 namespace rio::obs {
 
 /**
- * The process-wide timeline: one bounded ring per (machine, core)
- * track, populated only while recording. Track ids are handed out by
- * allocPid() so independent Machines in one bench do not collide.
+ * The process-wide export side of the machines' recorders. Used from
+ * the calling thread only: rows that run on des::parallelFor workers
+ * take their machines' recordings and the caller adds them in row
+ * order once the workers are joined.
  */
 class Timeline
 {
   public:
-    bool
-    recording() const
-    {
-        return recording_.load(std::memory_order_relaxed);
-    }
-    void
-    setRecording(bool on)
-    {
-        recording_.store(on, std::memory_order_relaxed);
-    }
+    bool recording() const { return recording_; }
+    /** Machines built from now on keep tracks (or stop keeping them). */
+    void setRecording(bool on) { recording_ = on; }
 
-    /** Ring capacity per (pid, tid) track (newest events win).
-     * Main-thread-only: set before lanes start. */
+    /** Ring capacity per (machine, core) track (newest events win). */
     void setCapacity(size_t per_track);
     size_t capacity() const { return capacity_; }
 
-    /** Next unused track-group id (one per Machine). Atomic, because
-     * row-parallel benches build their clusters on des::parallelFor
-     * threads. Pids are fixed by construction order only where
-     * Machines are built on one thread: sweeps build theirs on the
-     * calling thread, and a row-parallel bench does so at
-     * --threads 1. Simulation never reads a pid. */
-    u16
-    allocPid()
-    {
-        return next_pid_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    /** Unique id for pairing async issue/complete events — fallback
-     * for emitters with no core context only. Instrumentation running
-     * on a simulated core must use des::Core::nextSpanId() instead:
-     * this shared counter hands out ids in thread-schedule order, so
-     * ids drawn here are only reproducible single-threaded. */
-    u32
-    nextSpanId()
-    {
-        return next_span_.fetch_add(1, std::memory_order_relaxed) + 1;
-    }
-
     /**
-     * Record @p e: into the calling thread's flight ring always, and
-     * into its track's ring while recording. The event is written
-     * straight into its flight-ring slot; with recording off that
-     * is all emit() does.
+     * Add one row's recordings, in machine order. A machine's track id
+     * is its position: 1 + the machines added before it. Its events,
+     * the trace ids they carry and its dumps are relabelled to that id
+     * (a recorder labels events with its machine's index in the row).
+     * The process's first Recorder::kDumpLimit dumps reach stderr.
      */
-    void
-    emit(const Event &e)
-    {
-        Event &rec = flightRecorder().claim();
-        rec = e;
-        finish(rec);
-    }
+    void add(std::vector<Recording> row);
 
-    /**
-     * emit() for an event built in place: @p fill sets the fields of
-     * the claimed flight-ring slot, cleared to a default Event first,
-     * so the event is never assembled elsewhere and copied over.
-     */
-    template <typename Fill>
-    void
-    emitInPlace(Fill &&fill)
-    {
-        Event &rec = flightRecorder().claim();
-        rec = Event{};
-        fill(rec);
-        finish(rec);
-    }
-
-    /** All recorded events, grouped per track, oldest-first. */
+    /** All recorded events, keyed pid << 16 | tid, oldest-first. */
     std::map<u32, std::vector<Event>> tracks() const;
+
+    /** The dumps printed so far, in position order. */
+    const std::vector<FlightDump> &dumps() const { return dumps_; }
 
     /** Total events recorded into (and dropped from) track rings. */
     u64 recorded() const;
     u64 dropped() const;
 
-    /** Drop all recorded events and reset track/span ids. */
+    /** Drop every added recording and dump. */
     void clear();
 
     /**
-     * Export everything recorded (plus any flight-recorder dumps) as
+     * Export everything added (tracks, then the printed dumps) as
      * Chrome trace_event JSON for Perfetto. False on I/O error.
      */
     bool writeChromeTrace(const std::string &path) const;
 
   private:
-    /** Complete the event in its flight-ring slot @p rec. */
-    void
-    finish(Event &rec)
-    {
-        // Auto-attach the thread's current trace context: any event
-        // emitted while a TraceScope is live (a mail delivery, a wire
-        // handler, a replay) becomes a child span of that op without
-        // the emitter knowing about tracing at all.
-        if (rec.trace == 0)
-            rec.trace = currentTrace();
-        if (recording()) [[unlikely]]
-            recordTrack(rec);
-    }
-
-    /** Append @p rec to its (pid, tid) track ring (recording on). */
-    void recordTrack(const Event &rec);
-
-    std::atomic<bool> recording_{false};
+    bool recording_ = false;
     size_t capacity_ = 1u << 16;
-    std::atomic<u16> next_pid_{1};
-    std::atomic<u32> next_span_{0};
-    /** Guards rings_ — only taken while recording (the default-off
-     * path touches no shared state beyond the thread-local flight
-     * ring). */
-    mutable std::mutex mu_;
-    std::map<u32, EventRing> rings_; //!< key = pid<<16 | tid
+    size_t added_ = 0; //!< machines added: the positions taken
+    /** (pid, tracks by tid) of each added machine that kept tracks. */
+    std::vector<std::pair<u16, std::vector<EventRing>>> machines_;
+    std::vector<FlightDump> dumps_;
 };
 
-/** The global timeline every instrumentation point uses. */
+/** The process timeline every bench exports. */
 inline Timeline &
 timeline()
 {

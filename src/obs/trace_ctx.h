@@ -15,11 +15,12 @@
  *
  * Determinism: the sequence counter lives on the injecting core,
  * which lives on exactly one event lane — ids depend only on
- * simulation content and the machine's pid, never on thread
- * scheduling inside a run (row-parallel benches at `--threads N`
- * hand out pids in row start order; DESIGN.md §9). Propagation is
+ * simulation content, never on thread scheduling. The machine field
+ * is the machine's index in its cluster; obs::Timeline::add()
+ * relabels it to the machine's track id, so exported ids are unique
+ * across rows (DESIGN.md §9). Propagation is
  * a thread-local "current trace" slot set by TraceScope RAII around
- * delivery callbacks; Timeline::emit() auto-attaches it to any
+ * delivery callbacks; Recorder::emit() auto-attaches it to any
  * event that doesn't carry its own trace, so every existing
  * instrumentation point (map/unmap spans, QI spans, lock waits,
  * faults) becomes a child span of the op for free.

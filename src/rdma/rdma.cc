@@ -100,15 +100,13 @@ void
 RdmaNic::emitEvent(obs::Ev kind, Nanos t, u64 trace, u64 arg, u64 arg2,
                    Nanos dur_ns)
 {
-    obs::timeline().emitInPlace([&](obs::Event &ev) {
+    core_.emitInPlace([&](obs::Event &ev) {
         ev.kind = kind;
         ev.t = t;
         ev.dur_ns = dur_ns;
         ev.trace = trace;
         ev.arg = arg;
         ev.arg2 = arg2;
-        ev.pid = core_.obsPid();
-        ev.tid = core_.obsTid();
     });
 }
 
@@ -835,8 +833,8 @@ RdmaNic::enterError(u32 qp, const char *reason, bool notify_peer)
     emitEvent(obs::Ev::kQpError, sim_.now(), /*trace=*/0, qp, 0);
     // Journal the last 256 events around the transition — the
     // wire-storm debugging trigger (free when rate-limited away).
-    obs::flightDump(strprintf("rdma_qp_error nic=%u qp=%u peer=%u: %s",
-                              nic_id_, qp, q.peer_nic, reason));
+    core_.dump(strprintf("rdma_qp_error nic=%u qp=%u peer=%u: %s",
+                         nic_id_, qp, q.peer_nic, reason));
     if (notify_peer &&
         (prev == QpState::kEstablished || prev == QpState::kClosing)) {
         // Async error notify rides the out-of-band CM channel so the

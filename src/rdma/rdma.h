@@ -44,8 +44,8 @@
 #include "dma/dma_handle.h"
 #include "mem/phys_mem.h"
 #include "net/packet.h"
+#include "obs/event.h"
 #include "obs/slo.h"
-#include "obs/timeline.h"
 
 namespace rio::rdma {
 

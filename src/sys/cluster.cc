@@ -25,6 +25,7 @@ Cluster::Cluster(const ClusterConfig &cfg)
         machines_.push_back(std::make_unique<Machine>(
             lane.sim(), cfg_.mode, /*ncores=*/1u));
         Machine &mach = *machines_.back();
+        mach.recorder().setPid(static_cast<u16>(m));
         dma::DmaHandle &handle = mach.attachDeviceHandle(0, ring_sizes);
         handles_.push_back(&handle);
         if (dma::modeUsesRiommu(cfg_.mode))
@@ -57,8 +58,7 @@ Cluster::Cluster(const ClusterConfig &cfg)
         for (unsigned m = 0; m < cfg_.machines; ++m) {
             ports_.push_back(std::make_unique<WirePort>(
                 engine_.lane(m).sim(), cfg_.wire, *nics_[m], m,
-                machines_[m]->core(0).obsPid(),
-                machines_[m]->core(0).obsTid()));
+                machines_[m]->core(0)));
             if (cfg_.migration)
                 ports_.back()->setAltTarget(mig_nics_[m].get());
         }
@@ -103,6 +103,16 @@ Cluster::Cluster(const ClusterConfig &cfg)
         if (cfg_.migration)
             installSend(mig_nics_[m].get(), m);
     }
+}
+
+std::vector<obs::Recording>
+Cluster::takeRecordings()
+{
+    std::vector<obs::Recording> row;
+    row.reserve(machines_.size());
+    for (auto &m : machines_)
+        row.push_back(m->recorder().take());
+    return row;
 }
 
 void

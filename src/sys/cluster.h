@@ -88,6 +88,11 @@ class Cluster
     const ClusterConfig &config() const { return cfg_; }
 
     Machine &machine(unsigned m) { return *machines_[m]; }
+
+    /** Every machine's recording (tracks and dumps), in machine
+     * order: one row for obs::Timeline::add(). Take it on the thread
+     * that ran the cluster, when the run is over. */
+    std::vector<obs::Recording> takeRecordings();
     rdma::RdmaNic &nic(unsigned m) { return *nics_[m]; }
     dma::DmaHandle &handle(unsigned m) { return *handles_[m]; }
 

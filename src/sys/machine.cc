@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.h"
-#include "obs/timeline.h"
 
 namespace rio::sys {
 
@@ -13,11 +12,10 @@ Machine::Machine(des::Simulator &sim, dma::ProtectionMode mode,
 {
     RIO_ASSERT(ncores > 0, "machine with no cores");
     cores_.reserve(ncores);
-    // One timeline track group per machine, one track per core.
-    const u16 obs_pid = obs::timeline().allocPid();
+    // One recorder per machine, one track per core.
     for (unsigned i = 0; i < ncores; ++i) {
         cores_.push_back(std::make_unique<des::Core>(sim_, cost));
-        cores_.back()->setObsTrack(obs_pid, static_cast<u16>(i));
+        cores_.back()->setRecorder(&recorder_, static_cast<u16>(i));
     }
 }
 
@@ -117,9 +115,7 @@ Machine::journalAt(dma::DmaHandle &h, unsigned core_idx,
     e.t = sim_.now();
     e.arg = static_cast<u64>(phase);
     e.bdf = h.bdf().pack();
-    e.pid = core.obsPid();
-    e.tid = core.obsTid();
-    obs::timeline().emit(e);
+    core.emit(e);
     // Capped so churn soaks stay bounded; the stats keep counting.
     constexpr size_t kMaxLog = 1u << 20;
     if (lifecycle_log_.size() < kMaxLog)

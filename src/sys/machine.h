@@ -21,6 +21,7 @@
 #include "des/simulator.h"
 #include "dma/dma_context.h"
 #include "nic/nic.h"
+#include "obs/flight.h"
 
 namespace rio::sys {
 
@@ -141,6 +142,9 @@ class Machine
     }
     const cycles::CostModel &cost() const { return ctx_.cost(); }
 
+    /** This machine's events: flight ring, dumps, timeline tracks. */
+    obs::Recorder &recorder() { return recorder_; }
+
     /** The core a NIC is pinned to. */
     des::Core &nicCore(unsigned i) { return *cores_[nodes_[i]->core_idx]; }
 
@@ -259,6 +263,8 @@ class Machine
     void scheduleChurnEvent();
     void churnEvent();
 
+    // First, so it outlives every component that records into it.
+    obs::Recorder recorder_;
     des::Simulator &sim_;
     dma::ProtectionMode mode_;
     dma::DmaContext ctx_;

@@ -5,18 +5,17 @@
 
 #include "base/logging.h"
 #include "net/packet.h"
-#include "obs/timeline.h"
 
 namespace rio::sys {
 
 WirePort::WirePort(des::Simulator &sim, const WireFaultConfig &cfg,
-                   rdma::RdmaNic &target, unsigned machine, u16 obs_pid,
-                   u16 obs_tid)
+                   rdma::RdmaNic &target, unsigned machine,
+                   des::Core &core)
     : sim_(sim), cfg_(cfg), target_(target),
       // One stream per destination machine: draws happen in the
       // deterministic mail-drain order of that machine's lane.
       rng_(cfg.seed * 0xBF58476D1CE4E5B9ULL + machine + 1),
-      obs_pid_(obs_pid), obs_tid_(obs_tid)
+      core_(core)
 {
     RIO_ASSERT(cfg_.delay_min_ns <= cfg_.delay_max_ns,
                "empty wire delay range");
@@ -134,9 +133,7 @@ WirePort::enqueue(rdma::WireMsg msg)
         ev.trace = msg.trace;
         ev.arg = queued_;
         ev.arg2 = msg.psn;
-        ev.pid = obs_pid_;
-        ev.tid = obs_tid_;
-        obs::timeline().emit(ev);
+        core_.emit(ev);
     }
     sim_.scheduleAt(busy_until_, [this, msg = std::move(msg)]() mutable {
         --queued_;

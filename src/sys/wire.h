@@ -91,11 +91,10 @@ struct WireStats
 class WirePort
 {
   public:
-    /** @p obs_pid / @p obs_tid: timeline track of the destination
-     * machine's core, for ingress-queueing spans (0 = unlabeled). */
+    /** @p core: the destination machine's core, whose track gets the
+     * ingress-queueing spans. */
     WirePort(des::Simulator &sim, const WireFaultConfig &cfg,
-             rdma::RdmaNic &target, unsigned machine, u16 obs_pid = 0,
-             u16 obs_tid = 0);
+             rdma::RdmaNic &target, unsigned machine, des::Core &core);
 
     WirePort(const WirePort &) = delete;
     WirePort &operator=(const WirePort &) = delete;
@@ -125,8 +124,7 @@ class WirePort
     rdma::RdmaNic &target_;
     rdma::RdmaNic *alt_ = nullptr;
     Rng rng_;
-    u16 obs_pid_;
-    u16 obs_tid_;
+    des::Core &core_;
     u32 queued_ = 0;
     Nanos busy_until_ = 0;
     WireStats stats_;

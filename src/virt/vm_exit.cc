@@ -1,7 +1,6 @@
 #include "virt/vm_exit.h"
 
 #include "base/logging.h"
-#include "obs/timeline.h"
 
 namespace rio::virt {
 
@@ -47,9 +46,7 @@ VmExitModel::charge(ExitReason r, cycles::CycleAccount *acct,
         // Charged before the timestamp: the span ends "now", after
         // the guest has paid for the round trip.
         e.t = core->virtualNow();
-        e.pid = core->obsPid();
-        e.tid = core->obsTid();
-        obs::timeline().emit(e);
+        core->emit(e);
     }
 }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/timeline.h"
+
 namespace rio::workloads {
 
 nic::NicStats
@@ -78,6 +80,16 @@ addMachineTotals(RunResult &r, sys::Machine &m)
     r.detach_faults = m.detachFaultCount();
     r.iova_lock = m.iovaLockStats();
     r.inval_lock = m.invalLockStats();
+}
+
+void
+publishRow(std::initializer_list<sys::Machine *> machines)
+{
+    std::vector<obs::Recording> row;
+    row.reserve(machines.size());
+    for (sys::Machine *m : machines)
+        row.push_back(m->recorder().take());
+    obs::timeline().add(std::move(row));
 }
 
 } // namespace rio::workloads

@@ -9,6 +9,7 @@
 #ifndef RIO_WORKLOADS_FLOW_H
 #define RIO_WORKLOADS_FLOW_H
 
+#include <initializer_list>
 #include <vector>
 
 #include "sys/machine.h"
@@ -51,6 +52,10 @@ RunResult sumFlows(const std::vector<RunResult> &flows);
 /** Copy the machine's whole-run counters (faults, lifecycle, locks)
  * into @p r. */
 void addMachineTotals(RunResult &r, sys::Machine &m);
+
+/** Hand @p machines' recordings to obs::timeline() as one row, in
+ * the order given. Call on the calling thread once the run is over. */
+void publishRow(std::initializer_list<sys::Machine *> machines);
 
 /** Arm the params' fault injection on @p m (after bring-up), with
  * @p seed; nothing at rate 0. */

@@ -236,7 +236,9 @@ runNetperfRr(dma::ProtectionMode mode, const nic::NicProfile &profile,
     des::Simulator sim;
     RrRun run(sim, mode, profile, params, cost);
     sim.run();
-    return run.collect();
+    RunResult r = run.collect();
+    publishRow({&run.initiator(), &run.echoer()});
+    return r;
 }
 
 } // namespace rio::workloads

@@ -223,6 +223,7 @@ runRequestLoad(dma::ProtectionMode mode, const nic::NicProfile &profile,
             ? static_cast<double>(r.nic.unmap_burst_len_sum) /
                   static_cast<double>(r.nic.unmap_bursts)
             : 0.0;
+    publishRow({&m});
     return r;
 }
 

@@ -262,7 +262,9 @@ runStream(dma::ProtectionMode mode, const nic::NicProfile &profile,
     des::Simulator sim;
     StreamRun run(sim, mode, profile, params, cost);
     sim.run();
-    return run.collect();
+    RunResult r = run.collect();
+    publishRow({&run.machine()});
+    return r;
 }
 
 } // namespace rio::workloads

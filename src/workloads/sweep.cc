@@ -1,8 +1,10 @@
 #include "workloads/sweep.h"
 
 #include <memory>
+#include <type_traits>
 
 #include "des/parallel.h"
+#include "workloads/flow.h"
 
 namespace rio::workloads {
 
@@ -10,10 +12,9 @@ namespace {
 
 /**
  * The common shape of both sweeps: add one lane per job, construct
- * the runs sequentially on the calling thread (machine construction
- * registers metrics and timeline pids — keeping that on one thread
- * keeps registration order deterministic), let the engine execute,
- * then collect in job order.
+ * the runs sequentially on the calling thread, let the engine
+ * execute, then collect in job order and hand each run's recordings
+ * to the timeline in that order.
  */
 template <typename Job, typename Run>
 std::vector<RunResult>
@@ -31,8 +32,13 @@ runJobs(const std::vector<Job> &jobs, unsigned threads)
     eng.run();
     std::vector<RunResult> results;
     results.reserve(runs.size());
-    for (auto &run : runs)
+    for (auto &run : runs) {
         results.push_back(run->collect());
+        if constexpr (std::is_same_v<Run, RrRun>)
+            publishRow({&run->initiator(), &run->echoer()});
+        else
+            publishRow({&run->machine()});
+    }
     return results;
 }
 

@@ -589,9 +589,8 @@ runIsolationRows(unsigned threads)
 /** Concurrent rows do not leak into one another: four different
  * clusters run one after another and side by side on four threads
  * give identical reports, field for field. The process-wide obs state
- * they all touch — the metrics registry, the SLO gate, the timeline's
- * pid counter — and the thread-local flight recorder and trace slot
- * must not feed a result. */
+ * they all touch — the metrics registry and the SLO gate — and the
+ * thread-local trace slot must not feed a result. */
 TEST(Fleet, ConcurrentRowsMatchSequentialRows)
 {
     obs::setSloRecording(true);
@@ -670,7 +669,9 @@ runTracedStorm()
     cfg.reliability.enabled = true;
     cfg.max_qps = workloads::fleetMaxQps(p, cfg.machines);
     sys::Cluster cluster(cfg);
-    return runFleet(cluster, p);
+    const workloads::FleetReport rep = runFleet(cluster, p);
+    obs::timeline().add(cluster.takeRecordings());
+    return rep;
 }
 
 /**
@@ -783,13 +784,6 @@ timelineFingerprint()
     for (const auto &[key, events] : obs::timeline().tracks()) {
         os << "track " << key << "\n";
         for (const obs::Event &e : events) {
-            // Flight-dump markers carry the thread's dump ordinal in
-            // arg — a host-side sequence that keeps counting across
-            // runs. Every simulated event (including the marker's
-            // virtual time and trace) replays exactly; the ordinal
-            // alone does not.
-            if (e.kind == obs::Ev::kFlightDump)
-                continue;
             os << static_cast<int>(e.kind) << ' ' << e.t << ' '
                << e.pid << ':' << e.tid << ' ' << e.bdf << '/' << e.rid
                << ' ' << e.arg << ' ' << e.arg2 << ' ' << e.dur_ns

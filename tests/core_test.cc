@@ -108,12 +108,14 @@ TEST_F(CoreTest, SpanIdsAreTrackDerivedAndCoreConfined)
     // Span ids come from the core's own counter under its track
     // identity — simulation content only, no shared atomic — so
     // trace capture stays reproducible across engine thread counts.
-    core.setObsTrack(2, 1);
+    obs::Recorder rec;
+    rec.setPid(2);
+    core.setRecorder(&rec, 1);
     EXPECT_EQ(core.nextSpanId(), (2u << 24) | (1u << 16) | 1u);
     EXPECT_EQ(core.nextSpanId(), (2u << 24) | (1u << 16) | 2u);
 
     Core other{sim, cost};
-    other.setObsTrack(2, 3);
+    other.setRecorder(&rec, 3);
     EXPECT_EQ(other.nextSpanId(), (2u << 24) | (3u << 16) | 1u)
         << "sibling cores never collide and never share a counter";
 }

@@ -14,9 +14,11 @@
 #                base     keep only the 64-QP base rows (the cluster
 #                         compat rows other fabric benches re-emit)
 #   reference  a checked-in JSON, or "t1": the same command with its
-#              --threads value replaced by 1
+#              --threads value replaced by 1; a t1 row also diffs the
+#              two runs' stderr (flight-recorder dumps)
 #   --trace-has  also record a --timeline trace and require <pattern>
-#              in it, so a zero-cost check on tracing is not vacuous
+#              in it, so a zero-cost check on tracing is not vacuous;
+#              a t1 row records both runs and diffs the two traces
 #
 # Exit status: 0 equal, 1 diverged, 2 bad usage. An intended model
 # change regenerates a golden by rerunning its row's command with
@@ -58,11 +60,22 @@ done
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-# run <json-out> <command...>
+# run <json-out> <command...>: stderr goes to <json-out>.err, and is
+# shown if the bench fails.
 run() {
     local out="$1"
     shift
-    RIO_BENCH_QUICK=1 RIO_JSON_STABLE=1 "$@" --json "$out" > /dev/null
+    RIO_BENCH_QUICK=1 RIO_JSON_STABLE=1 "$@" --json "$out" \
+        > /dev/null 2> "$out.err" || { cat "$out.err" >&2; return 1; }
+}
+
+# same <what> <want> <got>: diff two artifacts of the t1 pair.
+same() {
+    if ! diff -u "$2" "$3" > "$tmp/diff"; then
+        head -n 40 "$tmp/diff"
+        echo "golden.sh: '${cmd[*]}' $1 diverged from $reference_label" >&2
+        exit 1
+    fi
 }
 
 # filter <json> <filtered-out>
@@ -87,6 +100,8 @@ if [[ "$reference" == t1 ]]; then
     done
     [[ "${ref_cmd[*]}" != "${cmd[*]}" ]] ||
         usage "a t1 reference needs a --threads N other than 1"
+    [[ -z "$trace_pattern" ]] ||
+        ref_cmd+=(--timeline "$tmp/reference_trace.json")
     run "$tmp/reference.json" "${ref_cmd[@]}"
     reference_label="the same command at --threads 1"
 else
@@ -105,6 +120,11 @@ filter "$tmp/out.json" "$tmp/got"
 if ! diff -u "$tmp/want" "$tmp/got"; then
     echo "golden.sh: '${cmd[*]}' diverged from $reference_label" >&2
     exit 1
+fi
+if [[ "$reference" == t1 ]]; then
+    same stderr "$tmp/reference.json.err" "$tmp/out.json.err"
+    [[ -z "$trace_pattern" ]] ||
+        same --timeline "$tmp/reference_trace.json" "$tmp/trace.json"
 fi
 if [[ -n "$trace_pattern" ]] && ! grep -q "$trace_pattern" "$tmp/trace.json"; then
     echo "golden.sh: '${cmd[*]}' trace has no '$trace_pattern'" >&2

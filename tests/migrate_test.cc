@@ -18,14 +18,17 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "des/parallel.h"
 #include "dma/protection_mode.h"
 #include "mem/phys_mem.h"
+#include "obs/flight.h"
 #include "migrate/migrate.h"
 #include "rdma/rdma.h"
 #include "sys/cluster.h"
@@ -48,6 +51,7 @@ struct MigParams
     u64 pages = 512;
     unsigned app_qps = 4;
     bool strays = false;
+    u32 retry_cap = migrate::MigrateConfig{}.retry_cap;
 };
 
 struct MigResult
@@ -151,6 +155,7 @@ runMig(const MigParams &p,
     mc.guest_pages = p.pages;
     mc.dirty_pages_per_ms = p.dirty;
     mc.converge_dirty = 16;
+    mc.retry_cap = p.retry_cap;
     migrate::Migrator mig(cl, mc);
     mig.setGuests(sg.get(), dg.get(), src_binding);
     mig.start();
@@ -505,6 +510,49 @@ TEST(Migrate, StreamQpErrorResumesRoundWithoutPageLoss)
     EXPECT_TRUE(r.leaks_clean);
     // Everything unacked at the error re-shipped on the new QP.
     EXPECT_GE(r.rep.pages_shipped, p.pages);
+}
+
+/** The abort path: with no chunk retries allowed, the QP error that
+ * flushes the in-flight chunks ends the migration. It fails cleanly —
+ * no leaked mapping on either machine — and says why, in its report
+ * and in a flight dump on the source machine's recorder. */
+TEST(Migrate, ExhaustedRetryBudgetFailsCleanlyWithReason)
+{
+    MigParams p;
+    p.mode = ProtectionMode::kStrict;
+    p.platform = Platform::kShadow;
+    p.pages = 2048;
+    p.dirty = 100;
+    p.retry_cap = 0;
+    std::vector<std::string> src_dumps;
+    u64 dst_dumps = 0;
+    auto r = runMig(
+        p,
+        [](sys::Cluster &cl, migrate::Migrator &,
+           const std::vector<u32> &) {
+            cl.lane(0).sim().scheduleAfter(100000, [&cl] {
+                cl.machine(0).core(0).post([&cl] {
+                    for (u32 q = 0; q < cl.migNic(0).maxQps(); ++q)
+                        (void)cl.migNic(0).abortQp(q);
+                });
+            });
+        },
+        [&](sys::Cluster &cl, migrate::Migrator &) {
+            for (const obs::FlightDump &d : cl.machine(0).recorder().dumps())
+                src_dumps.push_back(d.reason);
+            for (const obs::FlightDump &d : cl.machine(1).recorder().dumps())
+                dst_dumps += d.reason.find("migration") != std::string::npos;
+        });
+    EXPECT_TRUE(r.rep.failed);
+    EXPECT_FALSE(r.rep.completed);
+    ASSERT_NE(r.rep.fail_reason, nullptr);
+    EXPECT_STREQ(r.rep.fail_reason, "chunk retry budget exhausted");
+    EXPECT_TRUE(r.leaks_clean);
+    EXPECT_NE(std::find(src_dumps.begin(), src_dumps.end(),
+                        "migration_failed: chunk retry budget exhausted"),
+              src_dumps.end())
+        << "the source machine's recorder holds the failure dump";
+    EXPECT_EQ(dst_dumps, 0u) << "the dump belongs to the source machine";
 }
 
 /** Teardown/reconnect churn on the source fleet while rounds run:

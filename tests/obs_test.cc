@@ -12,12 +12,12 @@
 #include <fstream>
 #include <map>
 #include <sstream>
-#include <thread>
 
 #include "cycles/cycle_account.h"
 #include "des/parallel.h"
 #include "dma/baseline_handle.h"
 #include "dma/dma_context.h"
+#include "des/core.h"
 #include "dma/fault.h"
 #include "obs/flight.h"
 #include "obs/registry.h"
@@ -38,8 +38,6 @@ class ObsTest : public ::testing::Test
         registry().clear();
         timeline().clear();
         timeline().setRecording(false);
-        flightRecorder().clear();
-        clearFlightDumpArchive();
         setSloRecording(false);
     }
 
@@ -354,50 +352,58 @@ TEST_F(ObsTest, EventRingNewestIsLastPushedBeforeAndAfterWrap)
 TEST_F(ObsTest, TracksRecordOnlyWhileRecording)
 {
     Event e;
-    e.pid = timeline().allocPid();
-    timeline().emit(e);
-    EXPECT_EQ(timeline().recorded(), 0u) << "gate off: tracks empty";
-    EXPECT_GE(flightRecorder().ring().pushed(), 1u)
-        << "flight ring is always on";
+    Recorder off;
+    off.emit(e);
+    EXPECT_TRUE(off.tracks().empty()) << "gate off: no tracks";
+    EXPECT_EQ(off.ring().pushed(), 1u) << "flight ring is always on";
 
     timeline().setRecording(true);
-    timeline().emit(e);
+    Recorder on; // the gate is read when a recorder is built
+    on.emit(e);
+    ASSERT_EQ(on.tracks().size(), 1u);
+    EXPECT_EQ(on.tracks()[0].pushed(), 1u);
+    timeline().add({on.take(), off.take()});
     EXPECT_EQ(timeline().recorded(), 1u);
+    EXPECT_TRUE(on.tracks().empty()) << "take() hands the tracks over";
+}
+
+/** Read back a written trace file. */
+std::string
+writeAndRead(const std::string &path)
+{
+    EXPECT_TRUE(timeline().writeChromeTrace(path));
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    std::remove(path.c_str());
+    return ss.str();
 }
 
 TEST_F(ObsTest, ChromeTraceExportPairsAsyncSpans)
 {
     timeline().setRecording(true);
-    const u16 pid = timeline().allocPid();
+    Recorder rec;
 
     Event issue;
     issue.kind = Ev::kQiIssue;
     issue.t = 1000;
-    issue.id = timeline().nextSpanId();
-    issue.pid = pid;
-    timeline().emit(issue);
+    issue.id = 7;
+    rec.emit(issue);
 
     Event done = issue;
     done.kind = Ev::kQiComplete;
     done.t = 3000;
     done.arg = 2150;
-    timeline().emit(done);
+    rec.emit(done);
 
     Event span;
     span.kind = Ev::kMap;
     span.t = 5000;
     span.dur_ns = 200;
-    span.pid = pid;
-    timeline().emit(span);
+    rec.emit(span);
+    timeline().add({rec.take()});
 
-    const std::string path = "/tmp/rio_obs_trace_test.json";
-    ASSERT_TRUE(timeline().writeChromeTrace(path));
-    std::ifstream in(path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string json = ss.str();
-    std::remove(path.c_str());
-
+    const std::string json = writeAndRead("/tmp/rio_obs_trace_test.json");
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\": \"b\""), std::string::npos)
         << "async begin for qi_issue";
@@ -411,81 +417,115 @@ TEST_F(ObsTest, ChromeTraceExportPairsAsyncSpans)
 
 TEST_F(ObsTest, FaultRecoveryFiresFlightDumpWithRingContents)
 {
+    des::Simulator sim;
+    des::Core core(sim, cycles::defaultCostModel());
+    Recorder rec;
+    core.setRecorder(&rec, 0);
     // Preload the ring with the events "before the failure".
     Event e;
     e.kind = Ev::kMap;
     e.t = 42;
     e.bdf = 0x0018;
-    timeline().emit(e);
+    core.emit(e);
 
     dma::FaultEngine eng;
+    eng.bindCore(&core);
     eng.setPolicy(dma::FaultPolicy::kRetryRemap);
     Status out = eng.recover(
         Status(ErrorCode::kIoPageFault, "test fault"), [] {},
         [] { return Status::ok(); });
     EXPECT_TRUE(out.isOk());
 
-    ASSERT_GE(flightRecorder().dumpCount(), 1u);
-    const FlightDump *d = flightRecorder().lastDump();
-    ASSERT_NE(d, nullptr);
-    EXPECT_EQ(d->reason, "dma_fault");
-    EXPECT_NE(d->text.find("map"), std::string::npos)
+    ASSERT_EQ(rec.dumpCount(), 1u);
+    ASSERT_EQ(rec.dumps().size(), 1u);
+    const FlightDump &d = rec.dumps().back();
+    EXPECT_EQ(d.reason, "dma_fault");
+    const std::string text = dumpText(d);
+    EXPECT_NE(text.find("map"), std::string::npos)
         << "the preloaded event is in the dump:\n"
-        << d->text;
-    EXPECT_NE(d->text.find("fault"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("fault"), std::string::npos)
         << "the faulting event itself is in the dump:\n"
-        << d->text;
-    EXPECT_EQ(flightRecorder().dumpCount(), 1u);
+        << text;
+    EXPECT_EQ(rec.ring().newest()->kind, Ev::kFlightDump)
+        << "the dump leaves its marker in the ring";
     EXPECT_EQ(eng.stats().faults_seen, 1u);
 }
 
 TEST_F(ObsTest, DumpLimitRetainsFirstFewButCountsAll)
 {
-    flightRecorder().setDumpLimit(2);
-    for (int i = 0; i < 5; ++i)
-        flightDump("storm");
-    EXPECT_EQ(flightRecorder().dumpCount(), 5u);
-    EXPECT_EQ(flightRecorder().dumps().size(), 2u)
+    Recorder rec;
+    for (int i = 0; i < 6; ++i)
+        rec.dump("storm");
+    EXPECT_EQ(rec.dumpCount(), 6u);
+    EXPECT_EQ(rec.dumps().size(), Recorder::kDumpLimit)
         << "beyond the limit a dump is only a sequence bump";
-    EXPECT_EQ(flightDumpArchive().size(), 2u)
-        << "the archive honours the recorder's limit too";
-    flightRecorder().setDumpLimit(FlightRecorder::kDefaultDumpLimit);
 }
 
-TEST_F(ObsTest, WorkerThreadDumpsReachProcessWideArchive)
+/** One row as a bench builds it on a worker: two machines (row
+ * indices 0 and 1), machine 1 posting a traced op that machine 0
+ * sees, and @p dumps dumps on machine 0. */
+std::vector<Recording>
+buildRow(unsigned dumps)
 {
-    flightDump("main_side");
-    // A dump fired from a parallelFor worker (an assertion inside a
-    // sweep lane or bench row) lives in that thread's recorder, which
-    // dies with the thread — the archive keeps it inspectable.
-    std::thread worker([] {
-        Event e;
-        e.kind = Ev::kFault;
-        e.t = 77;
-        timeline().emit(e); // lands in the worker's own flight ring
-        flightDump("worker_side");
-    });
-    worker.join();
-    EXPECT_EQ(flightRecorder().dumps().size(), 1u)
-        << "the per-thread recorder only sees its own dump";
-    const auto archive = flightDumpArchive();
-    ASSERT_EQ(archive.size(), 2u) << "the archive sees both";
-    EXPECT_EQ(archive[0].reason, "main_side");
-    EXPECT_EQ(archive[1].reason, "worker_side");
-    EXPECT_NE(archive[1].text.find("fault"), std::string::npos)
-        << "worker-side ring contents survive the thread:\n"
-        << archive[1].text;
+    std::vector<Recording> row;
+    Recorder a, b;
+    b.setPid(1);
+    Event post;
+    post.kind = Ev::kOpPost;
+    post.pid = 1;
+    post.trace = (u64{1} << 48) | 5; // minted on row machine 1
+    b.emit(post);
+    Event wire = post;
+    wire.kind = Ev::kWireTx;
+    wire.pid = 0;
+    a.emit(wire);
+    for (unsigned i = 0; i < dumps; ++i)
+        a.dump("row_dump");
+    row.push_back(a.take());
+    row.push_back(b.take());
+    return row;
+}
 
-    // And the trace export embeds the worker-side dump marker.
-    const std::string path = "/tmp/rio_obs_archive_trace_test.json";
-    ASSERT_TRUE(timeline().writeChromeTrace(path));
-    std::ifstream in(path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string json = ss.str();
-    std::remove(path.c_str());
-    EXPECT_NE(json.find("worker_side"), std::string::npos)
-        << "chrome trace reads the archive, not one thread's dumps";
+TEST_F(ObsTest, TimelineNumbersMachinesByPositionInAnyThreadOrder)
+{
+    timeline().setRecording(true);
+    auto exportRows = [](unsigned threads) {
+        timeline().clear();
+        std::vector<std::vector<Recording>> rows(3);
+        des::parallelFor(rows.size(), threads,
+                         [&](size_t i) { rows[i] = buildRow(i + 1); });
+        for (auto &row : rows)
+            timeline().add(std::move(row));
+        return writeAndRead("/tmp/rio_obs_rows_trace_test.json");
+    };
+    const std::string one = exportRows(1);
+    EXPECT_EQ(one, exportRows(3)) << "rows added in order: same bytes";
+
+    // Row r's machines are tracks 2r+1 and 2r+2; trace ids follow
+    // their origin machine, so they stay unique across rows.
+    const auto tracks = timeline().tracks();
+    ASSERT_EQ(tracks.size(), 6u);
+    for (u32 pid = 1; pid <= 6; ++pid) {
+        const auto &events = tracks.at(pid << 16);
+        ASSERT_FALSE(events.empty());
+        EXPECT_EQ(events[0].pid, pid);
+        const u32 origin = pid % 2 ? pid + 1 : pid;
+        EXPECT_EQ(events[0].trace, (u64{origin} << 48) | 5);
+    }
+
+    // 1 + 2 + 3 dumps, all on each row's machine 0: the budget prints
+    // the first four in row, machine and dump order.
+    const auto &dumps = timeline().dumps();
+    ASSERT_EQ(dumps.size(), Recorder::kDumpLimit);
+    const u16 want_pid[] = {1, 3, 3, 5};
+    const u64 want_seq[] = {1, 1, 2, 1};
+    for (size_t i = 0; i < dumps.size(); ++i) {
+        EXPECT_EQ(dumps[i].pid, want_pid[i]) << "dump " << i;
+        EXPECT_EQ(dumps[i].seq, want_seq[i]) << "dump " << i;
+    }
+    EXPECT_NE(one.find("row_dump"), std::string::npos)
+        << "the export embeds the printed dumps";
 }
 
 // ---- quantile interpolation -------------------------------------------------
@@ -520,13 +560,14 @@ TEST_F(ObsTest, QuantileBoundOverflowCollapsesToLastFiniteBound)
 
 TEST_F(ObsTest, TraceScopeAttachesAmbientTraceToEmittedEvents)
 {
+    Recorder rec;
     EXPECT_EQ(currentTrace(), 0u);
     {
         TraceScope outer(0x1234);
         Event e;
         e.kind = Ev::kMap;
         e.t = 10;
-        timeline().emit(e); // trace 0: inherits the ambient scope
+        rec.emit(e); // trace 0: inherits the ambient scope
         {
             TraceScope inner(0); // zero: keeps the outer trace
             EXPECT_EQ(currentTrace(), 0x1234u);
@@ -535,11 +576,11 @@ TEST_F(ObsTest, TraceScopeAttachesAmbientTraceToEmittedEvents)
         tagged.kind = Ev::kUnmap;
         tagged.t = 20;
         tagged.trace = 0x9999; // explicit tag wins over the scope
-        timeline().emit(tagged);
+        rec.emit(tagged);
     }
     EXPECT_EQ(currentTrace(), 0u) << "scope restores on exit";
 
-    const auto events = flightRecorder().ring().inOrder();
+    const auto events = rec.ring().inOrder();
     ASSERT_EQ(events.size(), 2u);
     EXPECT_EQ(events[0].trace, 0x1234u);
     EXPECT_EQ(events[1].trace, 0x9999u);
@@ -605,50 +646,41 @@ TEST_F(ObsTest, SloRecordingGateIsProcessWide)
 TEST_F(ObsTest, ChromeTraceExportStitchesOpSpansById)
 {
     timeline().setRecording(true);
-    const u16 pid = timeline().allocPid();
-    const u64 trace = 0xabcd01;
+    Recorder rec;
+    const u64 trace = 0xabcd01; // minted on row machine 0
 
     Event post;
     post.kind = Ev::kOpPost;
     post.t = 1000;
-    post.pid = pid;
     post.trace = trace;
-    timeline().emit(post);
+    rec.emit(post);
 
     Event wire;
     wire.kind = Ev::kWireTx;
     wire.t = 1600;
     wire.dur_ns = 600;
-    wire.pid = pid;
     wire.trace = trace;
-    timeline().emit(wire);
+    rec.emit(wire);
 
     Event rtx;
     rtx.kind = Ev::kRetransmit;
     rtx.t = 1800;
-    rtx.pid = pid;
     rtx.trace = trace;
-    timeline().emit(rtx);
+    rec.emit(rtx);
 
     Event cqe;
     cqe.kind = Ev::kOpCqe;
     cqe.t = 2500;
-    cqe.pid = pid;
     cqe.trace = trace;
-    timeline().emit(cqe);
+    rec.emit(cqe);
+    timeline().add({rec.take()});
 
-    const std::string path = "/tmp/rio_obs_op_trace_test.json";
-    ASSERT_TRUE(timeline().writeChromeTrace(path));
-    std::ifstream in(path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string json = ss.str();
-    std::remove(path.c_str());
-
+    const std::string json = writeAndRead("/tmp/rio_obs_op_trace_test.json");
     EXPECT_NE(json.find("\"cat\": \"op\""), std::string::npos);
-    EXPECT_NE(json.find("\"id2\": {\"global\": \"0xabcd01\"}"),
+    EXPECT_NE(json.find("\"id2\": {\"global\": \"0x1000000abcd01\"}"),
               std::string::npos)
-        << "op spans stitch cross-machine via the global id2";
+        << "op spans stitch cross-machine via the global id2, whose "
+           "origin is the minting machine's track id";
     EXPECT_NE(json.find("\"ph\": \"n\""), std::string::npos)
         << "retransmit renders as an async instant on the op";
     EXPECT_NE(json.find("\"rioMeta\""), std::string::npos)

@@ -539,8 +539,8 @@ TEST(VirtObservability, VmExitCountersAndTimelineSpans)
     // Both exits appear as spans on the core's timeline track, with a
     // duration and the reason in arg.
     unsigned vmexit_spans = 0;
-    for (const auto &[track, events] : obs::timeline().tracks()) {
-        for (const obs::Event &e : events) {
+    for (const obs::EventRing &track : m.recorder().tracks()) {
+        for (const obs::Event &e : track.inOrder()) {
             if (e.kind != obs::Ev::kVmExit)
                 continue;
             ++vmexit_spans;

@@ -236,8 +236,8 @@ TEST(StreamTest, SteadyStatePacketsAllocateNothing)
         return g_operator_news.load() - before;
     };
     for (ProtectionMode mode : dma::kEvaluatedModes) {
-        // A first run pays the process's one-time allocations (the
-        // flight ring filling, function-local statics).
+        // A first run pays the process's one-time allocations
+        // (function-local statics).
         (void)allocationsFor(mode, 3000);
         const unsigned long n = allocationsFor(mode, 3000);
         const unsigned long n2 = allocationsFor(mode, 6000);
