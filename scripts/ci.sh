@@ -21,9 +21,11 @@
 #                       HandleIsCaught and the whole-zeroed block of
 #                       PhysicalMemory.PooledBlockIsPoisoned only
 #                       here); FaultFuzz, LifecycleFuzz, VirtFuzz,
-#                       IovaScanFuzz and RbTreeSpliceFuzz soaks
-#                       (recovery and teardown paths, the IOVA tree's
-#                       augmentation, splices and spares)
+#                       IovaScanFuzz, RbTreeSpliceFuzz and
+#                       CoupledEngineFuzz soaks (recovery and teardown
+#                       paths, the IOVA tree's augmentation, splices
+#                       and spares, the shared event queue's slots
+#                       against the windowed-loop oracle)
 #   tsan       tsan     everything that runs parallelFor threads:
 #                       engine, obs, lock, memory-pool (PhysicalMemory.
 #                       ObserverSeesOnlyWritesIntersectingItsRange,
@@ -39,8 +41,8 @@
 #   wire       asan     WireFuzz soak, full hostile-wire storm sweep
 #   migrate    asan     migrate_test (ArenaHash.* included),
 #                       MigrateFuzz soak
-#   fuzz       default  every fuzz campaign on extra seeds (IovaScanFuzz
-#                       and RbTreeSpliceFuzz included)
+#   fuzz       default  every fuzz campaign on extra seeds (IovaScanFuzz,
+#                       RbTreeSpliceFuzz and CoupledEngineFuzz included)
 #   lifecycle  default  LifecycleFuzz soak, churn sweeps per seed
 set -euo pipefail
 
@@ -111,6 +113,10 @@ extras_sanitize() {
     # augmented-field update and recycled node under ASan.
     RIO_IOVA_EXTRA_SEEDS="4099,65521,1000003" \
         "$1/tests/fuzz_test" --gtest_filter='*IovaScanFuzz*:*RbTreeSpliceFuzz*'
+    # The coupled engine's one queue (windows, mail keys, trace slots,
+    # recycled callback cells) against the windowed-loop oracle.
+    RIO_ENGINE_EXTRA_SEEDS="1009,4093,65537,999983" \
+        "$1/tests/fuzz_test" --gtest_filter='*CoupledEngineFuzz*'
 }
 
 extras_tsan() {
@@ -275,7 +281,9 @@ extras_migrate() {
 extras_fuzz() {
     RIO_FUZZ_EXTRA_SEEDS="11213,19937,2203,86243,216091" \
         RIO_CLUSTER_EXTRA_SEEDS="104651,611953" \
-        RIO_IOVA_EXTRA_SEEDS="3571,52711,7368787" "$1/tests/fuzz_test"
+        RIO_IOVA_EXTRA_SEEDS="3571,52711,7368787" \
+        RIO_ENGINE_EXTRA_SEEDS="17,257,8191,131071,524287,6700417" \
+        "$1/tests/fuzz_test"
 }
 
 extras_lifecycle() {

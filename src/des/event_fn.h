@@ -24,8 +24,10 @@ namespace rio::des {
 class EventFn
 {
   public:
-    /** Captures up to this many bytes stay inline (no allocation). */
-    static constexpr size_t kInlineBytes = 56;
+    /** Captures up to this many bytes stay inline (no allocation):
+     * room for a cluster's wire message and its target NIC (96 bytes),
+     * and the most that fits one 112-byte, 16-aligned EventFn. */
+    static constexpr size_t kInlineBytes = 104;
 
     EventFn() = default;
 

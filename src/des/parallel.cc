@@ -50,65 +50,13 @@ parallelFor(size_t n, unsigned threads,
 void
 Lane::sendTo(Lane &dst, Nanos when, Simulator::Callback fn)
 {
-    RIO_ASSERT(fn, "sending null mail");
     RIO_ASSERT(engine_.coupled(),
                "cross-lane mail needs a coupled engine (setLookahead)");
-    // Capture the sender's trace context so the receiving lane's
-    // callback — and every event it emits — attributes to the same
-    // distributed op. Host-side metadata only.
-    dst.inbox_.push_back(
-        Mail{when, id_, send_seq_++, obs::currentTrace(), std::move(fn)});
-}
-
-Nanos
-Lane::earliestMail() const
-{
-    Nanos t = Simulator::kNoEvent;
-    for (const Mail &m : inbox_)
-        t = std::min(t, m.when);
-    return t;
-}
-
-void
-Lane::drainInbox()
-{
-    // Total order fixed by simulation content: timestamp, then
-    // sending lane, then the sender's own sequence.
-    std::sort(inbox_.begin(), inbox_.end(),
-              [](const Mail &a, const Mail &b) {
-                  if (a.when != b.when)
-                      return a.when < b.when;
-                  if (a.src != b.src)
-                      return a.src < b.src;
-                  return a.seq < b.seq;
-              });
-    for (Mail &m : inbox_) {
-        // The conservative invariant: drains happen at window
-        // barriers, where this lane's clock sits exactly at the end
-        // of the last window it ran. Mail sent inside that window
-        // from an event at t >= window start carries
-        // when = t + wire >= start + lookahead = window end, so
-        // when >= now() holds (with equality exactly in the
-        // wire == lookahead boundary case). Anything earlier means
-        // the wire undercut the configured lookahead.
-        RIO_ASSERT(m.when >= sim_.now(),
-                   "cross-lane message in the past: when=", m.when,
-                   " lane now=", sim_.now(),
-                   " (wire latency below engine lookahead?)");
-        if (m.trace == 0) {
-            sim_.scheduleAt(m.when, std::move(m.fn));
-        } else {
-            // Re-establish the sender's trace context around the
-            // delivery so cross-lane hops keep the op attribution.
-            sim_.scheduleAt(m.when,
-                            [t = m.trace, fn = std::move(m.fn)]() mutable {
-                                obs::TraceScope scope(t);
-                                fn();
-                            });
-        }
-        ++mail_delivered_;
-    }
-    inbox_.clear();
+    RIO_ASSERT(&dst.engine_ == &engine_, "mail to another engine's lane");
+    // The sender's trace travels in the event's slot: the delivery and
+    // every event it emits attribute to the same distributed op.
+    engine_.shared_.scheduleMail(when, id_, std::move(fn),
+                                 obs::currentTrace());
 }
 
 Lane &
@@ -119,38 +67,13 @@ ParallelEngine::addLane()
     return *lanes_.back();
 }
 
-Nanos
-ParallelEngine::nextTime() const
-{
-    Nanos next = Simulator::kNoEvent;
-    for (const auto &l : lanes_) {
-        next = std::min(next, l->sim().nextEventTime());
-        next = std::min(next, l->earliestMail());
-    }
-    return next;
-}
-
 void
-ParallelEngine::runWindow(Nanos window_end)
+ParallelEngine::setLookahead(Nanos l)
 {
-    ++rounds_;
-    if (!coupled()) {
-        // No mail and a single window: each lane is an independent
-        // job, so it may run on any thread.
-        parallelFor(lanes_.size(), threads_, [&](size_t i) {
-            lanes_[i]->sim().runUntil(window_end);
-        });
-        return;
-    }
-    // Deliver all queued mail before any lane starts the window, while
-    // every lane is quiescent: each message is scheduled in exactly
-    // one batch — the barrier following the window that sent it — and
-    // the drain order (ascending lane index) fixes the receiving
-    // simulators' FIFO sequence numbers.
-    for (auto &l : lanes_)
-        l->drainInbox();
-    for (auto &l : lanes_)
-        l->sim().runUntil(window_end);
+    for (const auto &lane : lanes_)
+        RIO_ASSERT(lane->sim_.idle() && lane->sim_.eventsRun() == 0,
+                   "set the lookahead before scheduling on any lane");
+    shared_.setLookahead(l);
 }
 
 void
@@ -162,43 +85,30 @@ ParallelEngine::run()
 void
 ParallelEngine::runUntil(Nanos deadline)
 {
-    for (;;) {
-        const Nanos next = nextTime();
-        if (next == Simulator::kNoEvent || next > deadline)
-            break;
-        // Conservative horizon; saturate instead of wrapping so an
-        // "infinite" lookahead or a late event cannot overflow.
-        Nanos horizon = Simulator::kNoEvent;
-        if (lookahead_ != Simulator::kNoEvent &&
-            next <= Simulator::kNoEvent - lookahead_)
-            horizon = next + lookahead_;
-        else if (lookahead_ != Simulator::kNoEvent)
-            horizon = Simulator::kNoEvent;
-        runWindow(std::min(horizon, deadline));
+    if (coupled()) {
+        shared_.runUntil(deadline);
+        return;
     }
-    if (deadline != Simulator::kNoEvent) {
-        // No runnable work remains before the deadline; advance every
-        // lane's clock to it (same contract as Simulator::runUntil).
-        for (auto &l : lanes_)
-            l->sim().runUntil(deadline);
-    }
+    // No mail: each lane is an independent job, run to the deadline in
+    // one window on any thread.
+    Nanos next = Simulator::kNoEvent;
+    for (const auto &l : lanes_)
+        next = std::min(next, l->sim_.nextEventTime());
+    const bool work = next != Simulator::kNoEvent && next <= deadline;
+    if (work)
+        ++rounds_;
+    parallelFor(lanes_.size(), work ? threads_ : 1,
+                [&](size_t i) { lanes_[i]->sim_.runUntil(deadline); });
 }
 
 u64
 ParallelEngine::eventsRun() const
 {
+    if (coupled())
+        return shared_.eventsRun();
     u64 n = 0;
     for (const auto &l : lanes_)
-        n += l->sim().eventsRun();
-    return n;
-}
-
-u64
-ParallelEngine::messagesDelivered() const
-{
-    u64 n = 0;
-    for (const auto &l : lanes_)
-        n += l->mailDelivered();
+        n += l->sim_.eventsRun();
     return n;
 }
 

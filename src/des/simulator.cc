@@ -1,8 +1,10 @@
 #include "des/simulator.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "base/logging.h"
+#include "obs/trace_ctx.h"
 
 namespace rio::des {
 
@@ -29,24 +31,60 @@ Simulator::freeSlot(u32 idx)
 }
 
 EventId
-Simulator::scheduleAt(Nanos when, Callback cb)
+Simulator::push(Nanos when, u64 order, Callback cb, u64 trace)
 {
-    RIO_ASSERT(when >= now_, "scheduling into the past: when=", when,
-               " now=", now_);
     RIO_ASSERT(cb, "scheduling a null callback");
     const u32 idx = allocSlot();
     Slot &s = slots_[idx];
     s.fn = std::move(cb);
+    s.trace = trace;
     s.armed = true;
-    queue_.push(QEntry{when, next_seq_++, idx, s.gen});
+    queue_.push(QEntry{when, order, idx, s.gen});
     ++live_events_;
     return packId(idx, s.gen);
+}
+
+EventId
+Simulator::scheduleAt(Nanos when, Callback cb)
+{
+    RIO_ASSERT(when >= now_, "scheduling into the past: when=", when,
+               " now=", now_);
+    return push(when, next_order_++, std::move(cb), 0);
 }
 
 EventId
 Simulator::scheduleAfter(Nanos delay, Callback cb)
 {
     return scheduleAt(now_ + delay, std::move(cb));
+}
+
+void
+Simulator::setLookahead(Nanos lookahead)
+{
+    RIO_ASSERT(queue_.empty() && events_run_ == 0,
+               "set the lookahead before scheduling anything");
+    lookahead_ = lookahead;
+}
+
+void
+Simulator::scheduleMail(Nanos when, u32 src, Callback cb, u64 trace)
+{
+    RIO_ASSERT(windowed(), "mail needs windows (setLookahead)");
+    // Mail sent at t >= (window start) lands at t + wire >= window end
+    // (equality: wire == lookahead, run by the next window); between
+    // calls the clock is the bound. Earlier, the wire undercut the
+    // lookahead.
+    RIO_ASSERT(when >= std::max(window_end_, now_),
+               "cross-lane message in the past: when=", when,
+               " window end=", std::max(window_end_, now_),
+               " (wire latency below engine lookahead?)");
+    RIO_ASSERT(src < kMaxMailSrc, "mail from lane ", src,
+               " beyond the queue's lane field");
+    RIO_ASSERT(window_mail_ < kMaxMailPerWindow,
+               "more mail in one window than the queue numbers");
+    const u64 order = (windows_ + 1) << 32 |
+                      static_cast<u64>(src) << kMailSrcShift | window_mail_++;
+    push(when, order, std::move(cb), trace);
 }
 
 bool
@@ -88,39 +126,40 @@ Simulator::compactIfStale()
     stale_in_queue_ = 0;
 }
 
-bool
-Simulator::popRunnable(EventFn &fn, Nanos &when, Nanos deadline)
+const Simulator::QEntry *
+Simulator::liveTop()
 {
     while (!queue_.empty()) {
         const QEntry &top = queue_.top();
-        if (!liveEntry(top)) {
-            queue_.pop();
-            --stale_in_queue_;
-            continue;
-        }
-        if (top.when > deadline)
-            return false;
-        const u32 idx = top.slot;
-        when = top.when;
-        fn = std::move(slots_[idx].fn);
+        if (liveEntry(top))
+            return &top;
         queue_.pop();
-        freeSlot(idx);
-        return true;
+        --stale_in_queue_;
     }
-    return false;
+    return nullptr;
 }
 
 Nanos
 Simulator::nextEventTime()
 {
-    while (!queue_.empty()) {
-        const QEntry &top = queue_.top();
-        if (liveEntry(top))
-            return top.when;
-        queue_.pop();
-        --stale_in_queue_;
-    }
-    return kNoEvent;
+    const QEntry *top = liveTop();
+    return top ? top->when : kNoEvent;
+}
+
+void
+Simulator::openWindow(Nanos first, Nanos deadline)
+{
+    // Local events running into the next window's mail would reorder.
+    RIO_ASSERT(next_order_ >> 32 == windows_ && windows_ < 0xffffffffu,
+               "window numbering overflowed");
+    ++windows_;
+    mail_delivered_ += window_mail_; // as the barrier drain counted it
+    window_mail_ = 0;
+    // Saturate so a late event cannot wrap.
+    const Nanos horizon =
+        first <= kNoEvent - lookahead_ ? first + lookahead_ : kNoEvent;
+    window_end_ = std::min(horizon, deadline);
+    next_order_ = windows_ << 32 | kLocal;
 }
 
 void
@@ -132,15 +171,36 @@ Simulator::run()
 void
 Simulator::runUntil(Nanos deadline)
 {
+    bool opened = false; // every call opens a fresh window
     EventFn fn;
-    Nanos when = 0;
-    while (popRunnable(fn, when, deadline)) {
-        now_ = when;
+    while (const QEntry *top = liveTop()) {
+        if (top->when > deadline)
+            break;
+        if (windowed() && (!opened || top->when > window_end_ ||
+                           top->order >> 32 > windows_)) {
+            openWindow(top->when, deadline);
+            opened = true;
+        }
+        const u32 idx = top->slot;
+        now_ = top->when;
+        queue_.pop();
+        Slot &s = slots_[idx];
+        fn = std::move(s.fn);
+        const u64 trace = s.trace;
+        freeSlot(idx);
         --live_events_;
         ++events_run_;
-        fn();
+        if (trace == 0) {
+            fn();
+        } else {
+            obs::TraceScope scope(trace);
+            fn();
+        }
         fn.clear(); // release captures before the next pop
     }
+    // With windows every lane's clock ends where the last window did.
+    if (opened && window_end_ != kNoEvent)
+        now_ = window_end_;
     if (now_ < deadline && deadline != kNoEvent)
         now_ = deadline;
 }
@@ -154,8 +214,10 @@ Simulator::reset()
             freeSlot(i); // gen bump invalidates outstanding ids
     stale_in_queue_ = 0;
     now_ = 0;
-    next_seq_ = 0;
+    next_order_ = windows_ << 32 | kLocal;
     live_events_ = 0;
+    window_end_ = 0;
+    window_mail_ = 0; // dropped, never delivered
 }
 
 } // namespace rio::des

@@ -5,12 +5,10 @@
  * them in timestamp order with a deterministic FIFO tie-break so runs
  * are reproducible.
  *
- * One Simulator is one *event lane*: single-threaded by construction,
- * with all state living in the callbacks' captures. Independent lanes
- * (one per sys::Machine) can be driven concurrently by
- * des::ParallelEngine (parallel.h), which synchronizes them only at
- * conservative lookahead horizons — the lane itself never needs a
- * lock.
+ * A Simulator is single-threaded by construction, with all state
+ * living in the callbacks' captures: one sweep job's lane, or the one
+ * queue all machines of a coupled des::ParallelEngine share, run in
+ * conservative windows with cross-machine mail (parallel.h).
  *
  * Hot-path design (the simulator itself is a measured artifact, see
  * perfbench): the priority queue holds small POD entries only;
@@ -41,13 +39,13 @@ namespace rio::des {
  */
 using EventId = u64;
 
-/** Event-queue simulator: one deterministic event lane. */
+/** Event-queue simulator: one deterministic event queue. */
 class Simulator
 {
   public:
     using Callback = EventFn;
 
-    /** Returned by nextEventTime() when the lane has nothing pending. */
+    /** Returned by nextEventTime() when the queue has nothing pending. */
     static constexpr Nanos kNoEvent = std::numeric_limits<Nanos>::max();
 
     /** Current simulated time in nanoseconds. */
@@ -79,7 +77,8 @@ class Simulator
     /**
      * Run until simulated time reaches @p deadline or the queue
      * drains, whichever is first. Events stamped exactly @p deadline
-     * do run. Time is left at min(deadline, last event time); a
+     * do run. Time is left at min(deadline, last event time) — with
+     * windows, at the end of the last window, or at the deadline; a
      * deadline already in the past runs nothing and leaves the clock
      * untouched.
      */
@@ -90,10 +89,34 @@ class Simulator
 
     /**
      * Timestamp of the earliest pending event, kNoEvent if idle.
-     * Used by ParallelEngine to compute the conservative lookahead
-     * horizon. Prunes already-cancelled heap heads as a side effect.
+     * Prunes already-cancelled heap heads as a side effect.
      */
     Nanos nextEventTime();
+
+    // ---- conservative windows (a coupled engine's shared queue) --------
+    /**
+     * Run in windows of @p lookahead, a lower bound on every mail's
+     * latency; set it before scheduling anything. A window opens at
+     * every runUntil call, and whenever the next entry lies past the
+     * window's end — (its first time) + lookahead, or the deadline if
+     * earlier — or is mail sent in the current window. Equal times
+     * run a local event by (window it was scheduled in, schedule
+     * order), and mail as if scheduled when the window after its send
+     * opens, ahead of that window's local events, by (source lane,
+     * send order): the order of per-lane queues whose inboxes are
+     * drained, sorted, at window barriers.
+     */
+    void setLookahead(Nanos lookahead);
+    Nanos lookahead() const { return lookahead_; }
+
+    /** Mail from lane @p src (< 2048): @p cb runs at @p when, not
+     * before the current window's end (asserted: "past"), inside an
+     * obs::TraceScope of @p trace (0: none). */
+    void scheduleMail(Nanos when, u32 src, Callback cb, u64 trace);
+
+    u64 windows() const { return windows_; }
+    /** Mail sent before the latest window opened. */
+    u64 mailDelivered() const { return mail_delivered_; }
 
     // ---- introspection for tests / self-perf ---------------------------
     /** Slot-table cells ever allocated (regression: cancel must not
@@ -104,11 +127,17 @@ class Simulator
     size_t queueSize() const { return queue_.size(); }
 
   private:
-    /** What the heap orders: 24-byte POD, callback lives in slots_. */
+    /**
+     * What the heap orders: 24-byte POD, callback lives in slots_.
+     * `order` breaks time ties: [63:32] window, [31] 1 for a local
+     * event and [30:0] its schedule order, or [31] 0 for mail,
+     * [30:20] source lane and [19:0] send order. Without windows it
+     * is one schedule counter.
+     */
     struct QEntry
     {
         Nanos when;
-        u64 seq; //!< FIFO tie-break for equal timestamps
+        u64 order;
         u32 slot;
         u32 gen;
     };
@@ -120,7 +149,7 @@ class Simulator
         {
             if (a.when != b.when)
                 return a.when > b.when;
-            return a.seq > b.seq;
+            return a.order > b.order;
         }
     };
 
@@ -128,9 +157,15 @@ class Simulator
     struct Slot
     {
         EventFn fn;
+        u64 trace = 0;
         u32 gen = 0;
         bool armed = false;
     };
+
+    static constexpr u64 kLocal = u64{1} << 31;
+    static constexpr u32 kMailSrcShift = 20;
+    static constexpr u32 kMaxMailSrc = 1u << (31 - kMailSrcShift);
+    static constexpr u32 kMaxMailPerWindow = 1u << kMailSrcShift;
 
     static EventId
     packId(u32 slot, u32 gen)
@@ -145,19 +180,29 @@ class Simulator
         return s.armed && s.gen == e.gen;
     }
 
+    bool windowed() const { return lookahead_ != kNoEvent; }
+
+    EventId push(Nanos when, u64 order, Callback cb, u64 trace);
     u32 allocSlot();
     void freeSlot(u32 idx);
-    bool popRunnable(EventFn &fn, Nanos &when, Nanos deadline);
+    const QEntry *liveTop();
+    void openWindow(Nanos first, Nanos deadline);
     void compactIfStale();
 
     Nanos now_ = 0;
-    u64 next_seq_ = 0;
+    u64 next_order_ = kLocal;
     u64 events_run_ = 0;
     u64 live_events_ = 0;
     u64 stale_in_queue_ = 0;
     std::priority_queue<QEntry, std::vector<QEntry>, Later> queue_;
     std::vector<Slot> slots_;
     std::vector<u32> free_slots_;
+
+    Nanos lookahead_ = kNoEvent; //!< kNoEvent: no windows
+    Nanos window_end_ = 0;
+    u64 windows_ = 0;
+    u32 window_mail_ = 0; //!< mail sent since the latest window opened
+    u64 mail_delivered_ = 0;
 };
 
 } // namespace rio::des

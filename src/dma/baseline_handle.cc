@@ -502,7 +502,7 @@ BaselineDmaHandle::deviceAccess(u64 device_addr, const Access &access)
             repair();
             return s;
         }
-        return fault_.recover(s, repair, access);
+        return fault_.recover(s, bdf().pack(), repair, access);
     }
 
     Status s = access();
@@ -511,7 +511,7 @@ BaselineDmaHandle::deviceAccess(u64 device_addr, const Access &access)
     // Organic fault (corrupted table, errant address): recovery can
     // acknowledge the report but has nothing to re-install.
     return fault_.recover(
-        s, [this] { acknowledgeFaults(); }, access);
+        s, bdf().pack(), [this] { acknowledgeFaults(); }, access);
 }
 
 Status

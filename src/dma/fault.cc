@@ -28,7 +28,8 @@ FaultEngine::charge(Cycles c, bool first)
 }
 
 Status
-FaultEngine::recover(Status fail, const std::function<void()> &repair,
+FaultEngine::recover(Status fail, u16 bdf,
+                     const std::function<void()> &repair,
                      const std::function<Status()> &retry)
 {
     RIO_ASSERT(!fail.isOk(), "recover() on a successful access");
@@ -36,6 +37,8 @@ FaultEngine::recover(Status fail, const std::function<void()> &repair,
     if (core_) {
         obs::Event ev;
         ev.kind = obs::Ev::kFault;
+        ev.t = core_->virtualNow();
+        ev.bdf = bdf;
         ev.arg = static_cast<u64>(policy_);
         core_->emit(ev);
         core_->dump("dma_fault");

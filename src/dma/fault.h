@@ -136,9 +136,11 @@ class FaultEngine
      * @p fail. @p repair undoes whatever damage caused the fault and
      * acknowledges the fault state (drain log / clear latch);
      * @p retry replays the access. Returns the final status of the
-     * access: ok only if a retry succeeded.
+     * access: ok only if a retry succeeded. The fault event carries
+     * the faulting device's packed @p bdf and the core's time.
      */
-    Status recover(Status fail, const std::function<void()> &repair,
+    Status recover(Status fail, u16 bdf,
+                   const std::function<void()> &repair,
                    const std::function<Status()> &retry);
 
     const FaultStats &stats() const { return stats_; }

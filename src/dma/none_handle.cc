@@ -13,17 +13,17 @@ namespace {
  */
 template <typename Access>
 Status
-injectedAccess(FaultEngine &fault, const Access &access)
+injectedAccess(FaultEngine &fault, u16 bdf, const Access &access)
 {
     if (!fault.armed())
         return access();
     if (fault.shouldInject()) {
         const Status fail(ErrorCode::kIoPageFault, "injected bus abort");
-        return fault.recover(fail, [] {}, access);
+        return fault.recover(fail, bdf, [] {}, access);
     }
     Status s = access();
     if (!s.isOk())
-        return fault.recover(s, [] {}, access);
+        return fault.recover(s, bdf, [] {}, access);
     return s;
 }
 
@@ -50,7 +50,7 @@ NoneDmaHandle::unmapImpl(const DmaMapping & /*mapping*/, bool /*end_of_burst*/)
 Status
 NoneDmaHandle::readImpl(u64 device_addr, void *dst, u64 len)
 {
-    return injectedAccess(fault_, [&] {
+    return injectedAccess(fault_, bdf_.pack(), [&] {
         pm_.read(device_addr, dst, len);
         return Status::ok();
     });
@@ -59,7 +59,7 @@ NoneDmaHandle::readImpl(u64 device_addr, void *dst, u64 len)
 Status
 NoneDmaHandle::writeImpl(u64 device_addr, const void *src, u64 len)
 {
-    return injectedAccess(fault_, [&] {
+    return injectedAccess(fault_, bdf_.pack(), [&] {
         pm_.write(device_addr, src, len);
         return Status::ok();
     });

@@ -80,14 +80,15 @@ RiommuDmaHandle::deviceAccess(u64 device_addr, const Access &access)
             repair();
             return s;
         }
-        return fault_.recover(s, repair, access);
+        return fault_.recover(s, dev_bdf.pack(), repair, access);
     }
 
     Status s = access();
     if (s.isOk())
         return s;
     return fault_.recover(
-        s, [this, dev_bdf, rid] { riommu_.clearRingFault(dev_bdf, rid); },
+        s, dev_bdf.pack(),
+        [this, dev_bdf, rid] { riommu_.clearRingFault(dev_bdf, rid); },
         access);
 }
 

@@ -298,7 +298,13 @@ Migrator::pump()
                     : nic.postMigPage(qp_, c.pa, c.bytes, c.tag);
         if (!posted)
             return; // flow-controlled; the next completion re-pumps
-        inflight_.emplace(wqe, c);
+        if (wqe >= inflight_.size())
+            inflight_.resize(wqe + 1);
+        // The NIC posts only into a free op slot, and every op's CQE
+        // (or the QP error) clears its entry first.
+        RIO_ASSERT(!inflight_[wqe], "SQ slot ", wqe, " posted twice");
+        inflight_[wqe] = c;
+        ++inflight_count_;
         queue_.pop_front();
     }
 }
@@ -306,11 +312,11 @@ Migrator::pump()
 void
 Migrator::onStreamCompletion(u32 qp, u32 wqe, bool ok)
 {
-    auto it = inflight_.find(wqe);
-    if (qp != qp_ || it == inflight_.end())
+    if (qp != qp_ || wqe >= inflight_.size() || !inflight_[wqe])
         return;
-    Chunk c = it->second;
-    inflight_.erase(it);
+    Chunk c = *inflight_[wqe];
+    inflight_[wqe].reset();
+    --inflight_count_;
     if (ok) {
         if (c.state) {
             ++rep_.state_chunks;
@@ -337,7 +343,7 @@ Migrator::onStreamCompletion(u32 qp, u32 wqe, bool ok)
 void
 Migrator::checkProgress()
 {
-    if (done_ || !connected_ || !queue_.empty() || !inflight_.empty())
+    if (done_ || !connected_ || !queue_.empty() || inflight_count_ != 0)
         return;
     if (!blackout_) {
         endRound();
@@ -496,13 +502,13 @@ Migrator::onStreamQpError(u32 qp, u32 peer)
     // Commit chunks are dropped: checkProgress re-issues the commit
     // once the re-shipped tail is acked on the new QP.
     std::vector<Chunk> back;
-    back.reserve(inflight_.size());
-    for (const auto &[wqe, c] : inflight_) {
-        (void)wqe;
-        if (!(c.state && (c.tag >> 32) == kTagCommit))
-            back.push_back(c);
+    back.reserve(inflight_count_);
+    for (std::optional<Chunk> &slot : inflight_) {
+        if (slot && !(slot->state && (slot->tag >> 32) == kTagCommit))
+            back.push_back(*slot);
+        slot.reset();
     }
-    inflight_.clear();
+    inflight_count_ = 0;
     std::sort(back.begin(), back.end(),
               [](const Chunk &a, const Chunk &b) { return a.seq > b.seq; });
     for (const Chunk &c : back)

@@ -40,7 +40,7 @@
 #define RIO_MIGRATE_MIGRATE_H
 
 #include <deque>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "base/rng.h"
@@ -245,7 +245,9 @@ class Migrator
     GuestDirtier dirtier_;
     std::vector<u64> dirty_; //!< observer collector: bit gfn set if dirty
     std::deque<Chunk> queue_;
-    std::unordered_map<u64, Chunk> inflight_; //!< (qp<<32)|wqe -> chunk
+    /** Posted chunks by SQ slot of the stream QP, until their CQE. */
+    std::vector<std::optional<Chunk>> inflight_;
+    u32 inflight_count_ = 0;
     std::vector<u64> shipped_once_; //!< bit gfn set once gfn was queued
     u32 qp_ = 0;
     u64 chunk_seq_ = 0;
@@ -261,7 +263,7 @@ class Migrator
 
     // ---- plan: written at blackout (source lane), read strictly
     // after the chunks it describes crossed the wire (target lane) —
-    // the mailbox handoff orders the accesses.
+    // the wire's mail orders the accesses.
     std::vector<StateChunkPlan> plan_;
     u32 tgt_qp_ = 0; //!< target-side (accepted) QP index
 

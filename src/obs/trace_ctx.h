@@ -2,10 +2,11 @@
  * @file
  * Distributed trace context: a per-op identity allocated where the op
  * is injected (a verbs post, a DMA map on behalf of a workload) and
- * propagated across every layer the op touches — the ParallelEngine
- * mailbox, sys::WireMsg, the rdma retransmit/replay paths — so the
- * Chrome-trace export can stitch one op's spans across machines into
- * a single tree, closed at the terminal CQE.
+ * propagated across every layer the op touches — cross-lane mail
+ * (the event queue keeps the sender's trace in the event's slot and
+ * reopens it at delivery), sys::WireMsg, the rdma retransmit/replay
+ * paths — so the Chrome-trace export can stitch one op's spans across
+ * machines into a single tree, closed at the terminal CQE.
  *
  * Identity layout (64 bits, never 0 for a real trace):
  *

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_set>
 #include <utility>
 
 #include "base/logging.h"
@@ -50,6 +49,7 @@ RdmaNic::RdmaNic(des::Simulator &sim, des::Core &core,
 {
     RIO_ASSERT(profile_.sq_depth > 0, "zero send-queue depth");
     qps_.resize(max_qps_);
+    qp_poll_stamp_.assign(max_qps_, 0);
     free_slots_.reserve(max_qps_);
     for (u32 q = max_qps_; q > 0; --q)
         free_slots_.push_back(q - 1);
@@ -612,8 +612,12 @@ RdmaNic::completeOp(u32 qp, u32 w, bool ok)
 void
 RdmaNic::pollCq()
 {
-    std::vector<PendingCqe> batch = std::move(pending_cqes_);
-    pending_cqes_.clear();
+    // The batch is what queued before this poll. on_completion_ may
+    // post new work whose CQEs land in pending_cqes_ during the loop;
+    // they wait for the next poll. Both buffers keep their capacity.
+    std::vector<PendingCqe> &batch = poll_batch_;
+    batch.clear();
+    batch.swap(pending_cqes_);
     if (batch.empty())
         return;
     // end_of_burst goes to the LAST completion of each QP in the
@@ -621,14 +625,15 @@ RdmaNic::pollCq()
     // invalidation the whole burst pays. At low connection counts a
     // batch concentrates on few rings (strong amortization); at 16K
     // connections nearly every completion is its ring's last — the
-    // erosion the cluster bench quantifies.
-    std::vector<bool> last(batch.size(), false);
-    {
-        std::unordered_set<u32> seen;
-        for (size_t i = batch.size(); i > 0; --i)
-            last[i - 1] = seen.insert(batch[i - 1].qp).second;
+    // erosion the cluster bench quantifies. A QP's stamp marks "seen
+    // later in this batch" (one stamp per poll, no per-poll set).
+    ++poll_stamp_;
+    for (size_t i = batch.size(); i > 0; --i) {
+        PendingCqe &c = batch[i - 1];
+        c.last = qp_poll_stamp_[c.qp] != poll_stamp_;
+        qp_poll_stamp_[c.qp] = poll_stamp_;
     }
-    std::vector<u32> drained;
+    drained_.clear();
     for (size_t i = 0; i < batch.size(); ++i) {
         const PendingCqe &c = batch[i];
         Qp &q = qps_[c.qp];
@@ -645,8 +650,8 @@ RdmaNic::pollCq()
         if (slo)
             cat0 = sloSnapshot();
         charge(profile_.poll_cycles);
-        handle_.unmap(op.map, /*end_of_burst=*/last[i]);
-        if (last[i])
+        handle_.unmap(op.map, /*end_of_burst=*/c.last);
+        if (c.last)
             ++stats_.eob_unmaps;
         const Nanos latency = sim_.now() - op.post_ns;
         op_latencies_.push_back(latency);
@@ -683,9 +688,9 @@ RdmaNic::pollCq()
         if ((q.state == QpState::kClosing ||
              q.state == QpState::kError) &&
             q.inflight == 0)
-            drained.push_back(c.qp);
+            drained_.push_back(c.qp);
     }
-    for (u32 qp : drained) {
+    for (u32 qp : drained_) {
         if (qps_[qp].inflight != 0)
             continue;
         if (qps_[qp].state == QpState::kClosing)

@@ -25,9 +25,9 @@
  * map direction (device-to-memory for reads) and the WQE opcode.
  *
  * Determinism: the model draws no random numbers and all latencies
- * are profile constants; cross-machine delivery order is fixed by the
- * ParallelEngine's (when, src lane, seq) mail sort, and a cluster's
- * lanes all run on one thread.
+ * are profile constants; a cluster's lanes share one event queue on
+ * one thread, which orders mail of equal arrival time by (source
+ * lane, send order), fixed by simulation content (des/parallel.h).
  */
 #ifndef RIO_RDMA_RDMA_H
 #define RIO_RDMA_RDMA_H
@@ -402,6 +402,7 @@ class RdmaNic
         u32 qp = 0;
         u32 wqe = 0;
         bool ok = false;
+        bool last = false; //!< its QP's last CQE in the poll's batch
     };
 
     void charge(Cycles c);
@@ -470,6 +471,11 @@ class RdmaNic
     bool cq_mapped_ = false;
     u32 cq_tail_ = 0;
     std::vector<PendingCqe> pending_cqes_;
+    // pollCq's working buffers, kept so a poll allocates nothing.
+    std::vector<PendingCqe> poll_batch_;
+    std::vector<u32> drained_;
+    std::vector<u64> qp_poll_stamp_; //!< per QP: last poll that saw it
+    u64 poll_stamp_ = 0;
     bool irq_scheduled_ = false;
     u64 established_ = 0;
     u64 inflight_total_ = 0;

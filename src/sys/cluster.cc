@@ -52,7 +52,7 @@ Cluster::Cluster(const ClusterConfig &cfg)
     }
     // Hostile wire, when armed: each machine owns an ingress port
     // living on its *own* lane — faults and congestion are decided in
-    // the destination lane's deterministic mail-drain order.
+    // the deterministic order the destination lane runs its mail.
     if (cfg_.wire.armed()) {
         ports_.reserve(cfg_.machines);
         for (unsigned m = 0; m < cfg_.machines; ++m) {

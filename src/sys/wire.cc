@@ -13,7 +13,7 @@ WirePort::WirePort(des::Simulator &sim, const WireFaultConfig &cfg,
                    des::Core &core)
     : sim_(sim), cfg_(cfg), target_(target),
       // One stream per destination machine: draws happen in the
-      // deterministic mail-drain order of that machine's lane.
+      // deterministic order that machine's lane runs its mail.
       rng_(cfg.seed * 0xBF58476D1CE4E5B9ULL + machine + 1),
       core_(core)
 {

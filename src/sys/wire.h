@@ -7,10 +7,11 @@
  *
  * Placement and determinism: all state is *receiver-side* and
  * lane-local. The cluster's send hook still ships every message
- * through the ParallelEngine mailbox at the sender-computed arrival
- * time (>= lookahead, as before); the fault model runs inside the
- * delivered callback on the destination lane, where mail is drained
- * in the engine's fixed (when, src lane, seq) order. RNG draws
+ * as ParallelEngine mail (Lane::sendTo) at the sender-computed
+ * arrival time (>= lookahead, as before); the fault model runs inside
+ * the delivered callback on the destination lane, where mail of equal
+ * arrival time runs in the engine's fixed (source lane, send order)
+ * order. RNG draws
  * therefore happen in an order fixed by simulation content, and
  * re-deliveries (duplicates, delays, queue drains) are plain
  * lane-local scheduleAt events — no second lookahead crossing is

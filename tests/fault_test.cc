@@ -158,7 +158,7 @@ TEST_F(PolicyChargeTest, AbortChargesOneFaultReport)
     eng.setPolicy(dma::FaultPolicy::kAbort);
     int repairs = 0;
     Status out = eng.recover(
-        fail, [&] { ++repairs; }, [] { return Status::ok(); });
+        fail, 0, [&] { ++repairs; }, [] { return Status::ok(); });
     EXPECT_FALSE(out.isOk());
     EXPECT_EQ(repairs, 1) << "abort still repairs the translation";
     EXPECT_EQ(charged(), cost.fault_report);
@@ -170,7 +170,7 @@ TEST_F(PolicyChargeTest, RetryRemapChargesReportPlusRemapPerAttempt)
 {
     eng.setPolicy(dma::FaultPolicy::kRetryRemap);
     Status out = eng.recover(
-        fail, [] {}, [] { return Status::ok(); });
+        fail, 0, [] {}, [] { return Status::ok(); });
     EXPECT_TRUE(out.isOk());
     EXPECT_EQ(charged(), cost.fault_report + cost.fault_remap);
     EXPECT_EQ(eng.stats().recovered, 1u);
@@ -183,7 +183,7 @@ TEST_F(PolicyChargeTest, RetryExhaustionChargesEveryAttempt)
     dma::FaultInjectConfig cfg; // defaults: max_retries = 3
     eng.setInjection(cfg);
     Status out = eng.recover(
-        fail, [] {}, [this] { return fail; });
+        fail, 0, [] {}, [this] { return fail; });
     EXPECT_FALSE(out.isOk());
     EXPECT_EQ(charged(), cost.fault_report + 3 * cost.fault_remap);
     EXPECT_EQ(eng.stats().retries, 3u);
@@ -194,7 +194,7 @@ TEST_F(PolicyChargeTest, DropBackoffChargesReportPlusBackoff)
 {
     eng.setPolicy(dma::FaultPolicy::kDropBackoff);
     Status out = eng.recover(
-        fail, [] {}, [] { return Status::ok(); });
+        fail, 0, [] {}, [] { return Status::ok(); });
     EXPECT_FALSE(out.isOk()) << "drop-backoff never replays";
     EXPECT_EQ(charged(), cost.fault_report + cost.fault_backoff);
     EXPECT_EQ(eng.stats().dropped, 1u);

@@ -12,17 +12,20 @@
 #include <cstdlib>
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "base/rng.h"
+#include "des/event_fn.h"
 #include "des/parallel.h"
 #include "dma/baseline_handle.h"
 #include "dma/dma_context.h"
 #include "iova/linux_allocator.h"
 #include "migrate/migrate.h"
+#include "obs/trace_ctx.h"
 #include "riommu/rdevice.h"
 #include "sys/cluster.h"
 #include "sys/machine.h"
@@ -1487,6 +1490,402 @@ INSTANTIATE_TEST_SUITE_P(
         return "universe" + std::to_string(info.param.universe) + "_s" +
                std::to_string(info.param.seed);
     });
+
+// ---- coupled engine vs the windowed loop ---------------------------------------
+
+/**
+ * Test-local copy of the coupled engine loop as it ran with one
+ * Simulator per lane: mail waits in per-lane inboxes; each window
+ * opens with a barrier drain, sorted by (when, source lane, sender
+ * seq), and then runs every lane to the window's end in lane order.
+ * CoupledEngineFuzz holds des::ParallelEngine to this loop's per-lane
+ * event order, lane clocks, window count and mail count.
+ */
+class WindowedEngineOracle
+{
+  public:
+    WindowedEngineOracle(size_t lanes, Nanos lookahead)
+        : lookahead_(lookahead)
+    {
+        for (size_t i = 0; i < lanes; ++i)
+            lanes_.push_back(std::make_unique<Lane>());
+    }
+
+    des::Simulator &sim(size_t i) { return lanes_[i]->sim; }
+
+    void
+    send(u32 src, u32 dst, Nanos when, des::EventFn fn)
+    {
+        lanes_[dst]->inbox.push_back(Mail{when, src, lanes_[src]->send_seq++,
+                                          obs::currentTrace(),
+                                          std::move(fn)});
+    }
+
+    void run() { runUntil(des::Simulator::kNoEvent); }
+
+    void
+    runUntil(Nanos deadline)
+    {
+        for (;;) {
+            Nanos next = des::Simulator::kNoEvent;
+            for (auto &l : lanes_) {
+                next = std::min(next, l->sim.nextEventTime());
+                for (const Mail &m : l->inbox)
+                    next = std::min(next, m.when);
+            }
+            if (next == des::Simulator::kNoEvent || next > deadline)
+                break;
+            const Nanos horizon =
+                next <= des::Simulator::kNoEvent - lookahead_
+                    ? next + lookahead_
+                    : des::Simulator::kNoEvent;
+            const Nanos end = std::min(horizon, deadline);
+            ++rounds_;
+            for (auto &l : lanes_)
+                drain(*l);
+            for (auto &l : lanes_)
+                l->sim.runUntil(end);
+        }
+        if (deadline != des::Simulator::kNoEvent)
+            for (auto &l : lanes_)
+                l->sim.runUntil(deadline);
+    }
+
+    u64 rounds() const { return rounds_; }
+
+    u64
+    messagesDelivered() const
+    {
+        u64 n = 0;
+        for (const auto &l : lanes_)
+            n += l->delivered;
+        return n;
+    }
+
+    u64
+    eventsRun() const
+    {
+        u64 n = 0;
+        for (const auto &l : lanes_)
+            n += l->sim.eventsRun();
+        return n;
+    }
+
+  private:
+    struct Mail
+    {
+        Nanos when;
+        u32 src;
+        u64 seq;
+        u64 trace;
+        des::EventFn fn;
+    };
+
+    struct Lane
+    {
+        des::Simulator sim;
+        u64 send_seq = 0;
+        u64 delivered = 0;
+        std::vector<Mail> inbox;
+    };
+
+    void
+    drain(Lane &l)
+    {
+        std::sort(l.inbox.begin(), l.inbox.end(),
+                  [](const Mail &a, const Mail &b) {
+                      if (a.when != b.when)
+                          return a.when < b.when;
+                      if (a.src != b.src)
+                          return a.src < b.src;
+                      return a.seq < b.seq;
+                  });
+        for (Mail &m : l.inbox) {
+            RIO_ASSERT(m.when >= l.sim.now(), "oracle mail in the past");
+            if (m.trace == 0) {
+                l.sim.scheduleAt(m.when, std::move(m.fn));
+            } else {
+                l.sim.scheduleAt(m.when, [t = m.trace,
+                                          fn = std::move(m.fn)]() mutable {
+                    obs::TraceScope scope(t);
+                    fn();
+                });
+            }
+            ++l.delivered;
+        }
+        l.inbox.clear();
+    }
+
+    Nanos lookahead_;
+    std::vector<std::unique_ptr<Lane>> lanes_;
+    u64 rounds_ = 0;
+};
+
+/** des::ParallelEngine behind the oracle's interface. */
+class CoupledEngineUnderTest
+{
+  public:
+    CoupledEngineUnderTest(size_t lanes, Nanos lookahead)
+    {
+        eng_.setLookahead(lookahead);
+        for (size_t i = 0; i < lanes; ++i)
+            eng_.addLane();
+    }
+
+    des::Simulator &sim(size_t i) { return eng_.lane(i).sim(); }
+
+    void
+    send(u32 src, u32 dst, Nanos when, des::EventFn fn)
+    {
+        eng_.lane(src).sendTo(eng_.lane(dst), when, std::move(fn));
+    }
+
+    void run() { eng_.run(); }
+    void runUntil(Nanos deadline) { eng_.runUntil(deadline); }
+    u64 rounds() const { return eng_.rounds(); }
+    u64 messagesDelivered() const { return eng_.messagesDelivered(); }
+    u64 eventsRun() const { return eng_.eventsRun(); }
+
+  private:
+    des::ParallelEngine eng_;
+};
+
+/** One callback as a lane logged it; note 1/2 logs a cancel that
+ * missed/hit. */
+struct EngineLogEntry
+{
+    u64 tag;
+    Nanos now;
+    u64 trace;
+    u64 note;
+    bool operator==(const EngineLogEntry &o) const = default;
+};
+
+/**
+ * One campaign's lanes on engine E. Every callback touches only its
+ * own lane's state: it logs (tag, clock, trace, note), then draws from
+ * its lane's Rng how many follow-ups to start — zero-delay and
+ * horizon-tied local events, mail at exactly the lookahead or later,
+ * traced mail, cancels of its own earlier events — until the lane's
+ * budget runs out. So equal per-lane order in two engines means equal
+ * logs, and any reordering shows in the first differing entry.
+ */
+template <typename E>
+class EngineCampaign
+{
+  public:
+    EngineCampaign(size_t lanes, Nanos lookahead, u64 seed, u64 budget)
+        : eng_(lanes, lookahead), lookahead_(lookahead), budget_(budget),
+          logs_(lanes), next_tag_(lanes, 0), spent_(lanes, 0),
+          ids_(lanes)
+    {
+        for (size_t i = 0; i < lanes; ++i)
+            rng_.emplace_back(seed * 0x9E3779B97F4A7C15ULL + i + 1);
+    }
+
+    E &engine() { return eng_; }
+    size_t lanes() const { return logs_.size(); }
+    const std::vector<EngineLogEntry> &log(size_t lane) const { return logs_[lane]; }
+
+    /** A local event on @p lane at @p when (from outside any run or
+     * from one of that lane's own callbacks). */
+    void
+    local(u32 lane, Nanos when)
+    {
+        const u64 tag = newTag(lane);
+        ids_[lane].push_back(
+            eng_.sim(lane).scheduleAt(when, [this, lane, tag] {
+                fire(lane, tag);
+            }));
+    }
+
+    /** Mail from @p src to @p dst, optionally under trace @p trace. */
+    void
+    mail(u32 src, u32 dst, Nanos when, u64 trace)
+    {
+        const u64 tag = newTag(src);
+        obs::TraceScope scope(trace);
+        eng_.send(src, dst, when, [this, dst, tag] { fire(dst, tag); });
+    }
+
+  private:
+    u64
+    newTag(u32 lane)
+    {
+        return (static_cast<u64>(lane) << 32) | next_tag_[lane]++;
+    }
+
+    void
+    fire(u32 lane, u64 tag)
+    {
+        const Nanos now = eng_.sim(lane).now();
+        logs_[lane].push_back({tag, now, obs::currentTrace(), 0});
+        Rng &r = rng_[lane];
+        const u64 kids = r.below(4);
+        for (u64 k = 0; k < kids && spent_[lane] < budget_; ++k) {
+            ++spent_[lane];
+            const u32 dst = static_cast<u32>(r.below(lanes()));
+            switch (r.below(8)) {
+              case 0:
+                local(lane, now); // zero-delay follow-up
+                break;
+              case 1:
+                local(lane, now + lookahead_); // on the horizon
+                break;
+              case 2:
+                local(lane, now + r.below(8 * lookahead_ + 1));
+                break;
+              case 3:
+                mail(lane, dst, now + lookahead_, 0); // wire == lookahead
+                break;
+              case 4:
+                mail(lane, dst, now + lookahead_ + r.below(4 * lookahead_ + 1),
+                     0);
+                break;
+              case 5:
+                mail(lane, dst, now + lookahead_ + r.below(2),
+                     (u64{lane} + 1) << 48 | tag);
+                break;
+              case 6: {
+                auto &ids = ids_[lane];
+                if (ids.empty())
+                    break;
+                const size_t pick = static_cast<size_t>(r.below(ids.size()));
+                const bool hit = eng_.sim(lane).cancel(ids[pick]);
+                logs_[lane].push_back({tag, now, 0, hit ? 2u : 1u});
+                break;
+              }
+              default:
+                break; // a child that does nothing
+            }
+        }
+    }
+
+    E eng_;
+    Nanos lookahead_;
+    u64 budget_;
+    std::vector<Rng> rng_;
+    std::vector<std::vector<EngineLogEntry>> logs_;
+    std::vector<u64> next_tag_;
+    std::vector<u64> spent_;
+    std::vector<std::vector<des::EventId>> ids_;
+};
+
+/**
+ * CoupledEngineFuzz: random lane counts and lookaheads, random
+ * callback programs (see EngineCampaign), external local events and
+ * mail between calls, deadline-truncated runUntil calls (some with a
+ * deadline already passed) and run() calls, all driven in lockstep on
+ * des::ParallelEngine and on WindowedEngineOracle. After every call
+ * each lane's log and clock, rounds(), messagesDelivered() and
+ * eventsRun() must agree. RIO_ENGINE_EXTRA_SEEDS appends seeds (the
+ * sanitize and fuzz CI soaks).
+ */
+std::vector<u64>
+coupledEngineFuzzSeeds()
+{
+    std::vector<u64> seeds = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};
+    appendExtraSeeds(seeds, "RIO_ENGINE_EXTRA_SEEDS");
+    return seeds;
+}
+
+class CoupledEngineFuzz : public ::testing::TestWithParam<u64>
+{
+};
+
+template <typename A, typename B>
+void
+expectSameCampaign(EngineCampaign<A> &got, EngineCampaign<B> &want,
+                   int call)
+{
+    for (size_t l = 0; l < got.lanes(); ++l) {
+        ASSERT_EQ(got.engine().sim(l).now(), want.engine().sim(l).now())
+            << "lane " << l << " clock after call " << call;
+        const auto &g = got.log(l);
+        const auto &w = want.log(l);
+        const size_t n = std::min(g.size(), w.size());
+        for (size_t i = 0; i < n; ++i)
+            ASSERT_EQ(g[i], w[i])
+                << "lane " << l << " entry " << i << " (tag " << w[i].tag
+                << " at " << w[i].now << ") after call " << call;
+        ASSERT_EQ(g.size(), w.size())
+            << "lane " << l << " log length after call " << call;
+    }
+    ASSERT_EQ(got.engine().rounds(), want.engine().rounds())
+        << "windows after call " << call;
+    ASSERT_EQ(got.engine().messagesDelivered(),
+              want.engine().messagesDelivered())
+        << "mail after call " << call;
+    ASSERT_EQ(got.engine().eventsRun(), want.engine().eventsRun())
+        << "events after call " << call;
+}
+
+TEST_P(CoupledEngineFuzz, MatchesWindowedLoop)
+{
+    const u64 seed = GetParam();
+    Rng shape(seed * 0xD1B54A32D192ED03ULL + 7);
+    const size_t lanes = 1 + static_cast<size_t>(shape.below(6));
+    const Nanos lookahead = 1 + shape.below(40);
+    const u64 budget = 300 + shape.below(1200);
+    EngineCampaign<CoupledEngineUnderTest> got(lanes, lookahead, seed,
+                                               budget);
+    EngineCampaign<WindowedEngineOracle> want(lanes, lookahead, seed,
+                                              budget);
+    const auto both = [&](auto &&step) {
+        step(got);
+        step(want);
+    };
+    for (u32 l = 0; l < lanes; ++l) {
+        const u64 first = 1 + shape.below(4);
+        for (u64 k = 0; k < first; ++k) {
+            const Nanos at = shape.below(4 * lookahead);
+            both([&](auto &c) { c.local(l, at); });
+        }
+    }
+    const int calls = 20 + static_cast<int>(shape.below(30));
+    u64 windows = 0;
+    for (int call = 0; call < calls; ++call) {
+        const Nanos now = want.engine().sim(0).now();
+        if (shape.chance(0.4)) {
+            const u32 l = static_cast<u32>(shape.below(lanes));
+            const Nanos at = now + shape.below(2 * lookahead + 1);
+            both([&](auto &c) { c.local(l, at); });
+        }
+        if (shape.chance(0.3)) {
+            const u32 src = static_cast<u32>(shape.below(lanes));
+            const u32 dst = static_cast<u32>(shape.below(lanes));
+            const Nanos at = now + lookahead + shape.below(lookahead + 1);
+            const u64 trace = shape.chance(0.5) ? 0xE000 + call : 0;
+            both([&](auto &c) { c.mail(src, dst, at, trace); });
+        }
+        const u64 kind = shape.below(10);
+        if (kind == 0) {
+            both([](auto &c) { c.engine().run(); });
+        } else {
+            // Mostly a step into the future; sometimes a deadline that
+            // has already passed (runs nothing, moves no clock).
+            const Nanos deadline =
+                kind == 1 ? now / 2 : now + shape.below(6 * lookahead + 1);
+            both([&](auto &c) { c.engine().runUntil(deadline); });
+        }
+        expectSameCampaign(got, want, call);
+        if (::testing::Test::HasFatalFailure())
+            return;
+        windows = want.engine().rounds();
+    }
+    both([](auto &c) { c.engine().run(); });
+    expectSameCampaign(got, want, calls);
+    EXPECT_GT(windows, 0u);
+    EXPECT_GT(want.engine().messagesDelivered(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CoupledEngineFuzz,
+                         ::testing::ValuesIn(coupledEngineFuzzSeeds()),
+                         [](const ::testing::TestParamInfo<u64> &info) {
+                             std::string name = "s";
+                             name += std::to_string(info.param);
+                             return name;
+                         });
 
 // ---- overflow under pressure ---------------------------------------------------
 

@@ -431,8 +431,9 @@ TEST_F(ObsTest, FaultRecoveryFiresFlightDumpWithRingContents)
     dma::FaultEngine eng;
     eng.bindCore(&core);
     eng.setPolicy(dma::FaultPolicy::kRetryRemap);
+    sim.runUntil(1234);
     Status out = eng.recover(
-        Status(ErrorCode::kIoPageFault, "test fault"), [] {},
+        Status(ErrorCode::kIoPageFault, "test fault"), 0x0021, [] {},
         [] { return Status::ok(); });
     EXPECT_TRUE(out.isOk());
 
@@ -444,8 +445,10 @@ TEST_F(ObsTest, FaultRecoveryFiresFlightDumpWithRingContents)
     EXPECT_NE(text.find("map"), std::string::npos)
         << "the preloaded event is in the dump:\n"
         << text;
-    EXPECT_NE(text.find("fault"), std::string::npos)
-        << "the faulting event itself is in the dump:\n"
+    EXPECT_NE(text.find("t=1234 machine=0 core=0 fault bdf=0x0021"),
+              std::string::npos)
+        << "the faulting event itself is in the dump, stamped with the "
+           "core's time and the device:\n"
         << text;
     EXPECT_EQ(rec.ring().newest()->kind, Ev::kFlightDump)
         << "the dump leaves its marker in the ring";

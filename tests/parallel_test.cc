@@ -10,13 +10,46 @@
 
 #include <array>
 #include <atomic>
+#include <cstdlib>
 #include <mutex>
+#include <new>
 #include <set>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "des/parallel.h"
+#include "obs/trace_ctx.h"
+
+/** Global operator new calls in this binary (the no-allocation guard
+ * reads it around a run of cross-lane messages). */
+static std::atomic<unsigned long> g_operator_news{0};
+
+void *
+operator new(std::size_t size)
+{
+    g_operator_news.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+// The replaced operator new is malloc, so free() is its match; GCC
+// cannot tell once the delete is inlined into a new-expression's user.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+#pragma GCC diagnostic pop
 
 namespace rio::des {
 namespace {
@@ -245,6 +278,48 @@ TEST(ParallelEngine, ManyLanesManyMessagesDeterministic)
     EXPECT_EQ(seq.first, par.first);
     EXPECT_EQ(seq.second, par.second);
     EXPECT_EQ(seq.second, u64{8 * 40 * 2}) << "send event + delivery";
+}
+
+TEST(ParallelEngine, SendToAllocatesNothing)
+{
+    // A cluster's wire closure is its target NIC plus a WireMsg: 96
+    // bytes with the payload vector (empty here, as on every control
+    // message). Sent under a trace, it must reach the queue without a
+    // heap box for the closure or for the trace.
+    struct WireSized
+    {
+        u64 words[8] = {};
+        std::vector<u8> payload;
+    };
+    ParallelEngine eng(1);
+    eng.setLookahead(100);
+    Lane &a = eng.addLane();
+    Lane &b = eng.addLane();
+    u64 delivered = 0;
+    const auto volley = [&](int msgs) {
+        obs::TraceScope scope(0xABCD);
+        for (int i = 0; i < msgs; ++i) {
+            WireSized msg;
+            msg.words[0] = static_cast<u64>(i);
+            auto fn = [sink = &delivered, msg = std::move(msg)] {
+                *sink += 1 + msg.payload.size();
+            };
+            static_assert(sizeof(fn) >= 96, "smaller than the wire closure");
+            a.sendTo(b, a.sim().now() + 100 + static_cast<Nanos>(i % 7),
+                     std::move(fn));
+        }
+    };
+    // Warm up: the slot table and the heap grow to their peak.
+    volley(64);
+    eng.run();
+    const unsigned long before = g_operator_news.load();
+    for (int round = 0; round < 20; ++round) {
+        volley(64);
+        eng.run();
+    }
+    EXPECT_EQ(g_operator_news.load() - before, 0u);
+    EXPECT_EQ(delivered, 21u * 64);
+    EXPECT_EQ(eng.messagesDelivered(), 21u * 64);
 }
 
 TEST(ParallelEngineDeathTest, MailOnAnUncoupledEngineIsCaught)
